@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.stats import norm
 
 from .base_graph import (
     AnalysisError,
@@ -38,6 +38,7 @@ from .base_graph import (
     check_assumptions,
     core,
     is_cover_transient,
+    solve_stationary,
 )
 from .errors import NonConvergenceError
 
@@ -186,22 +187,6 @@ class RayLaw:
         return {g.oriented_name(k): float(self.edge_freq[k]) for k in range(g.n_oriented)}
 
 
-def _stationary_of_kernel(mat):
-    """Stationary row vector of a stochastic matrix (least-squares solve)."""
-    n = mat.shape[0]
-    lhs = np.vstack([mat.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    pi = np.clip(np.where(np.abs(pi) < 1e-15, 0.0, pi), 0.0, None)
-    total = pi.sum()
-    if total <= 0:
-        raise AnalysisError("stationary solve collapsed to zero")
-    pi /= total
-    residual = float(np.max(np.abs(pi @ mat - pi)))
-    return pi, residual
-
-
 def ray_law(g, first_passage):
     """Exit law, successor kernel, and edge frequencies of the escape ray.
 
@@ -271,7 +256,7 @@ def ray_law(g, first_passage):
             f"ray chain has {len(closed)} closed classes; expected exactly one"
         )
     class_idx = sup_idx[closed[0]]
-    pi_c, residual = _stationary_of_kernel(kernel[np.ix_(class_idx, class_idx)])
+    pi_c, residual = solve_stationary(kernel[np.ix_(class_idx, class_idx)])
     if residual > RAY_STATIONARY_TOL:
         raise AnalysisError(
             f"ray stationary residual {residual:.3e} exceeds tolerance"
@@ -342,7 +327,7 @@ def _line_drift_speed(g):
     for j in range(m):
         phase[j, (j + 1) % m] += p[j]
         phase[j, (j - 1) % m] += 1.0 - p[j]
-    mu, residual = _stationary_of_kernel(phase)
+    mu, residual = solve_stationary(phase)
     if residual > RAY_STATIONARY_TOL:
         raise AnalysisError(f"phase-chain stationary residual {residual:.3e}")
     return float(abs(np.dot(mu, 2.0 * p - 1.0)))
@@ -384,12 +369,9 @@ class EntropyReport:
 
     ``entropy_rate`` (nats per walk step) is the product of the per-level
     entropy, the escape speed, the moving fraction ``1 - holding_prob``, and
-    the fraction of moving steps spent on the pruned graph's edges.  The
-    alternative ``entropy_rate_reciprocal_scaling`` divides the half-lazy
-    rate by ``2 * (1 - holding_prob)`` instead; it is recorded for
-    comparison but not used by the mixing predictions.  ``sigma_mc`` is an
-    optional Monte Carlo estimate of the step-CLT spread of the ray's
-    location information, filled in from cover simulations.
+    the fraction of moving steps spent on the pruned graph's edges.
+    ``sigma_mc`` is an optional Monte Carlo estimate of the step-CLT spread
+    of the ray's location information, filled in from cover simulations.
     """
 
     per_level_entropy: float
@@ -398,7 +380,6 @@ class EntropyReport:
     holding_prob: float
     speed: float
     entropy_rate: float
-    entropy_rate_reciprocal_scaling: float
     degenerate: bool
     first_passage: FirstPassageSolution
     ray_law: RayLaw
@@ -446,7 +427,6 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
     afrac = cd.core_step_fraction
     speed_alpha = (1.0 - alpha) * s0 * afrac
     rate = speed_alpha * h_level
-    rate_recip = s0 * h_level * afrac / (4.0 * (1.0 - alpha))
     return EntropyReport(
         per_level_entropy=h_level,
         escape_speed=s0,
@@ -454,7 +434,6 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
         holding_prob=float(alpha),
         speed=speed_alpha,
         entropy_rate=rate,
-        entropy_rate_reciprocal_scaling=rate_recip,
         degenerate=degenerate,
         first_passage=fps,
         ray_law=rl,
@@ -504,7 +483,7 @@ def predict_mixing_time(report, n, eps):
             t_center=t_center, t_lower=t_center, window_used=False, n=n, eps=eps
         )
     spread = report.sigma_mc / rate**1.5
-    t_lower = t_center + float(norm.isf(eps)) * spread * math.sqrt(log_n)
+    t_lower = t_center + NormalDist().inv_cdf(1.0 - eps) * spread * math.sqrt(log_n)
     return MixingPrediction(
         t_center=t_center, t_lower=t_lower, window_used=True, n=n, eps=eps
     )
@@ -538,7 +517,7 @@ def chain_clt_params(kernel, f, stationary=None):
     if ncomp != 1:
         raise AnalysisError("kernel is reducible; CLT parameters undefined")
     if stationary is None:
-        pi, residual = _stationary_of_kernel(p)
+        pi, residual = solve_stationary(p)
         if residual > RAY_STATIONARY_TOL:
             raise AnalysisError(f"stationary residual {residual:.3e}")
     else:

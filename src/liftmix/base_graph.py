@@ -15,8 +15,11 @@ Besides parsing and validation this module provides:
 
 * :func:`check_assumptions` -- irreducibility, positivity, the two-cycle
   branching property of the non-backtracking structure, the
-  every-edge-on-a-cycle property, and the walk's period;
-* :func:`stationary_distribution` -- the stationary law of the vertex chain;
+  every-edge-on-a-cycle property, and the walk's period (from
+  :func:`arc_period`, which also gives the period of a lift);
+* :func:`stationary_distribution` -- the stationary law of the vertex chain,
+  from :func:`solve_stationary`, the least-squares solve shared with the
+  analyzer's ray chain;
 * :func:`core` -- iterated removal of degree-one vertices with outgoing
   weights renormalized, plus the long-run fraction of moving steps the full
   walk spends on surviving edges;
@@ -35,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import AnalysisError, GraphError
 
@@ -125,6 +128,11 @@ class WeightedMultigraph:
         for k in range(self.n_oriented):
             buckets[self.oriented_init[k]].append(k)
         return tuple(np.array(b, dtype=np.int64) for b in buckets)
+
+    @cached_property
+    def stationary(self):
+        """:func:`stationary_distribution` of this graph, solved on first use."""
+        return stationary_distribution(self)
 
     def oriented_name(self, k):
         """Printable name of oriented edge ``k``, e.g. ``"e2-"``."""
@@ -492,44 +500,34 @@ def verify_witness_cycle(g, cycle):
     return True
 
 
-def _chain_period(g):
-    """Period of the non-lazy vertex chain (gcd of closed-walk lengths)."""
-    adj = _positive_vertex_adjacency(g)
-    n = adj.shape[0]
-    ncomp, labels = connected_components(
-        csr_matrix(adj), directed=True, connection="strong"
-    )
+def arc_period(n_nodes, tails, heads, start):
+    """Period of the closed walks through ``start`` in a digraph given by arcs.
 
-    def component_period(members):
-        root = members[0]
-        level = {root: 0}
-        order = [root]
-        g_acc = 0
-        allowed = set(members)
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in np.nonzero(adj[u])[0]:
-                v = int(v)
-                if v not in allowed:
-                    continue
-                if v not in level:
-                    level[v] = level[u] + 1
-                    order.append(v)
-                else:
-                    g_acc = math.gcd(g_acc, level[u] + 1 - level[v])
-        return abs(g_acc)
-
-    comp_members = [[] for _ in range(ncomp)]
-    for v in range(n):
-        comp_members[labels[v]].append(v)
-    period = 0
-    for members in comp_members:
-        has_arc = any(adj[u, v] for u in members for v in members)
-        if not has_arc:
-            continue
-        period = math.gcd(period, component_period(members))
+    Finds BFS levels from ``start``, then takes the gcd of ``level[u] + 1 -
+    level[v]`` over the arcs ``u -> v`` whose tail is reached.  The result
+    is the period of ``start``'s class when everything reachable from
+    ``start`` lies in that class; 1 when no closed walk is reachable.
+    """
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    # CSR rows built directly: scipy's coordinate-format path costs more
+    # than the search itself on the few arcs of a base graph.
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
+    adj = csr_matrix((np.ones(len(tails)), heads[np.argsort(tails)], indptr),
+                     shape=(n_nodes, n_nodes))
+    order, parent = breadth_first_order(adj, int(start), return_predecessors=True)
+    # A node's BFS level is its depth in the BFS tree: sum the parent
+    # distances while jumping to ever higher ancestors.
+    up = np.where(parent < 0, start, parent)
+    level = (np.arange(n_nodes) != start).astype(np.int64)
+    while (up != start).any():
+        level += level[up]
+        up = up[up]
+    reached = np.zeros(n_nodes, dtype=bool)
+    reached[order] = True
+    inside = reached[tails]
+    period = int(np.gcd.reduce(level[tails[inside]] + 1 - level[heads[inside]]))
     return period if period > 0 else 1
 
 
@@ -540,21 +538,31 @@ def check_assumptions(g):
     a3_star = any(
         e.weight_fwd > 0.0 and e.weight_bwd > 0.0 for e in g.edges
     )
-    a1 = _is_strongly_connected(_positive_vertex_adjacency(g))
+    ncomp, labels = connected_components(
+        csr_matrix(_positive_vertex_adjacency(g)), directed=True, connection="strong"
+    )
     a4, a2, witnesses, _ = _cycle_structure(g)
     for cyc in witnesses:
         if not verify_witness_cycle(g, cyc):
             raise AnalysisError("internal error: witness cycle failed replay")
     if len(witnesses) == 2 and _cycles_mutually_inverse(witnesses[0], witnesses[1]):
         raise AnalysisError("internal error: witness cycles are mutual reverses")
-    period = _chain_period(g)
+    # Period of the vertex chain: the gcd of the periods of the strong
+    # components that hold an arc, each found from its first vertex.
+    pos = weight > 0.0
+    inside = labels[g.oriented_init[pos]] == labels[g.oriented_end[pos]]
+    tails, heads = g.oriented_init[pos][inside], g.oriented_end[pos][inside]
+    period = 0
+    for comp in np.unique(labels[tails]):
+        start = int(np.argmax(labels == comp))
+        period = math.gcd(period, arc_period(g.n_vertices, tails, heads, start))
     return AssumptionReport(
-        a1_irreducible=a1,
+        a1_irreducible=ncomp == 1,
         a2_two_cycles=a2,
         a3_all_positive=a3,
         a3_star=a3_star,
         a4_every_edge_on_cycle=a4,
-        period=period,
+        period=period or 1,
         witness_cycles=witnesses,
     )
 
@@ -592,18 +600,16 @@ def transition_matrix(g, alpha=None):
     return mat
 
 
-def stationary_distribution(g):
-    """Stationary distribution of the vertex chain.
+def solve_stationary(mat):
+    """Stationary row vector of a stochastic matrix and its residual.
 
-    Solved from the non-lazy kernel; holding reweights nothing, so the
-    result applies for every ``alpha`` in ``[0, 1)``.  Raises
-    :class:`AnalysisError` if the chain is reducible.
+    Least-squares solve of ``pi P = pi`` with ``sum(pi) = 1``; entries below
+    1e-15 in magnitude become exact zeros.  Returns ``(pi, residual)`` with
+    the max-norm residual ``|pi P - pi|``.  Raises :class:`AnalysisError`
+    when the solve has negative entries or collapses to zero.
     """
-    if not _is_strongly_connected(_positive_vertex_adjacency(g)):
-        raise AnalysisError("vertex chain is reducible; no unique stationary law")
-    p0 = transition_matrix(g, alpha=0.0)
-    n = g.n_vertices
-    lhs = np.vstack([p0.T - np.eye(n), np.ones((1, n))])
+    n = mat.shape[0]
+    lhs = np.vstack([mat.T - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
@@ -611,8 +617,24 @@ def stationary_distribution(g):
     if (pi < -1e-12).any():
         raise AnalysisError("stationary solve produced negative entries")
     pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    residual = float(np.max(np.abs(pi @ p0 - pi)))
+    total = pi.sum()
+    if total <= 0:
+        raise AnalysisError("stationary solve collapsed to zero")
+    pi /= total
+    return pi, float(np.max(np.abs(pi @ mat - pi)))
+
+
+def stationary_distribution(g):
+    """Stationary distribution of the vertex chain.
+
+    Solved from the non-lazy kernel; holding reweights nothing, so the
+    result applies for every ``alpha`` in ``[0, 1)``.  Raises
+    :class:`AnalysisError` if the chain is reducible.  ``g.stationary``
+    holds the same result, solved once per graph.
+    """
+    if not _is_strongly_connected(_positive_vertex_adjacency(g)):
+        raise AnalysisError("vertex chain is reducible; no unique stationary law")
+    pi, residual = solve_stationary(transition_matrix(g, alpha=0.0))
     if residual > STATIONARY_TOL:
         raise AnalysisError(
             f"stationary distribution residual {residual:.3e} exceeds tolerance"
@@ -630,14 +652,12 @@ class CoreDecomposition:
     """Result of stripping hanging trees off a graph.
 
     ``graph`` is the pruned graph with outgoing weights renormalized to sum
-    to one again; ``edge_map`` sends each surviving edge id to the original
-    edge id (the identity here, kept explicit for downstream bookkeeping);
+    to one again; it keeps the ids of the surviving edges.
     ``core_step_fraction`` is the long-run fraction of the full walk's moving
     steps that traverse surviving edges.
     """
 
     graph: WeightedMultigraph
-    edge_map: dict
     removed_vertices: tuple
     core_step_fraction: float
 
@@ -695,7 +715,6 @@ def core(g):
         out_mass[vi[e.head]] += e.weight_bwd
 
     new_edges = []
-    edge_map = {}
     for j, e in enumerate(g.edges):
         if not alive_edge[j]:
             continue
@@ -709,20 +728,18 @@ def core(g):
         wf = e.weight_fwd / denom_t if denom_t > 0 else 0.0
         wb = e.weight_bwd / denom_h if denom_h > 0 else 0.0
         new_edges.append((e.eid, e.tail, e.head, wf, wb))
-        edge_map[e.eid] = e.eid
 
     pruned = build_graph(
         surviving_vertices, new_edges, alpha=g.alpha, alpha_literal=g.alpha_literal
     )
 
-    pi = stationary_distribution(g).as_array()
+    pi = g.stationary.as_array()
     fraction = 0.0
     for i in range(n):
         if alive_vertex[i]:
             fraction += pi[i] * out_mass[i]
     return CoreDecomposition(
         graph=pruned,
-        edge_map=edge_map,
         removed_vertices=tuple(removed),
         core_step_fraction=float(fraction),
     )

@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -52,7 +51,7 @@ from .lift import (
     lift_to_json,
     spectrum_inheritance_check,
 )
-from .mixing import DEFAULT_EPS_LIST, cutoff_sweep, mixing_curve, _select_starts
+from .mixing import _pool_map, _select_starts, cutoff_sweep, mixing_curve
 from .rng import substream
 
 ENV_OUT_DIR = "LIFTMIX_OUT_DIR"
@@ -110,18 +109,6 @@ def _canonical_json(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _config_digest(config):
-    return hashlib.sha256(_canonical_json(config).encode("utf-8")).hexdigest()
-
-
-def _meta(config_digest, g):
-    return {
-        "config_digest": config_digest,
-        "library_version": __version__,
-        "graph_digest": g.digest(),
-    }
-
-
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -152,25 +139,63 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, config, config_digest, g, artifact_paths,
-                    started, t0):
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_digest": config_digest,
-        "library_version": __version__,
-        "graph_digest": g.digest(),
-        "artifacts": {
-            name: _file_sha256(path) for name, path in sorted(artifact_paths.items())
-        },
-        "timing": {
-            "started_utc": started,
-            "wall_seconds": round(time.monotonic() - t0, 6),
-        },
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=False) + "\n")
-    return path
+class _Run:
+    """Configuration, artifacts and manifest of one command run.
+
+    The configuration opens with the command name and the graph digest; its
+    digest, the library version and the graph digest form ``meta``, which
+    every payload and artifact carries.  Artifacts are written atomically
+    into ``out_dir``; :meth:`manifest` then records their SHA-256 digests.
+    The manifest's ``timing`` key, its only non-reproducible content,
+    counts from the creation of the run.
+    """
+
+    def __init__(self, command, g, config, out_dir=None):
+        self.command = command
+        self.config = {"command": command, "graph_digest": g.digest(), **config}
+        text = _canonical_json(self.config).encode("utf-8")
+        digest = hashlib.sha256(text).hexdigest()
+        self.meta = {
+            "config_digest": digest,
+            "library_version": __version__,
+            "graph_digest": g.digest(),
+        }
+        self.out_dir = out_dir
+        self.artifacts = {}
+        self.started = datetime.now(timezone.utc).isoformat()
+        self.t0 = time.monotonic()
+
+    def write(self, name, text):
+        """Write one artifact and return its path."""
+        path = os.path.join(self.out_dir, name)
+        _atomic_write(path, text)
+        self.artifacts[name] = path
+        return path
+
+    def write_csv(self, name, header, rows, **extra_meta):
+        """Write a CSV artifact headed by ``meta`` plus ``extra_meta``."""
+        return self.write(name, _csv_text({**self.meta, **extra_meta}, header, rows))
+
+    def manifest(self):
+        """Write ``manifest.json`` and return its path; None without artifacts."""
+        if not self.artifacts:
+            return None
+        manifest = {
+            "command": self.command,
+            "config": self.config,
+            **self.meta,
+            "artifacts": {
+                name: _file_sha256(path)
+                for name, path in sorted(self.artifacts.items())
+            },
+            "timing": {
+                "started_utc": self.started,
+                "wall_seconds": round(time.monotonic() - self.t0, 6),
+            },
+        }
+        path = os.path.join(self.out_dir, "manifest.json")
+        _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=False) + "\n")
+        return path
 
 
 def _parse_eps_list(text):
@@ -212,7 +237,6 @@ def _cmd_validate(args):
         verdict = is_cover_transient(g)
         transient = verdict.transient
         reason = verdict.reason
-    config = {"command": "validate", "graph_digest": g.digest()}
     payload = {
         "valid": True,
         "vertices": g.n_vertices,
@@ -229,7 +253,7 @@ def _cmd_validate(args):
         ],
         "cover_transient": transient,
         "transience_reason": reason,
-        "meta": _meta(_config_digest(config), g),
+        "meta": _Run("validate", g, {}).meta,
     }
     return payload
 
@@ -245,13 +269,11 @@ def _cmd_analyze(args):
     gc = report.core.graph
     fps = report.first_passage
     rl = report.ray_law
-    config = {
-        "command": "analyze",
-        "graph_digest": g.digest(),
+    run = _Run("analyze", g, {
         "alpha": report.holding_prob,
         "tol": args.tol,
         "max_iter": args.max_iter,
-    }
+    })
     payload = {
         "q": fps.as_dict(gc),
         "w_hat": rl.exit_dict(),
@@ -268,9 +290,8 @@ def _cmd_analyze(args):
         "iterations": fps.iterations,
         "alpha": report.holding_prob,
         "s_alpha": report.speed,
-        "h_alpha_reciprocal_scaling": report.entropy_rate_reciprocal_scaling,
         "removed_vertices": list(report.core.removed_vertices),
-        "meta": _meta(_config_digest(config), g),
+        "meta": run.meta,
     }
     return payload
 
@@ -318,10 +339,7 @@ def _cmd_cover_sim(args):
     else:
         e_star = int(np.argmax(view_full.edge_freq))
     workers = _resolve_workers(args)
-    out_dir = _resolve_out_dir(args)
-    config = {
-        "command": "cover-sim",
-        "graph_digest": g.digest(),
+    run = _Run("cover-sim", g, {
         "alpha": alpha,
         "steps": args.steps,
         "trials": args.trials,
@@ -331,30 +349,18 @@ def _cmd_cover_sim(args):
         "e_star": g.oriented_name(e_star),
         "r_max": args.r_max,
         "per_trial": bool(args.per_trial),
-    }
-    digest = _config_digest(config)
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    }, _resolve_out_dir(args))
     text = g.to_text()
     packed = [
         (text, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
          args.r_max, view_full.exit_prob, view_full.edge_freq)
         for trial in range(args.trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = []
-            for res in pool.map(_cover_trial, packed):
-                results.append(res)
-                _progress(f"trial {res['trial'] + 1}/{args.trials} done "
-                          f"({res['n_excursions']} excursions)")
-    else:
-        results = []
-        for item in packed:
-            res = _cover_trial(item)
-            results.append(res)
-            _progress(f"trial {res['trial'] + 1}/{args.trials} done "
-                      f"({res['n_excursions']} excursions)")
+    results = []
+    for res in _pool_map(_cover_trial, packed, workers):
+        results.append(res)
+        _progress(f"trial {res['trial'] + 1}/{args.trials} done "
+                  f"({res['n_excursions']} excursions)")
 
     durations = np.concatenate([r["durations"] for r in results])
     increments = np.concatenate([r["increments"] for r in results])
@@ -372,7 +378,6 @@ def _cmd_cover_sim(args):
     n_samples = int(sum(r["n_samples"] for r in results))
     tail = {str(r): float(counts[r]) / n_samples for r in range(args.r_max + 1)}
 
-    artifacts = {}
     if args.per_trial:
         rows = [
             (
@@ -385,23 +390,12 @@ def _cmd_cover_sim(args):
             )
             for r in results
         ]
-        csv_meta = {
-            "config_digest": digest,
-            "library_version": __version__,
-            "graph_digest": g.digest(),
-        }
-        path = os.path.join(out_dir, "per_trial.csv")
-        _atomic_write(path, _csv_text(
-            csv_meta,
+        run.write_csv(
+            "per_trial.csv",
             ("trial", "n_excursions", "sum_duration", "sum_log_weight",
              "sum_levels", "final_height"),
             rows,
-        ))
-        artifacts["per_trial.csv"] = path
-    manifest_path = None
-    if artifacts:
-        manifest_path = _write_manifest(out_dir, "cover-sim", config, digest,
-                                        g, artifacts, started, t0)
+        )
     payload = {
         "h_est": est.h_est,
         "se_h": est.h_se,
@@ -420,9 +414,9 @@ def _cmd_cover_sim(args):
         "trials": args.trials,
         "h_analytic": report.entropy_rate,
         "speed_analytic": report.speed,
-        "artifacts": sorted(artifacts),
-        "manifest": manifest_path,
-        "meta": _meta(digest, g),
+        "artifacts": sorted(run.artifacts),
+        "manifest": run.manifest(),
+        "meta": run.meta,
     }
     return payload
 
@@ -441,32 +435,20 @@ def _cmd_lift(args):
         except OSError as exc:
             raise GraphError(f"cannot read lift file {args.verify!r}: {exc}") from exc
         lift = lift_from_json(g, text)
-        config = {
-            "command": "lift",
-            "graph_digest": g.digest(),
-            "verify": True,
-            "n": lift.n,
-        }
         return {
             "verified": True,
             "n": lift.n,
             "edges": len(g.edges),
             "base_hash": g.digest(),
-            "meta": _meta(_config_digest(config), g),
+            "meta": _Run("lift", g, {"verify": True, "n": lift.n}).meta,
         }
     if args.n is None:
         raise AnalysisError("--n is required unless --verify is given")
-    out_dir = _resolve_out_dir(args)
-    config = {
-        "command": "lift",
-        "graph_digest": g.digest(),
+    run = _Run("lift", g, {
         "n": args.n,
         "seed": args.seed,
         "sequential": bool(args.sequential),
-    }
-    digest = _config_digest(config)
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    }, _resolve_out_dir(args))
     if args.sequential:
         rng = substream(args.seed, "lift-sequential", args.n, 0)
         lift = generate_sequential_lift(g, args.n, rng, seed=args.seed)
@@ -474,18 +456,15 @@ def _cmd_lift(args):
         rng = substream(args.seed, "lift", args.n, 0)
         lift = generate_uniform_lift(g, args.n, rng, seed=args.seed)
     payload_file = json.loads(lift_to_json(lift))
-    payload_file["meta"] = _meta(digest, g)
-    path = os.path.join(out_dir, args.file_name)
-    _atomic_write(path, _canonical_json(payload_file) + "\n")
-    manifest_path = _write_manifest(out_dir, "lift", config, digest, g,
-                                    {args.file_name: path}, started, t0)
+    payload_file["meta"] = run.meta
+    path = run.write(args.file_name, _canonical_json(payload_file) + "\n")
     return {
         "written": path,
         "n": lift.n,
         "sequential": bool(args.sequential),
         "base_hash": g.digest(),
-        "manifest": manifest_path,
-        "meta": _meta(digest, g),
+        "manifest": run.manifest(),
+        "meta": run.meta,
     }
 
 
@@ -499,20 +478,14 @@ def _cmd_mix(args):
     alpha = g.alpha if args.alpha is None else float(args.alpha)
     eps_list = _parse_eps_list(args.eps)
     eps_primary = eps_list[0]
-    out_dir = _resolve_out_dir(args)
-    config = {
-        "command": "mix",
-        "graph_digest": g.digest(),
+    run = _Run("mix", g, {
         "n": args.n,
         "seed": args.seed,
         "alpha": alpha,
         "eps": list(eps_list),
         "starts": args.starts,
         "t_cap": args.t_cap,
-    }
-    digest = _config_digest(config)
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    }, _resolve_out_dir(args))
     lift = generate_uniform_lift(g, args.n, substream(args.seed, "lift", args.n, 0),
                                  seed=args.seed)
     rng = substream(args.seed, "start-sample", args.n, 0)
@@ -530,26 +503,12 @@ def _cmd_mix(args):
 
     worst_state = max(states, key=_rank)
     worst_curve = curves[worst_state]
-    csv_meta = {
-        "config_digest": digest,
-        "library_version": __version__,
-        "graph_digest": g.digest(),
-        "start": worst_state,
-    }
-    artifacts = {}
-    curve_path = os.path.join(out_dir, "curve.csv")
-    _atomic_write(curve_path, _csv_text(
-        csv_meta, ("t", "tv"),
-        [(t, repr(float(v))) for t, v in enumerate(worst_curve.tv)],
-    ))
-    artifacts["curve.csv"] = curve_path
-    if worst_curve.averaged is not None:
-        avg_path = os.path.join(out_dir, "curve_averaged.csv")
-        _atomic_write(avg_path, _csv_text(
-            csv_meta, ("t", "tv"),
-            [(t, repr(float(v))) for t, v in enumerate(worst_curve.averaged.tv)],
-        ))
-        artifacts["curve_averaged.csv"] = avg_path
+    for name, curve in (("curve.csv", worst_curve),
+                        ("curve_averaged.csv", worst_curve.averaged)):
+        if curve is not None:
+            run.write_csv(name, ("t", "tv"),
+                          [(t, repr(float(v))) for t, v in enumerate(curve.tv)],
+                          start=worst_state)
 
     per_start = {
         str(s): {
@@ -576,21 +535,17 @@ def _cmd_mix(args):
         ),
         "per_start": per_start,
         "t_cap": args.t_cap,
-        "meta": _meta(digest, g),
+        "meta": run.meta,
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
-    artifacts["summary.json"] = summary_path
-    manifest_path = _write_manifest(out_dir, "mix", config, digest, g,
-                                    artifacts, started, t0)
+    run.write("summary.json", json.dumps(summary, indent=2) + "\n")
     return {
         "worst_start": worst_state,
         "worst_crossings": summary["worst_crossings"],
         "periodic": worst_curve.periodic,
         "n": args.n,
-        "artifacts": sorted(artifacts),
-        "manifest": manifest_path,
-        "meta": _meta(digest, g),
+        "artifacts": sorted(run.artifacts),
+        "manifest": run.manifest(),
+        "meta": run.meta,
     }
 
 
@@ -606,10 +561,7 @@ def _cmd_sweep(args):
     n_grid = _parse_n_list(args.n)
     eps_primary = 0.25 if 0.25 in eps_list else eps_list[0]
     workers = _resolve_workers(args)
-    out_dir = _resolve_out_dir(args)
-    config = {
-        "command": "sweep",
-        "graph_digest": g.digest(),
+    run = _Run("sweep", g, {
         "n_grid": list(n_grid),
         "alpha": alpha,
         "eps": list(eps_list),
@@ -618,10 +570,7 @@ def _cmd_sweep(args):
         "starts": args.starts,
         "t_cap": args.t_cap,
         "eps_primary": eps_primary,
-    }
-    digest = _config_digest(config)
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    }, _resolve_out_dir(args))
     _progress(f"sweep over n={list(n_grid)}, {args.seeds} seeds, "
               f"{workers} worker(s)")
     result = cutoff_sweep(
@@ -629,11 +578,6 @@ def _cmd_sweep(args):
         master_seed=args.master_seed, starts=args.starts, workers=workers,
         t_cap=args.t_cap, eps_primary=eps_primary,
     )
-    csv_meta = {
-        "config_digest": digest,
-        "library_version": __version__,
-        "graph_digest": g.digest(),
-    }
     rows = [
         (
             row.n, row.seed, row.start, _fmt_eps(row.eps),
@@ -642,10 +586,8 @@ def _cmd_sweep(args):
         )
         for row in result.rows
     ]
-    results_path = os.path.join(out_dir, "results.csv")
-    _atomic_write(results_path, _csv_text(
-        csv_meta, ("n", "seed", "start", "eps", "t_mix", "reached"), rows,
-    ))
+    run.write_csv("results.csv",
+                  ("n", "seed", "start", "eps", "t_mix", "reached"), rows)
     summary = {
         "slope": result.slope,
         "slope_se": result.slope_se,
@@ -668,22 +610,18 @@ def _cmd_sweep(args):
         "starts": args.starts,
         "t_caps": {str(n): result.t_caps[n] for n in result.n_grid},
         "ci_note": "normal-approximation interval from the OLS slope SE",
-        "meta": _meta(digest, g),
+        "meta": run.meta,
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
-    artifacts = {"results.csv": results_path, "summary.json": summary_path}
-    manifest_path = _write_manifest(out_dir, "sweep", config, digest, g,
-                                    artifacts, started, t0)
+    run.write("summary.json", json.dumps(summary, indent=2) + "\n")
     return {
         "slope": result.slope,
         "predicted": result.predicted_slope,
         "verdict_slope": result.verdict_slope,
         "verdict_window": result.verdict_window,
         "verdict": result.verdict,
-        "artifacts": sorted(artifacts),
-        "manifest": manifest_path,
-        "meta": _meta(digest, g),
+        "artifacts": sorted(run.artifacts),
+        "manifest": run.manifest(),
+        "meta": run.meta,
     }
 
 
@@ -698,20 +636,17 @@ def _cmd_spectrum(args):
     lift = generate_uniform_lift(g, args.n, substream(args.seed, "lift", args.n, 0),
                                  seed=args.seed)
     chk = spectrum_inheritance_check(lift, alpha=alpha)
-    config = {
-        "command": "spectrum",
-        "graph_digest": g.digest(),
-        "n": args.n,
-        "seed": args.seed,
-        "alpha": alpha,
-    }
     return {
         "eigenvalues": [[z.real, z.imag] for z in chk.eigenvalues],
         "max_residual": chk.max_residual,
         "inherited": chk.max_residual <= 1e-10,
         "n": args.n,
         "alpha": alpha,
-        "meta": _meta(_config_digest(config), g),
+        "meta": _Run("spectrum", g, {
+            "n": args.n,
+            "seed": args.seed,
+            "alpha": alpha,
+        }).meta,
     }
 
 

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .base_graph import stationary_distribution
 from .errors import AnalysisError, GraphError
 
 
@@ -229,9 +228,9 @@ def lift_stationary(lift):
 
     Shape ``(n_vertices, n)``.  Every lift of the base chain preserves this
     measure because each edge contributes the same weight between matched
-    fiber copies.
+    fiber copies.  The base law is solved once per base graph.
     """
-    pi = stationary_distribution(lift.base).as_array()
+    pi = lift.base.stationary.as_array()
     return np.repeat(pi[:, None], lift.n, axis=1) / lift.n
 
 

@@ -11,6 +11,7 @@ reciprocal entropy rate of the base graph.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .analyzer import entropy
-from .base_graph import parse_graph, transition_matrix
+from .base_graph import arc_period, parse_graph, transition_matrix
 from .errors import AnalysisError
 from .lift import (
     apply_kernel,
@@ -36,83 +37,33 @@ EXHAUSTIVE_START_CAP = 20_000
 DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
 
 
-# ---------------------------------------------------------------------------
-# exact propagation
-# ---------------------------------------------------------------------------
+def _pool_map(fn, items, workers):
+    """``map(fn, items)``, in order, on up to ``workers`` processes.
 
-
-@dataclass(frozen=True)
-class Propagation:
-    """Distribution after ``t`` exact kernel applications."""
-
-    distribution: np.ndarray
-    steps: int
-    mass_drift: float
-
-
-def propagate(lift, mu0, steps, alpha=None):
-    """Apply the lazy-walk kernel ``steps`` times, checking mass conservation.
-
-    Never renormalizes; raises :class:`AnalysisError` if the total mass
-    drifts by more than ``PROPAGATION_TOL`` per step.
+    The pool never gets more processes than items or CPUs; with one it
+    runs in this process.
     """
-    steps = int(steps)
-    if steps < 0:
-        raise AnalysisError("step count must be nonnegative")
-    mu = np.asarray(mu0, dtype=float).reshape(-1).copy()
-    if mu.shape != (lift.n_states,):
-        raise AnalysisError(
-            f"distribution has {mu.size} entries; lift has {lift.n_states} states"
-        )
-    start_mass = float(mu.sum())
-    for _ in range(steps):
-        mu = apply_kernel(lift, mu, alpha=alpha)
-    drift = abs(float(mu.sum()) - start_mass)
-    if drift > PROPAGATION_TOL * max(1, steps):
-        raise AnalysisError(f"propagation lost mass: drift {drift:g}")
-    return Propagation(distribution=mu, steps=steps, mass_drift=drift)
+    items = list(items)
+    workers = min(int(workers), len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
-def _lift_period(lift, alpha, start):
-    """Period of the lift chain on the component reachable from ``start``.
-
-    BFS-gcd over positive-probability arcs; holding makes everything
-    aperiodic, so this is only meaningful at ``alpha == 0``.
-    """
-    if alpha is None:
-        alpha = lift.base.alpha
-    if alpha > 0.0:
-        return 1
+def _lift_arcs(lift):
+    """Tails and heads of the positive-probability moves of the unlazy lift."""
     g = lift.base
-    n = lift.n
-    size = lift.n_states
-    succ = [[] for _ in range(size)]
-    fibers = np.arange(n)
-    for j, e in enumerate(g.edges):
-        u = g.vertex_index[e.tail]
-        v = g.vertex_index[e.head]
-        rows_u = u * n + fibers
-        cols_v = v * n + lift.perms[j]
-        if e.weight_fwd > 0.0:
-            for a, b in zip(rows_u, cols_v):
-                succ[a].append(int(b))
-        if e.weight_bwd > 0.0:
-            for a, b in zip(cols_v, rows_u):
-                succ[a].append(int(b))
-    level = {start: 0}
-    queue = [start]
-    period = 0
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in succ[x]:
-            if y in level:
-                period = math.gcd(period, level[x] + 1 - level[y])
-            else:
-                level[y] = level[x] + 1
-                queue.append(y)
-    return period if period > 0 else 1
+    fibers = np.arange(lift.n)
+    tails, heads = [], []
+    for k in np.nonzero(g.oriented_weight > 0.0)[0]:
+        src, dst = fibers, lift.perms[k // 2]
+        if k % 2:
+            src, dst = dst, src
+        tails.append(g.oriented_init[k] * lift.n + src)
+        heads.append(g.oriented_end[k] * lift.n + dst)
+    return np.concatenate(tails), np.concatenate(heads)
 
 
 @dataclass(frozen=True)
@@ -178,7 +129,9 @@ def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
     mu[start] = 1.0
     eps_min = min(eps_list)
 
-    periodic = _lift_period(lift, alpha, start) > 1
+    # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
+    periodic = (alpha <= 0.0
+                and arc_period(lift.n_states, *_lift_arcs(lift), start) > 1)
     tvs = [0.5 * float(np.abs(mu - pi).sum())]
     avg_tvs = []
     prev = mu.copy() if periodic else None
@@ -386,12 +339,8 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     text = g.to_text()
     cells = [(text, n, seed, alpha, eps_list, starts, int(master_seed),
               t_caps[n]) for n in n_grid for seed in range(int(n_seeds))]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            cell_rows = list(pool.map(_sweep_cell, cells))
-    else:
-        cell_rows = [_sweep_cell(c) for c in cells]
-    rows = tuple(row for chunk in cell_rows for row in chunk)
+    rows = tuple(row for chunk in _pool_map(_sweep_cell, cells, workers)
+                 for row in chunk)
 
     # worst start per (n, seed, eps); None (unreached) dominates
     worst = {}

@@ -233,20 +233,12 @@ def test_entropy_report_theta3(theta3):
     assert not rep.degenerate
     assert rep.entropy_rate == pytest.approx(LOG2 / 6.0, abs=1e-9)
     assert rep.speed == pytest.approx(1.0 / 6.0, abs=1e-9)
-    # at holding probability 1/2 both scaling conventions coincide
-    assert rep.entropy_rate_reciprocal_scaling == pytest.approx(
-        rep.entropy_rate, abs=1e-12
-    )
 
 
 def test_entropy_alpha_override_theta3(theta3):
     rep = entropy(theta3, alpha=0.0)
     assert rep.holding_prob == 0.0
     assert rep.entropy_rate == pytest.approx(LOG2 / 3.0, abs=1e-9)
-    # the alternative convention divides the half-lazy rate by 2(1 - alpha)
-    assert rep.entropy_rate_reciprocal_scaling == pytest.approx(
-        LOG2 / 12.0, abs=1e-9
-    )
 
 
 def test_entropy_asym_theta(asym_theta):

@@ -1,6 +1,11 @@
 """Parsing, validation, structure checks, and pruning."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,14 +17,18 @@ from liftmix import (
     build_graph,
     check_assumptions,
     core,
+    generate_uniform_lift,
     inverse_oriented,
     is_cover_transient,
+    lift_transition_matrix,
+    mixing_curve,
     parse_graph,
     stationary_distribution,
     transition_matrix,
     validate_graph,
 )
-from liftmix.base_graph import verify_witness_cycle
+from liftmix.base_graph import arc_period, verify_witness_cycle
+from liftmix.cli import main
 
 from conftest import (
     ASYM_THETA_TEXT,
@@ -252,8 +261,6 @@ def test_core_strips_pendant(pendant):
     assert np.allclose(gc.oriented_weight, 1.0 / 3.0, atol=1e-12)
     # half the moving steps from u and all from v stay on the surviving edges
     assert cd.core_step_fraction == pytest.approx(0.75, abs=1e-12)
-    # edge_map points every surviving edge back to an original edge id
-    assert set(cd.edge_map.keys()) == {"e1", "e2", "e3"}
     validate_graph(gc)
 
 
@@ -374,3 +381,76 @@ def test_random_graph_assumption_report_is_consistent(text):
         assert rep.a3_star
     if rep.a1_irreducible and rep.a2_two_cycles:
         assert is_cover_transient(g).transient
+
+
+@st.composite
+def random_graph_with_dead_orientations(draw):
+    """Small unlazy multigraphs in which some orientations carry weight zero."""
+    n_v = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=5))
+    ends = [
+        (draw(st.integers(0, n_v - 1)), draw(st.integers(0, n_v - 1)))
+        for _ in range(m)
+    ]
+    raw = [[draw(st.integers(0, 2)), draw(st.integers(0, 2))] for _ in range(m)]
+    for w in raw:
+        if w == [0, 0]:
+            w[0] = 1
+    slots = {}
+    for j, (t, h) in enumerate(ends):
+        slots.setdefault(t, []).append((j, 0))
+        slots.setdefault(h, []).append((j, 1))
+    for u, out in slots.items():
+        if all(raw[j][side] == 0 for j, side in out):
+            j, side = out[0]
+            raw[j][side] = 1
+    total = {u: sum(raw[j][side] for j, side in out) for u, out in slots.items()}
+    lines = ["alpha 0"] + [f"vertex v{u}" for u in sorted(slots)]
+    for j, (t, h) in enumerate(ends):
+        lines.append(f"edge e{j} v{t} v{h} "
+                     f"{raw[j][0]}/{total[t]} {raw[j][1]}/{total[h]}")
+    return "\n".join(lines) + "\n"
+
+
+def _return_time_gcds(mat):
+    """Per state, the gcd of its return times t <= 3 * size (0 if it has none),
+    read from boolean powers of the transition matrix."""
+    step = (np.asarray(mat) > 0).astype(np.int64)
+    power = np.eye(len(step), dtype=np.int64)
+    gcds = np.zeros(len(step), dtype=np.int64)
+    for t in range(1, 3 * len(step) + 1):
+        power = np.minimum(power @ step, 1)
+        gcds = np.where(np.diag(power) > 0, np.gcd(gcds, t), gcds)
+    return gcds
+
+
+def _validate_payload(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.g")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["validate", "--graph", path])
+    return json.loads(out.getvalue()) if code == 0 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graph_with_dead_orientations(), st.integers(1, 4), st.integers(0, 2**16))
+def test_period_matches_return_times(text, n, seed):
+    g = parse_graph(text)
+    expected = max(int(np.gcd.reduce(_return_time_gcds(transition_matrix(g, 0.0)))), 1)
+    rep = check_assumptions(g)
+    assert rep.period == expected
+    payload = _validate_payload(text)
+    if payload is not None:
+        assert payload["period"] == expected
+    if not rep.a1_irreducible:
+        return  # the lift period is defined on closed classes only
+    lift = generate_uniform_lift(g, n, np.random.default_rng(seed))
+    p = lift_transition_matrix(lift, alpha=0.0)
+    tails, heads = np.nonzero(p)
+    for s, ref in enumerate(_return_time_gcds(p)):
+        assert ref > 0
+        assert arc_period(lift.n_states, tails, heads, s) == ref
+        assert mixing_curve(lift, s, alpha=0.0, t_cap=0).periodic == (ref > 1)

@@ -137,7 +137,7 @@ def test_analyze_payload_theta3(capsys, theta3_file):
     assert list(payload) == [
         "q", "w_hat", "pi_hat", "h_W", "s0", "h_alpha", "a_frac",
         "degenerate", "residuals", "iterations", "alpha", "s_alpha",
-        "h_alpha_reciprocal_scaling", "removed_vertices", "meta",
+        "removed_vertices", "meta",
     ]
     assert set(payload["q"]) == {"e1+", "e1-", "e2+", "e2-", "e3+", "e3-"}
     for value in payload["q"].values():
@@ -156,9 +156,6 @@ def test_analyze_payload_theta3(capsys, theta3_file):
     assert payload["residuals"]["ray_stationarity"] <= 1e-10
     assert payload["removed_vertices"] == []
     assert payload["alpha"] == 0.5
-    assert payload["h_alpha_reciprocal_scaling"] == pytest.approx(
-        payload["h_alpha"], abs=1e-12
-    )
 
 
 def test_analyze_alpha_override(capsys, theta3_file):
@@ -424,6 +421,50 @@ def test_sweep_env_workers_and_out_dir(capsys, theta3_file, tmp_path, monkeypatc
     assert (out / "results.csv").exists()
     assert (out / "summary.json").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeypatch):
+    from liftmix import mixing
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mixing, "ProcessPoolExecutor", RecordingPool)
+    cover = ["cover-sim", "--graph", theta3_file, "--steps", "2000", "--trials", "3",
+             "--out", str(tmp_path / "cover")]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, payload, _ = run_cli(capsys, cover + ["--workers", "5000"])
+    assert code == 0 and sizes == [3]
+    # without --per-trial nothing is written, so there is no manifest
+    assert payload["manifest"] is None
+    assert os.listdir(tmp_path / "cover") == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_cli(capsys, cover + ["--workers", "5000"])[0] == 0
+    assert sizes == [3, 2]
+    # one worker runs in-process
+    assert run_cli(capsys, cover + ["--workers", "1"])[0] == 0
+    assert sizes == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setenv("LIFTMIX_WORKERS", "5000")
+    code, _, _ = run_cli(capsys, [
+        "sweep", "--graph", theta3_file, "--n", "16,32", "--seeds", "1",
+        "--starts", "sample:2", "--out", str(tmp_path / "sweep"),
+    ])
+    assert code == 0 and sizes == [3, 2, 2]
 
 
 def test_sweep_bad_env_workers(capsys, theta3_file, monkeypatch, tmp_path):

@@ -16,7 +16,6 @@ from liftmix import (
     mixing_curve,
     parse_graph,
     projection_identity_check,
-    propagate,
     substream,
     transition_matrix,
     worst_and_best_case,
@@ -27,34 +26,6 @@ from conftest import THETA3_TEXT
 
 def _lift8(theta3):
     return generate_uniform_lift(theta3, 8, substream(0, "lift", 8), seed=0)
-
-
-# ---------------------------------------------------------------------------
-# propagation
-# ---------------------------------------------------------------------------
-
-
-def test_propagate_matches_matrix_power(asym_theta):
-    lift = generate_uniform_lift(asym_theta, 6, substream(1, "lift"))
-    from liftmix import lift_transition_matrix
-
-    p = lift_transition_matrix(lift)
-    mu0 = np.zeros(lift.n_states)
-    mu0[3] = 1.0
-    out = propagate(lift, mu0, 7)
-    assert out.steps == 7
-    expected = mu0 @ np.linalg.matrix_power(p, 7)
-    assert np.allclose(out.distribution, expected, atol=1e-12)
-    assert out.mass_drift <= 1e-12
-    assert out.distribution.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_propagate_zero_steps_is_identity(theta3):
-    lift = _lift8(theta3)
-    mu0 = np.zeros(lift.n_states)
-    mu0[0] = 1.0
-    out = propagate(lift, mu0, 0)
-    assert np.array_equal(out.distribution, mu0)
 
 
 # ---------------------------------------------------------------------------
