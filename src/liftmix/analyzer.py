@@ -35,9 +35,6 @@ from .base_graph import (
     CoreDecomposition,
     WeightedMultigraph,
     _cycle_structure,
-    check_assumptions,
-    core,
-    is_cover_transient,
     solve_stationary,
 )
 from .errors import NonConvergenceError
@@ -92,8 +89,7 @@ def solve_first_passage(g, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
     outcome when the cover walk is recurrent and the root sits at the
     boundary of the contraction region.
     """
-    rep = check_assumptions(g)
-    if not rep.a4_every_edge_on_cycle:
+    if not g.assumptions.a4_every_edge_on_cycle:
         raise AnalysisError(
             "first-passage system needs every positive oriented edge on a "
             "non-backtracking cycle; prune the graph to its core first"
@@ -195,7 +191,7 @@ def ray_law(g, first_passage):
     would be recurrent at that vertex) or the ray chain has no unique closed
     class.
     """
-    verdict = is_cover_transient(g)
+    verdict = g.transience
     if not verdict.transient:
         raise AnalysisError(f"ray law needs a transient cover walk: {verdict.reason}")
     q = first_passage.prob
@@ -342,8 +338,7 @@ def speed(g, first_passage, raylaw):
     reverse orientations contribute their correct finite limit.  A
     single-cycle graph instead uses the explicit line-drift formula.
     """
-    rep = check_assumptions(g)
-    if not rep.a2_two_cycles:
+    if not g.assumptions.a2_two_cycles:
         return _line_drift_speed(g)
     q = first_passage.prob
     qow = first_passage.prob_over_weight
@@ -405,21 +400,20 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
         alpha = g.alpha
     if not 0.0 <= alpha < 1.0:
         raise AnalysisError(f"holding probability must lie in [0, 1), got {alpha}")
-    verdict = is_cover_transient(g)
+    verdict = g.transience
     if not verdict.transient:
         raise AnalysisError(
             f"entropy analysis needs a transient cover walk: {verdict.reason}"
         )
-    cd = core(g)
+    cd = g.core
     gc = cd.graph
     fps = solve_first_passage(gc, tol=tol, max_iter=max_iter)
     rl = ray_law(gc, fps)
     we = weight_entropy(rl)
     s0 = speed(gc, fps, rl)
-    rep_core = check_assumptions(gc)
     h_level = we.value
     degenerate = we.degenerate
-    if not rep_core.a2_two_cycles:
+    if not gc.assumptions.a2_two_cycles:
         # Single escape direction: the ray is deterministic given its line,
         # so the location carries no per-level information.
         h_level = 0.0

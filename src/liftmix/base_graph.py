@@ -16,7 +16,7 @@ Besides parsing and validation this module provides:
 * :func:`check_assumptions` -- irreducibility, positivity, the two-cycle
   branching property of the non-backtracking structure, the
   every-edge-on-a-cycle property, and the walk's period (from
-  :func:`arc_period`, which also gives the period of a lift);
+  :func:`strong_periods`, which also gives the periods of a lift);
 * :func:`stationary_distribution` -- the stationary law of the vertex chain,
   from :func:`solve_stationary`, the least-squares solve shared with the
   analyzer's ray chain;
@@ -25,12 +25,15 @@ Besides parsing and validation this module provides:
   walk spends on surviving edges;
 * :func:`is_cover_transient` -- whether the walk on the universal cover of
   the graph escapes to infinity.
+
+A graph keeps these results once computed (``g.assumptions``,
+``g.stationary``, ``g.core``, ``g.transience``); a call that raises keeps
+nothing and raises again on the next access.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -133,6 +136,21 @@ class WeightedMultigraph:
     def stationary(self):
         """:func:`stationary_distribution` of this graph, solved on first use."""
         return stationary_distribution(self)
+
+    @cached_property
+    def assumptions(self):
+        """:func:`check_assumptions` of this graph, computed on first use."""
+        return check_assumptions(self)
+
+    @cached_property
+    def core(self):
+        """:func:`core` of this graph (the module function), pruned on first use."""
+        return core(self)
+
+    @cached_property
+    def transience(self):
+        """:func:`is_cover_transient` of this graph, decided on first use."""
+        return is_cover_transient(self)
 
     def oriented_name(self, k):
         """Printable name of oriented edge ``k``, e.g. ``"e2-"``."""
@@ -328,20 +346,12 @@ class AssumptionReport:
     witness_cycles: tuple
 
 
-def _positive_vertex_adjacency(g):
-    """Boolean dense adjacency of the vertex digraph under positive weights."""
-    adj = np.zeros((g.n_vertices, g.n_vertices), dtype=bool)
+def _is_irreducible(g):
+    """Whether the positive moves of the vertex chain are strongly connected."""
     pos = g.oriented_weight > 0.0
-    adj[g.oriented_init[pos], g.oriented_end[pos]] = True
-    return adj
-
-
-def _is_strongly_connected(adj):
-    n = adj.shape[0]
-    if n == 1:
-        return True
-    ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    return ncomp == 1
+    adj = csr_matrix((np.ones(pos.sum()), (g.oriented_init[pos], g.oriented_end[pos])),
+                     shape=(g.n_vertices, g.n_vertices))
+    return connected_components(adj, directed=True, connection="strong")[0] == 1
 
 
 def _continuation_arcs(g):
@@ -531,6 +541,26 @@ def arc_period(n_nodes, tails, heads, start):
     return period if period > 0 else 1
 
 
+def strong_periods(n_nodes, tails, heads):
+    """Strong components of a digraph given by arcs, and their periods.
+
+    Returns ``(labels, periods)``: node ``v`` lies in component
+    ``labels[v]``, whose period :func:`arc_period` finds on the arcs inside
+    components; ``periods[c]`` is 0 when no arc lies inside ``c``.
+    """
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    adj = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(n_nodes, n_nodes))
+    ncomp, labels = connected_components(adj, directed=True, connection="strong")
+    inside = labels[tails] == labels[heads]
+    tails, heads = tails[inside], heads[inside]
+    periods = np.zeros(ncomp, dtype=np.int64)
+    for comp in np.unique(labels[tails]):
+        start = int(np.argmax(labels == comp))
+        periods[comp] = arc_period(n_nodes, tails, heads, start)
+    return labels, periods
+
+
 def check_assumptions(g):
     """Compute the :class:`AssumptionReport` for a validated graph."""
     weight = g.oriented_weight
@@ -538,31 +568,24 @@ def check_assumptions(g):
     a3_star = any(
         e.weight_fwd > 0.0 and e.weight_bwd > 0.0 for e in g.edges
     )
-    ncomp, labels = connected_components(
-        csr_matrix(_positive_vertex_adjacency(g)), directed=True, connection="strong"
-    )
     a4, a2, witnesses, _ = _cycle_structure(g)
     for cyc in witnesses:
         if not verify_witness_cycle(g, cyc):
             raise AnalysisError("internal error: witness cycle failed replay")
     if len(witnesses) == 2 and _cycles_mutually_inverse(witnesses[0], witnesses[1]):
         raise AnalysisError("internal error: witness cycles are mutual reverses")
-    # Period of the vertex chain: the gcd of the periods of the strong
-    # components that hold an arc, each found from its first vertex.
+    # The vertex chain's period is the gcd of the periods of the strong
+    # components that hold an arc.
     pos = weight > 0.0
-    inside = labels[g.oriented_init[pos]] == labels[g.oriented_end[pos]]
-    tails, heads = g.oriented_init[pos][inside], g.oriented_end[pos][inside]
-    period = 0
-    for comp in np.unique(labels[tails]):
-        start = int(np.argmax(labels == comp))
-        period = math.gcd(period, arc_period(g.n_vertices, tails, heads, start))
+    _, periods = strong_periods(g.n_vertices, g.oriented_init[pos],
+                                g.oriented_end[pos])
     return AssumptionReport(
-        a1_irreducible=ncomp == 1,
+        a1_irreducible=len(periods) == 1,
         a2_two_cycles=a2,
         a3_all_positive=a3,
         a3_star=a3_star,
         a4_every_edge_on_cycle=a4,
-        period=period or 1,
+        period=int(np.gcd.reduce(periods)) or 1,
         witness_cycles=witnesses,
     )
 
@@ -632,7 +655,7 @@ def stationary_distribution(g):
     :class:`AnalysisError` if the chain is reducible.  ``g.stationary``
     holds the same result, solved once per graph.
     """
-    if not _is_strongly_connected(_positive_vertex_adjacency(g)):
+    if not _is_irreducible(g):
         raise AnalysisError("vertex chain is reducible; no unique stationary law")
     pi, residual = solve_stationary(transition_matrix(g, alpha=0.0))
     if residual > STATIONARY_TOL:
@@ -765,10 +788,10 @@ def is_cover_transient(g):
     is transient exactly when the two orientations of the cycle carry
     different weight products.
     """
-    if not _is_strongly_connected(_positive_vertex_adjacency(g)):
+    if not _is_irreducible(g):
         raise AnalysisError("vertex chain is reducible; transience undefined")
     try:
-        cd = core(g)
+        cd = g.core
     except GraphError:
         return TransienceVerdict(
             transient=False,

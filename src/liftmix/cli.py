@@ -32,7 +32,7 @@ from .analyzer import (
     FIRST_PASSAGE_TOL,
     entropy,
 )
-from .base_graph import check_assumptions, is_cover_transient, parse_graph, validate_graph
+from .base_graph import parse_graph, validate_graph
 from .cover import (
     ExcursionStats,
     RayView,
@@ -51,7 +51,7 @@ from .lift import (
     lift_to_json,
     spectrum_inheritance_check,
 )
-from .mixing import _pool_map, _select_starts, cutoff_sweep, mixing_curve
+from .mixing import _pool_map, _pool_size, _select_starts, cutoff_sweep, mixing_curve
 from .rng import substream
 
 ENV_OUT_DIR = "LIFTMIX_OUT_DIR"
@@ -230,11 +230,11 @@ def _fmt_eps(e):
 def _cmd_validate(args):
     g = _load_graph(args.graph)
     validate_graph(g)
-    report = check_assumptions(g)
+    report = g.assumptions
     transient = None
     reason = None
     if report.a1_irreducible:
-        verdict = is_cover_transient(g)
+        verdict = g.transience
         transient = verdict.transient
         reason = verdict.reason
     payload = {
@@ -572,7 +572,7 @@ def _cmd_sweep(args):
         "eps_primary": eps_primary,
     }, _resolve_out_dir(args))
     _progress(f"sweep over n={list(n_grid)}, {args.seeds} seeds, "
-              f"{workers} worker(s)")
+              f"{_pool_size(workers, len(n_grid) * args.seeds)} worker(s)")
     result = cutoff_sweep(
         g, n_grid, alpha=alpha, eps_list=eps_list, n_seeds=args.seeds,
         master_seed=args.master_seed, starts=args.starts, workers=workers,

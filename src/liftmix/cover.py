@@ -19,12 +19,10 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .base_graph import is_cover_transient
 from .errors import AnalysisError
 
 #: Default number of top levels of a trajectory treated as unconfirmed.
@@ -135,11 +133,6 @@ class CoverTrajectory:
         return tuple(stack)
 
 
-@lru_cache(maxsize=128)
-def _cached_transience(g):
-    return is_cover_transient(g)
-
-
 def _build_sampler(g, alpha):
     """Per-vertex cumulative thresholds for one-uniform move sampling."""
     thresholds = []
@@ -182,7 +175,7 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None, stop_at_root=False
         rng = np.random.default_rng(0)
     if warn_recurrent:
         try:
-            verdict = _cached_transience(g)
+            verdict = g.transience
             if not verdict.transient:
                 warnings.warn(
                     "cover walk is recurrent; escape statistics will not "

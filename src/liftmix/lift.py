@@ -6,17 +6,21 @@ edge: edge copies run from ``(tail, i)`` to ``(head, perm[i])``.  The lazy
 walk on the lift projects onto the lazy walk on the base graph, and every
 base eigenfunction pulls back to the lift with the same eigenvalue.
 
-States of the lift are flat indices ``base_index * n + fiber_index``.
+States of the lift are flat indices ``base_index * n + fiber_index``.  A
+move along a copy of oriented edge ``k`` goes from ``(u, i)`` to ``(v,
+maps[k][i])``; every traversal of the lift reads :attr:`Lift.moves`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .base_graph import strong_periods
 from .errors import AnalysisError, GraphError
 
 
@@ -26,14 +30,16 @@ class Lift:
 
     ``perms[j][i]`` is the fiber index of the head endpoint of the i-th
     copy of edge j (edges in file order).  ``seed`` optionally records the
-    master seed the permutations were drawn from.
+    master seed the permutations were drawn from.  ``maps[k]`` is the fiber
+    map of oriented edge ``k``: ``perms[k // 2]`` itself for even ``k`` and
+    its inverse for odd ``k``.
     """
 
     base: object
     n: int
     perms: tuple
     seed: Optional[int] = None
-    _inv_perms: tuple = field(init=False, repr=False)
+    maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = int(self.n)
@@ -43,8 +49,7 @@ class Lift:
             raise GraphError(
                 f"need {len(self.base.edges)} permutations, got {len(self.perms)}"
             )
-        perms = []
-        invs = []
+        maps = []
         ident = np.arange(n, dtype=np.int64)
         for j, p in enumerate(self.perms):
             arr = np.asarray(p, dtype=np.int64)
@@ -55,11 +60,39 @@ class Lift:
                 )
             inv = np.empty(n, dtype=np.int64)
             inv[arr] = ident
-            perms.append(arr)
-            invs.append(inv)
+            maps += [arr, inv]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "perms", tuple(perms))
-        object.__setattr__(self, "_inv_perms", tuple(invs))
+        object.__setattr__(self, "perms", tuple(maps[0::2]))
+        object.__setattr__(self, "maps", tuple(maps))
+
+    @cached_property
+    def moves(self):
+        """``(k, u, v, weight)`` per positive-weight oriented edge ``k``, in
+        index order: copies of ``k`` move ``(u, i)`` to ``(v, maps[k][i])``."""
+        g = self.base
+        return tuple(
+            (k, int(g.oriented_init[k]), int(g.oriented_end[k]),
+             float(g.oriented_weight[k]))
+            for k in range(g.n_oriented) if g.oriented_weight[k] > 0.0
+        )
+
+    @cached_property
+    def _strong_periods(self):
+        """:func:`~liftmix.base_graph.strong_periods` of the unlazy walk."""
+        fibers = np.arange(self.n)
+        tails = [u * self.n + fibers for _, u, _, _ in self.moves]
+        heads = [v * self.n + self.maps[k] for k, _, v, _ in self.moves]
+        return strong_periods(self.n_states, np.concatenate(tails),
+                              np.concatenate(heads))
+
+    def period(self, state):
+        """Period of the unlazy walk on the strong component of ``state``.
+
+        The periods of all components are found on the first call and kept.
+        """
+        u, i = self.split(state)
+        labels, periods = self._strong_periods
+        return max(int(periods[labels[u * self.n + i]]), 1)
 
     @property
     def n_states(self):
@@ -93,12 +126,7 @@ class Lift:
                 f"oriented edge {g.oriented_name(k)} does not start at "
                 f"vertex {g.vertices[u]!r}"
             )
-        j, rev = divmod(k, 2)
-        if rev == 0:
-            i2 = int(self.perms[j][i])
-        else:
-            i2 = int(self._inv_perms[j][i])
-        return int(g.oriented_end[k]) * self.n + i2
+        return int(g.oriented_end[k]) * self.n + int(self.maps[k][i])
 
 
 def generate_uniform_lift(g, n, rng, seed=None):
@@ -154,66 +182,41 @@ def apply_kernel(lift, mu, alpha=None):
     """One lazy-walk step applied to a distribution on the lift.
 
     ``mu`` has shape ``(n_vertices, n)`` (or flat ``n_states``); the result
-    has the same shape.  Pure gather operations, no renormalization.
+    has the same shape.  Pure gathers, no renormalization: mass moving along
+    ``k`` lands on ``(v, maps[k][i])``, so fiber ``v`` reads ``maps[k ^ 1]``.
     """
-    g = lift.base
     alpha = _check_alpha(lift, alpha)
     arr = np.asarray(mu)
-    flat_in = arr.ndim == 1
-    m = arr.reshape(g.n_vertices, lift.n)
+    m = arr.reshape(lift.base.n_vertices, lift.n)
     out = alpha * m
     lazy = 1.0 - alpha
-    for j, e in enumerate(g.edges):
-        u = g.vertex_index[e.tail]
-        v = g.vertex_index[e.head]
-        sigma = lift.perms[j]
-        sigma_inv = lift._inv_perms[j]
-        if e.weight_fwd > 0.0:
-            out[v] += (lazy * e.weight_fwd) * m[u][sigma_inv]
-        if e.weight_bwd > 0.0:
-            out[u] += (lazy * e.weight_bwd) * m[v][sigma]
-    return out.reshape(-1) if flat_in else out
+    for k, u, v, w in lift.moves:
+        out[v] += (lazy * w) * m[u][lift.maps[k ^ 1]]
+    return out.reshape(arr.shape)
 
 
 def apply_kernel_to_function(lift, f, alpha=None):
     """One lazy-walk step applied to a function on the lift (right action)."""
-    g = lift.base
     alpha = _check_alpha(lift, alpha)
     arr = np.asarray(f)
-    flat_in = arr.ndim == 1
-    m = arr.reshape(g.n_vertices, lift.n)
+    m = arr.reshape(lift.base.n_vertices, lift.n)
     out = alpha * m
     lazy = 1.0 - alpha
-    for j, e in enumerate(g.edges):
-        u = g.vertex_index[e.tail]
-        v = g.vertex_index[e.head]
-        sigma = lift.perms[j]
-        sigma_inv = lift._inv_perms[j]
-        if e.weight_fwd > 0.0:
-            out[u] += (lazy * e.weight_fwd) * m[v][sigma]
-        if e.weight_bwd > 0.0:
-            out[v] += (lazy * e.weight_bwd) * m[u][sigma_inv]
-    return out.reshape(-1) if flat_in else out
+    for k, u, v, w in lift.moves:
+        out[u] += (lazy * w) * m[v][lift.maps[k]]
+    return out.reshape(arr.shape)
 
 
 def lift_transition_matrix(lift, alpha=None):
     """Dense transition matrix of the lazy walk on the lift."""
-    g = lift.base
     alpha = _check_alpha(lift, alpha)
     size = lift.n_states
     mat = np.zeros((size, size))
     np.fill_diagonal(mat, alpha)
     lazy = 1.0 - alpha
     fibers = np.arange(lift.n)
-    for j, e in enumerate(g.edges):
-        u = g.vertex_index[e.tail]
-        v = g.vertex_index[e.head]
-        rows_u = u * lift.n + fibers
-        cols_v = v * lift.n + lift.perms[j]
-        if e.weight_fwd > 0.0:
-            mat[rows_u, cols_v] += lazy * e.weight_fwd
-        if e.weight_bwd > 0.0:
-            mat[cols_v, rows_u] += lazy * e.weight_bwd
+    for k, u, v, w in lift.moves:
+        mat[u * lift.n + fibers, v * lift.n + lift.maps[k]] += lazy * w
     return mat
 
 

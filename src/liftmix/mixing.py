@@ -1,8 +1,11 @@
 """Exact mixing analysis on lifts: TV curves, worst starts, cutoff sweeps.
 
 Total-variation distance to stationarity is propagated exactly (dense
-distribution vectors, gather-based kernel application, no renormalization),
-so the reported mixing times are deterministic given the lift.  The sweep
+distribution vectors, no renormalization; each step is one gather per
+positive-weight oriented edge through the lift's fiber maps, see
+:func:`liftmix.lift.apply_kernel`), so the reported mixing times are
+deterministic given the lift.  The period of an unlazy lift is found once
+per strong component (:meth:`liftmix.lift.Lift.period`).  The sweep
 driver scales the lift degree over a grid, fits the growth of the
 worst-start mixing time against ``log n``, and compares the slope with the
 reciprocal entropy rate of the base graph.
@@ -19,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .analyzer import entropy
-from .base_graph import arc_period, parse_graph, transition_matrix
+from .base_graph import parse_graph, transition_matrix
 from .errors import AnalysisError
 from .lift import (
     apply_kernel,
@@ -37,33 +40,22 @@ EXHAUSTIVE_START_CAP = 20_000
 DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
 
 
-def _pool_map(fn, items, workers):
-    """``map(fn, items)``, in order, on up to ``workers`` processes.
+def _pool_size(workers, n_items):
+    """Processes :func:`_pool_map` runs ``n_items`` items on: ``workers``,
+    but never more than items or CPUs, and at least one."""
+    return max(1, min(int(workers), n_items, os.cpu_count() or 1))
 
-    The pool never gets more processes than items or CPUs; with one it
-    runs in this process.
-    """
+
+def _pool_map(fn, items, workers):
+    """``map(fn, items)``, in order, on ``_pool_size(workers, len(items))``
+    processes; with one it runs in this process."""
     items = list(items)
-    workers = min(int(workers), len(items), os.cpu_count() or 1)
-    if workers <= 1:
+    workers = _pool_size(workers, len(items))
+    if workers == 1:
         yield from map(fn, items)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
-
-
-def _lift_arcs(lift):
-    """Tails and heads of the positive-probability moves of the unlazy lift."""
-    g = lift.base
-    fibers = np.arange(lift.n)
-    tails, heads = [], []
-    for k in np.nonzero(g.oriented_weight > 0.0)[0]:
-        src, dst = fibers, lift.perms[k // 2]
-        if k % 2:
-            src, dst = dst, src
-        tails.append(g.oriented_init[k] * lift.n + src)
-        heads.append(g.oriented_end[k] * lift.n + dst)
-    return np.concatenate(tails), np.concatenate(heads)
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,9 @@ def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
     off) or at ``t_cap`` steps.  TV monotonicity is asserted at every step;
     a violation would indicate a propagation bug.  When the chain is
     periodic and unlazy, the returned curve carries a two-step averaged
-    sibling whose thresholds are meaningful.
+    sibling whose thresholds are meaningful; the early stop still watches
+    the raw TV, so such a curve runs until the raw TV crosses
+    ``min(eps_list)``, or until ``t_cap``.
     """
     if alpha is None:
         alpha = lift.base.alpha
@@ -130,13 +124,10 @@ def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
     eps_min = min(eps_list)
 
     # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
-    periodic = (alpha <= 0.0
-                and arc_period(lift.n_states, *_lift_arcs(lift), start) > 1)
+    periodic = alpha <= 0.0 and lift.period(start) > 1
     tvs = [0.5 * float(np.abs(mu - pi).sum())]
-    avg_tvs = []
-    prev = mu.copy() if periodic else None
-    if periodic:
-        avg_tvs.append(tvs[0])  # average of mu_0 with itself at t=0 is mu_0
+    # The average of mu_0 with itself at t=0 is mu_0.
+    avg_tvs = tvs[:1] if periodic else []
     t = 0
     while t < t_cap:
         nxt = apply_kernel(lift, mu, alpha=alpha)
@@ -150,13 +141,8 @@ def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
         if periodic:
             avg_tvs.append(0.5 * float(np.abs(0.5 * (mu + nxt) - pi).sum()))
         mu = nxt
-        if early_stop:
-            done = tv <= eps_min
-            if periodic:
-                done = done or (len(avg_tvs) > 1 and avg_tvs[-1] <= eps_min
-                                and tv <= eps_min)
-            if done:
-                break
+        if early_stop and tv <= eps_min:
+            break
     mass_drift = abs(float(mu.sum()) - 1.0)
     if mass_drift > PROPAGATION_TOL * max(1, t):
         raise AnalysisError(f"propagation lost mass: drift {mass_drift:g}")

@@ -415,3 +415,20 @@ def test_random_theta_analysis_invariants(g):
     # frequencies are stationary for the kernel
     resid = np.max(np.abs(rl.edge_freq @ rl.kernel - rl.edge_freq))
     assert resid <= 1e-8
+
+
+def test_entropy_checks_assumptions_once_per_graph(monkeypatch):
+    from liftmix import base_graph
+    from conftest import PENDANT_TEXT
+
+    seen = []
+    real = base_graph.check_assumptions
+    monkeypatch.setattr(base_graph, "check_assumptions",
+                        lambda g: seen.append(g) or real(g))
+    g = parse_graph(PENDANT_TEXT)
+    first = entropy(g)
+    again = entropy(g, alpha=0.0)
+    assert len(seen) == 1 and seen[0] is g.core.graph
+    assert first.first_passage.prob.tolist() == again.first_passage.prob.tolist()
+    entropy(parse_graph(PENDANT_TEXT))  # a new graph object derives its own
+    assert len(seen) == 2 and seen[1] is not seen[0]

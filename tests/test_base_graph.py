@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from liftmix import (
     AnalysisError,
     GraphError,
+    apply_kernel,
+    apply_kernel_to_function,
     build_graph,
     check_assumptions,
     core,
@@ -385,7 +387,8 @@ def test_random_graph_assumption_report_is_consistent(text):
 
 @st.composite
 def random_graph_with_dead_orientations(draw):
-    """Small unlazy multigraphs in which some orientations carry weight zero."""
+    """Small multigraphs at holding probability 0, 1/4 or 1/2 in which some
+    orientations carry weight zero."""
     n_v = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=5))
     ends = [
@@ -405,7 +408,8 @@ def random_graph_with_dead_orientations(draw):
             j, side = out[0]
             raw[j][side] = 1
     total = {u: sum(raw[j][side] for j, side in out) for u, out in slots.items()}
-    lines = ["alpha 0"] + [f"vertex v{u}" for u in sorted(slots)]
+    alpha = draw(st.sampled_from(["0", "1/4", "1/2"]))
+    lines = [f"alpha {alpha}"] + [f"vertex v{u}" for u in sorted(slots)]
     for j, (t, h) in enumerate(ends):
         lines.append(f"edge e{j} v{t} v{h} "
                      f"{raw[j][0]}/{total[t]} {raw[j][1]}/{total[h]}")
@@ -447,10 +451,23 @@ def test_period_matches_return_times(text, n, seed):
         assert payload["period"] == expected
     if not rep.a1_irreducible:
         return  # the lift period is defined on closed classes only
-    lift = generate_uniform_lift(g, n, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    lift = generate_uniform_lift(g, n, rng)
     p = lift_transition_matrix(lift, alpha=0.0)
     tails, heads = np.nonzero(p)
     for s, ref in enumerate(_return_time_gcds(p)):
         assert ref > 0
         assert arc_period(lift.n_states, tails, heads, s) == ref
+        assert lift.period(s) == ref  # memoized per strong component
         assert mixing_curve(lift, s, alpha=0.0, t_cap=0).periodic == (ref > 1)
+        assert mixing_curve(lift, s, t_cap=0).periodic == (g.alpha == 0 and ref > 1)
+        # the moves along positive-weight oriented edges are the matrix support
+        u = lift.split(s)[0]
+        steps = {lift.step(s, k) for k in g.out_oriented[u] if g.oriented_weight[k] > 0}
+        assert steps == set(np.nonzero(p[s])[0])
+    # both kernel actions agree with the dense matrix at the graph's alpha
+    p_alpha = lift_transition_matrix(lift)
+    mu = rng.dirichlet(np.ones(lift.n_states))
+    f = rng.standard_normal(lift.n_states)
+    assert np.allclose(apply_kernel(lift, mu), mu @ p_alpha, rtol=0, atol=1e-14)
+    assert np.allclose(apply_kernel_to_function(lift, f), p_alpha @ f, rtol=0, atol=1e-14)

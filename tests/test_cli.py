@@ -460,11 +460,16 @@ def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeyp
     assert sizes == [3, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setenv("LIFTMIX_WORKERS", "5000")
-    code, _, _ = run_cli(capsys, [
-        "sweep", "--graph", theta3_file, "--n", "16,32", "--seeds", "1",
-        "--starts", "sample:2", "--out", str(tmp_path / "sweep"),
-    ])
+    sweep = ["sweep", "--graph", theta3_file, "--n", "16,32", "--seeds", "1",
+             "--starts", "sample:2", "--out", str(tmp_path / "sweep")]
+    code, _, cap = run_cli(capsys, sweep)
     assert code == 0 and sizes == [3, 2, 2]
+    # the progress line reports the pool that runs, not the request
+    assert "1 seeds, 2 worker(s)" in cap.err
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, _, cap = run_cli(capsys, sweep)
+    assert code == 0 and sizes == [3, 2, 2]
+    assert "1 seeds, 1 worker(s)" in cap.err
 
 
 def test_sweep_bad_env_workers(capsys, theta3_file, monkeypatch, tmp_path):

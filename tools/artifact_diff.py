@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""Compare what the CLI writes at a git revision with what the working tree writes.
+
+Usage (from anywhere in the repository)::
+
+    python3 tools/artifact_diff.py [--rev HEAD]
+
+Exports ``src/`` of ``--rev`` with ``git archive`` and runs one fixed list
+of CLI calls on that tree and on the working tree's ``src/``:
+
+* the four benchmark command lines (``cover-sim``, ``mix --starts all``,
+  ``sweep`` and ``analyze`` on the seed-0 analyze batch with its
+  known-defect probe), at seed 0;
+* ``mix --alpha 0`` on theta3 with ``n = 8`` (a periodic lift, so it also
+  writes ``curve_averaged.csv``);
+* ``validate``, ``analyze``, ``spectrum``, ``lift`` and ``mix`` on every
+  demo graph, and ``validate`` on the analyze batch.
+
+For each call it compares the exit code, standard output, the error lines
+(``liftmix: ...`` on standard error), every artifact file byte for byte, and
+``manifest.json`` without its ``timing`` key.  Each difference is printed;
+the exit status is 1 if there is any, else 0.
+
+Only the standard library is used here.  The calls of each tree run in one
+child process with that tree's ``src`` first on ``PYTHONPATH`` and the
+artifact directories given relative to the child's working directory, so
+the paths printed in payloads are the same for both trees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO_GRAPHS = os.path.join(ROOT, "demos", "graphs")
+BENCH_GRAPHS = os.path.join(ROOT, "perfbench", "graphs")
+OUT = "{out}"  # replaced by each call's own artifact directory
+
+#: Runs in a child: reads ``[argv, ...]`` as JSON on stdin, calls the CLI
+#: once per entry with artifacts under ``out/<index>``, prints the results.
+CHILD = r"""
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from liftmix.cli import main
+
+results = []
+for i, argv in enumerate(json.load(sys.stdin)):
+    argv = [f"out/{i}" if a == "{out}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    errors = [l for l in err.getvalue().splitlines() if l.startswith("liftmix")]
+    results.append({"rc": rc, "stdout": out.getvalue(), "errors": errors})
+json.dump(results, sys.stdout)
+"""
+
+#: Runs in a child with the working tree on the path: writes the seed-0
+#: analyze batch and the known-defect probe, prints their paths.
+BATCH = r"""
+import json, sys
+from perfbench import inputs
+items = inputs.batch_texts(0, 0, sys.argv[2]) + inputs.defect_texts()
+json.dump(inputs.write_batch(items, sys.argv[1]), sys.stdout)
+"""
+
+
+def _graph(directory, name):
+    return os.path.join(directory, f"{name}.g")
+
+
+def calls(batch):
+    """The fixed list of CLI argument vectors, given the batch graph paths."""
+    theta3, bouquet4 = _graph(BENCH_GRAPHS, "theta3"), _graph(BENCH_GRAPHS, "bouquet4")
+    out = ["--out", OUT]
+    argvs = [
+        ["cover-sim", "--graph", theta3, "--alpha", "0.5", "--trials", "4",
+         "--steps", "250000", "--per-trial", "--seed", "0", "--workers", "1", *out],
+        ["mix", "--graph", bouquet4, "--n", "1024", "--starts", "all", "--seed", "0",
+         *out],
+        ["sweep", "--graph", theta3, "--alpha", "0.5", "--n", "8192,32768,131072",
+         "--seeds", "2", "--starts", "sample:2", "--master-seed", "0",
+         "--workers", "1", *out],
+        ["mix", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "8", "--alpha", "0",
+         *out],
+    ]
+    for fname in sorted(os.listdir(DEMO_GRAPHS)):
+        g = os.path.join(DEMO_GRAPHS, fname)
+        argvs += [
+            ["validate", "--graph", g],
+            ["analyze", "--graph", g],
+            ["spectrum", "--graph", g, "--n", "8"],
+            ["lift", "--graph", g, "--n", "8", *out],
+            ["mix", "--graph", g, "--n", "8", *out],
+        ]
+    for g in batch:
+        argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
+    return argvs
+
+
+def _run(args, cwd, src, stdin=""):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src))
+    proc = subprocess.run([sys.executable, "-c", *args], cwd=cwd, env=env,
+                          input=stdin, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"child in {cwd} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def export_src(rev, dest):
+    """Unpack ``src/`` of ``rev`` into ``dest`` and return ``dest/src``."""
+    archive = os.path.join(dest, "src.tar")
+    subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "-o", archive,
+                    rev, "src"], check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest)
+    return os.path.join(dest, "src")
+
+
+def _manifest(path):
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data.pop("timing", None)
+    return data
+
+
+def compare(i, argv, old, new, old_dir, new_dir):
+    """Differences of one call, as printable lines."""
+    where = f"call {i} ({' '.join(a for a in argv if a not in ('--out', OUT))})"
+    diffs = [f"{where}: {key} differs" for key in ("rc", "stdout", "errors")
+             if old[key] != new[key]]
+    a, b = os.path.join(old_dir, "out", str(i)), os.path.join(new_dir, "out", str(i))
+    names_a = sorted(os.listdir(a)) if os.path.isdir(a) else []
+    names_b = sorted(os.listdir(b)) if os.path.isdir(b) else []
+    if names_a != names_b:
+        diffs.append(f"{where}: artifacts {names_a} != {names_b}")
+    for name in set(names_a) & set(names_b):
+        pa, pb = os.path.join(a, name), os.path.join(b, name)
+        same = (_manifest(pa) == _manifest(pb) if name == "manifest.json"
+                else filecmp.cmp(pa, pb, shallow=False))
+        if not same:
+            diffs.append(f"{where}: {name} differs")
+    return diffs
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rev", default="HEAD",
+                        help="revision whose src/ is compared (default HEAD)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        old_dir, new_dir = os.path.join(work, "rev"), os.path.join(work, "tree")
+        for d in (old_dir, new_dir):
+            os.makedirs(d, exist_ok=True)
+        old_src = export_src(args.rev, old_dir)
+        new_src = os.path.join(ROOT, "src")
+        batch = _run([BATCH, os.path.join(work, "batch"), BENCH_GRAPHS], work,
+                     [ROOT, new_src])
+        argvs = calls(batch)
+        stdin = json.dumps(argvs)
+        print(f"running {len(argvs)} CLI calls at {args.rev} ...", file=sys.stderr)
+        old = _run([CHILD], old_dir, [old_src], stdin)
+        print("running them on the working tree ...", file=sys.stderr)
+        new = _run([CHILD], new_dir, [new_src], stdin)
+        diffs = [d for i, argv in enumerate(argvs)
+                 for d in compare(i, argv, old[i], new[i], old_dir, new_dir)]
+    for line in diffs:
+        print(line)
+    print(f"{len(argvs)} calls, {len(diffs)} difference(s) against {args.rev}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
