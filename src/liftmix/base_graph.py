@@ -798,7 +798,16 @@ def is_cover_transient(g):
             reason="recurrent-finite: the graph is a tree, so its universal "
             "cover is finite",
         )
-    gc = cd.graph
+    verdict = _pruned_transience(cd.graph)
+    # Pruning keeps the walk's escape behaviour, so the pruned graph holds
+    # the same verdict; the analyzer, which works on it, reads it there
+    # instead of pruning it a second time.
+    cd.graph.__dict__.setdefault("transience", verdict)
+    return verdict
+
+
+def _pruned_transience(gc):
+    """:func:`is_cover_transient` of a graph with no hanging trees."""
     a4, a2, _, pure_cycles = _cycle_structure(gc)
     if not a4:
         raise AnalysisError(

@@ -11,6 +11,26 @@ from a finite trajectory by last-exit decomposition, evaluates the
 probability that a given cover vertex lies on the ray (its *entropic
 weight*), and estimates the entropy rate, speed, and CLT spread from
 excursions between ray renewals.
+
+Only the walk itself is sequential.  :func:`simulate_walk` draws uniforms in
+blocks of 4096, finds the holds of a block with numpy, and loops over the
+moving draws alone, keeping the label stack; heights are a cumulative sum
+of the moves, and the stopping rules are searched block by block.  The
+rest reads the finished trajectory through two last-exit rules:
+
+* the step after the walk's last visit to height ``j - 1`` is a push that
+  is never undone, and its label is the ray's label at level ``j``; these
+  steps are the renewals of :func:`excursion_decomposition`, whose
+  log-weights are cumulative sums of push increments along the ray;
+* the walk's position at step ``t`` is the last push to its height at or
+  before ``t``, and a push's parent is the last push to the height below
+  before it; :func:`ray_localization_profile` finds both by binary search
+  and the common prefix with the ray by pointer jumping over that tree.
+
+A level is confirmed when it lies more than ``margin`` below the maximum
+height and below the final height, which the walk has not yet left for
+good.  :func:`log_weight_trace` replays the walk step by step; it is the
+reference the excursion log-weights equal bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +52,8 @@ MOVE_POP = -1
 MOVE_HOLD = -2
 
 _NEG_INF = float("-inf")
+#: Uniforms drawn from the generator at a time by :func:`simulate_walk`.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -185,43 +207,59 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None, stop_at_root=False
             pass
 
     thresholds, labels = _build_sampler(g, alpha)
-    o_end = [int(x) for x in g.oriented_end]
+    # After a move along label k the walk sits at the head of k; its sampler
+    # is looked up once per label instead of once per step.
+    after = [(thresholds[v], labels[v]) for v in (int(x) for x in g.oriented_end)]
+    start = g.vertex_index[root_label]
+    thr, labs = thresholds[start], labels[start]
     moves = np.empty(steps, dtype=np.int32)
     heights = np.empty(steps, dtype=np.int32)
-    stack = []
-    cur = g.vertex_index[root_label]
+    # ``below`` holds, for each stacked label, the popping label of the one
+    # underneath, so ``len(below)`` is the height and ``pop`` is ``top ^ 1``
+    # (-1 at the root, which no label equals).
+    below = []
+    pop = -1
     stopped = None
     t = 0
-    block = rng.random(4096)
-    bi = 0
-    while t < steps:
-        if bi == len(block):
-            block = rng.random(4096)
-            bi = 0
-        r = block[bi]
-        bi += 1
-        if r < alpha:
-            moves[t] = MOVE_HOLD
-        else:
-            cums = thresholds[cur]
-            i = bisect_left(cums, r)
-            if i >= len(cums):
-                i = len(cums) - 1
-            k = labels[cur][i]
-            if stack and k == (stack[-1] ^ 1):
-                stack.pop()
-                moves[t] = MOVE_POP
+    while True:
+        block = rng.random(_BLOCK)
+        m = min(_BLOCK, steps - t)
+        r = block[:m]
+        seg = moves[t:t + m]
+        seg.fill(MOVE_HOLD)
+        moving = np.flatnonzero(r >= alpha)
+        h0 = len(below)
+        codes = []
+        for x in r[moving].tolist():
+            # the last threshold is at least 1 > x, so the index is in range
+            k = labs[bisect_left(thr, x)]
+            if k == pop:
+                pop = below.pop()
+                codes.append(MOVE_POP)
             else:
-                stack.append(k)
-                moves[t] = k
-            cur = o_end[k]
-        heights[t] = len(stack)
-        t += 1
-        if stop_at_root and not stack:
-            stopped = "root"
+                below.append(pop)
+                pop = k ^ 1
+                codes.append(k)
+            thr, labs = after[k]
+        seg[moving] = codes
+        hseg = heights[t:t + m]
+        delta = np.zeros(m, dtype=np.int32)
+        delta[moving] = np.where(seg[moving] == MOVE_POP, -1, 1)
+        delta[:1] += h0
+        np.cumsum(delta, out=hseg)
+        hit = np.zeros(m, dtype=bool)
+        if stop_at_root:
+            hit |= hseg == 0
+        if stop_height is not None:
+            hit |= hseg == stop_height
+        first = np.flatnonzero(hit)[:1].tolist()
+        if first:
+            i = first[0]
+            stopped = "root" if stop_at_root and hseg[i] == 0 else "height"
+            t += i + 1
             break
-        if stop_height is not None and len(stack) == stop_height:
-            stopped = "height"
+        t += m
+        if t >= steps:
             break
     return CoverTrajectory(
         root_label=root_label,
@@ -237,52 +275,57 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None, stop_at_root=False
 # ---------------------------------------------------------------------------
 
 
-def _last_time_per_level(traj):
-    """Array mapping each height to the last step index at that height.
+def _confirmed_level(traj, margin):
+    """Number of ray levels a trajectory confirms.
 
-    Index -1 stands for the initial position (height zero before any move).
-    """
-    heights = traj.heights
-    max_h = traj.max_height
-    last = np.full(max_h + 1, -2, dtype=np.int64)
-    last[0] = -1
-    if len(heights):
-        # With repeated indices the last write wins, giving last-visit times.
-        last[heights] = np.arange(len(heights), dtype=np.int64)
-    return last
-
-
-def extract_ray(traj, margin=DEFAULT_MARGIN):
-    """Confirmed prefix of the escape ray via last-exit decomposition.
-
-    The ray's level-``i`` vertex is where the walk sat when it left level
-    ``i`` for the last time.  Levels within ``margin`` of the maximum
-    height reached are treated as unconfirmed and dropped.  Returns the
-    tuple of oriented-edge labels of the confirmed prefix.  Raises
-    :class:`AnalysisError` when the trajectory never climbed past the
-    margin.
+    Levels within ``margin`` of the maximum height, and levels at or above
+    the final height (the walk may still drop back through them), are not
+    confirmed.  Raises :class:`AnalysisError` when no level is.
     """
     margin = int(margin)
     if margin < 0:
         raise AnalysisError("margin must be nonnegative")
     max_h = traj.max_height
-    limit = max_h - margin
-    if limit <= 0:
+    if max_h - margin <= 0:
         raise AnalysisError(
             f"trajectory too short: max height {max_h} does not exceed "
             f"margin {margin}"
         )
-    last = _last_time_per_level(traj)
-    theta = int(last[limit])
-    stack = []
-    for mv in traj.moves[: theta + 1]:
-        if mv == MOVE_POP:
-            stack.pop()
-        elif mv != MOVE_HOLD:
-            stack.append(int(mv))
-    if len(stack) != limit:
-        raise AnalysisError("internal error: ray replay height mismatch")
-    return tuple(stack)
+    final_h = int(traj.heights[-1])
+    if final_h <= 0:
+        raise AnalysisError(
+            f"trajectory ended at height {final_h}: no ray level is confirmed"
+        )
+    return min(max_h - margin, final_h)
+
+
+def _ray_exit_times(traj, limit):
+    """Steps at which the walk leaves levels ``0 .. limit - 1`` for the last
+    time.
+
+    The step after the last visit to a level is a push that is never undone,
+    so ``traj.moves`` at these steps are the ray's labels, level by level.
+    """
+    heights = traj.heights
+    last = np.full(traj.max_height + 1, -2, dtype=np.int64)
+    last[0] = -1  # the initial position, at height zero before any move
+    # With repeated indices the last write wins, giving last-visit times.
+    last[heights] = np.arange(len(heights), dtype=np.int64)
+    return last[:limit] + 1
+
+
+def extract_ray(traj, margin=DEFAULT_MARGIN):
+    """Confirmed prefix of the escape ray via last-exit decomposition.
+
+    The ray's level-``i`` label is the push by which the walk left level
+    ``i - 1`` for the last time.  Levels within ``margin`` of the maximum
+    height reached, and levels at or above the final height, are treated as
+    unconfirmed and dropped.  Returns the tuple of oriented-edge labels of
+    the confirmed prefix.  Raises :class:`AnalysisError` when no level is
+    confirmed.
+    """
+    limit = _confirmed_level(traj, margin)
+    return tuple(traj.moves[_ray_exit_times(traj, limit)].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +563,18 @@ class ExcursionStats:
         return int(self.durations.sum())
 
 
+def _increment_table(exit_prob):
+    """``_push_increment`` of every label (columns) over every label below
+    it (rows), with a last row for pushes at the root."""
+    n = len(exit_prob)
+    table = np.empty((n + 1, n))
+    for k in range(n):
+        table[n, k] = _push_increment(exit_prob, k, None)
+        for b in range(n):
+            table[b, k] = _push_increment(exit_prob, k, b)
+    return table
+
+
 def _resolve_label(g, e_star):
     if isinstance(e_star, str):
         if e_star not in g.oriented_index_by_name:
@@ -549,32 +604,24 @@ def excursion_decomposition(traj, ray, e_star=None, margin=DEFAULT_MARGIN,
     else:
         e_star = _resolve_label(g, e_star)
 
-    max_h = traj.max_height
-    limit = max_h - int(margin)
-    if limit <= 0:
+    limit = _confirmed_level(traj, margin)
+    times = _ray_exit_times(traj, limit)
+    ray_labels = traj.moves[times]
+    renewals = np.flatnonzero(ray_labels == e_star)
+    if len(renewals) < min_count + 1:
         raise AnalysisError(
-            f"trajectory too short: max height {max_h} does not exceed "
-            f"margin {margin}"
-        )
-    last = _last_time_per_level(traj)
-    moves = traj.moves
-    trace = log_weight_trace(traj, ray)
-
-    exit_times = []
-    exit_levels = []
-    for level in range(0, limit):
-        t_move = int(last[level]) + 1
-        if moves[t_move] == e_star:
-            exit_times.append(t_move)
-            exit_levels.append(level + 1)
-    if len(exit_times) < min_count + 1:
-        raise AnalysisError(
-            f"only {max(len(exit_times) - 1, 0)} complete excursions below "
+            f"only {max(len(renewals) - 1, 0)} complete excursions below "
             f"the confirmed level; need at least {min_count}"
         )
-    times = np.array(exit_times, dtype=np.int64)
-    levels = np.array(exit_levels, dtype=np.int64)
-    logw = trace[times]
+    # The log-weight of each ray vertex is the left fold of the push
+    # increments along the ray, the same sums log_weight_trace forms.
+    below = np.empty(limit, dtype=np.int64)
+    below[0] = g.n_oriented  # the table's row for a push at the root
+    below[1:] = ray_labels[:-1]
+    push_inc = _increment_table(ray.exit_prob)[below, ray_labels]
+    logw = np.cumsum(push_inc)[renewals]
+    times = times[renewals]
+    levels = renewals + 1
     if not np.isfinite(logw).all():
         raise AnalysisError(
             "a ray renewal vertex has zero entropic weight; the walk "
@@ -691,6 +738,47 @@ class LocalizationProfile:
     counts: tuple = ()
 
 
+def _ray_prefix_lengths(traj, ray_labels, times):
+    """Length of the common prefix of the walk's path with the ray at each of
+    the given steps, whose heights must not exceed ``len(ray_labels)``.
+
+    Every push to a height inside the confirmed region is a node of the push
+    tree: its parent is the last push to the height below, before it, and
+    the walk's position at step ``t`` is the last push to its height at or
+    before ``t`` (the root at height zero).  Both are found by binary search
+    over the pushes keyed by ``(height, time)``.  A node is on the ray when
+    its label and those of all its ancestors match the ray at their levels,
+    so the prefix length is one less than the lowest mismatching height on
+    its ancestor path, or its own height when there is none.  That minimum
+    is taken by pointer jumping, in ``log2(height)`` rounds.
+    """
+    moves, heights = traj.moves, traj.heights
+    limit = len(ray_labels)
+    pushes = np.flatnonzero((moves >= 0) & (heights <= limit))
+    h = heights[pushes]
+    order = np.argsort(h, kind="stable")
+    pushes, h = pushes[order], h[order]
+    del order  # each index array is freed once used, to keep the peak memory low
+    span = len(moves) + 1
+    key = h.astype(np.int64) * span + pushes
+    root = len(pushes)
+    # The node below a push is the last push to the height below, before
+    # it.  Below height 1 the search finds nothing, and its -1 indexes the
+    # root, which is appended last; so do the searches for height zero.
+    ptr = np.append(np.searchsorted(key, key - span) - 1, root)
+    mismatch = np.append(
+        np.where(moves[pushes] == ray_labels[h - 1], limit + 1, h), limit + 1)
+    del pushes
+    while (ptr != root).any():
+        mismatch = np.minimum(mismatch, mismatch[ptr])
+        ptr = ptr[ptr]
+    del ptr
+    prefix = np.minimum(mismatch - 1, np.append(h, 0))
+    at = heights[times]
+    node = np.searchsorted(key, at.astype(np.int64) * span + times, side="right") - 1
+    return prefix[node]
+
+
 def ray_localization_profile(trajs, r_max, margin=DEFAULT_MARGIN,
                              max_samples_per_traj=5000):
     """Tail frequencies of the distance from the walk to its escape ray.
@@ -710,36 +798,17 @@ def ray_localization_profile(trajs, r_max, margin=DEFAULT_MARGIN,
     counts = np.zeros(r_max + 1, dtype=np.int64)
     n_samples = 0
     for traj in trajs:
-        ray_labels = extract_ray(traj, margin=margin)
-        limit = len(ray_labels)
-        eligible = int(np.count_nonzero(traj.heights <= limit))
-        if eligible == 0:
-            continue
-        stride = max(1, eligible // max(1, int(max_samples_per_traj)))
-        stack_len = 0
-        cpl = 0
-        seen = 0
-        stack = []
-        for t, mv in enumerate(traj.moves):
-            if mv == MOVE_POP:
-                stack.pop()
-                stack_len -= 1
-                if cpl > stack_len:
-                    cpl = stack_len
-            elif mv != MOVE_HOLD:
-                k = int(mv)
-                if cpl == stack_len and stack_len < limit and ray_labels[stack_len] == k:
-                    cpl += 1
-                stack.append(k)
-                stack_len += 1
-            if stack_len <= limit:
-                if seen % stride == 0:
-                    dist = stack_len - cpl
-                    n_samples += 1
-                    top = min(dist - 1, r_max)
-                    if top >= 0:
-                        counts[: top + 1] += 1
-                seen += 1
+        limit = _confirmed_level(traj, margin)
+        ray_labels = traj.moves[_ray_exit_times(traj, limit)]
+        eligible = traj.heights <= limit
+        stride = max(1, int(np.count_nonzero(eligible))
+                      // max(1, int(max_samples_per_traj)))
+        times = np.flatnonzero(eligible)[::stride].copy()
+        dist = traj.heights[times] - _ray_prefix_lengths(traj, ray_labels, times)
+        # counts[r] tallies the samples with distance above r
+        hist = np.bincount(np.minimum(dist, r_max + 1), minlength=r_max + 2)
+        counts += np.cumsum(hist[::-1])[::-1][1:]
+        n_samples += len(times)
     if n_samples == 0:
         raise AnalysisError("no eligible samples inside the confirmed region")
     freqs = {r: float(counts[r]) / n_samples for r in range(r_max + 1)}

@@ -425,10 +425,26 @@ def test_entropy_checks_assumptions_once_per_graph(monkeypatch):
     real = base_graph.check_assumptions
     monkeypatch.setattr(base_graph, "check_assumptions",
                         lambda g: seen.append(g) or real(g))
+    # the transience verdict and the pruning, counted the same way
+    calls = {"is_cover_transient": [], "core": []}
+    for fn in calls:
+        monkeypatch.setattr(base_graph, fn, lambda g, fn=fn, real=getattr(base_graph, fn):
+                            calls[fn].append(g) or real(g))
     g = parse_graph(PENDANT_TEXT)
     first = entropy(g)
+    assert calls == {"is_cover_transient": [g], "core": [g]}
+    assert g.core.graph.transience is g.transience
     again = entropy(g, alpha=0.0)
     assert len(seen) == 1 and seen[0] is g.core.graph
     assert first.first_passage.prob.tolist() == again.first_passage.prob.tolist()
     entropy(parse_graph(PENDANT_TEXT))  # a new graph object derives its own
     assert len(seen) == 2 and seen[1] is not seen[0]
+
+
+def test_ray_law_on_a_recurrent_core_still_raises(sym3):
+    # entropy decides on sym3 itself and leaves the verdict on its core
+    with pytest.raises(AnalysisError, match="entropy analysis needs a transient"):
+        entropy(sym3)
+    # the guard comes before any use of the first-passage solution
+    with pytest.raises(AnalysisError, match="ray law needs a transient cover walk"):
+        ray_law(sym3.core.graph, None)

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from liftmix import __version__, parse_graph
+from liftmix import __version__, parse_graph, simulate_walk, substream
 from liftmix.cli import main
 
 from conftest import ASYM_THETA_TEXT, SYM3_TEXT, THETA3_TEXT
@@ -242,6 +242,25 @@ def test_cover_sim_bad_root_and_edge(capsys, theta3_file):
         "--e-star", "e9+",
     ])
     assert code == 1
+
+
+def test_cover_sim_margin_zero_confirms_up_to_the_final_height(capsys, theta3_file,
+                                                              tmp_path):
+    # Levels the walk may still drop back through are not confirmed: with no
+    # margin the ray ends at the final height, which for trial 0 of seed 0
+    # lies below the maximum height.
+    g = parse_graph(THETA3_TEXT)
+    traj = simulate_walk(g, "u", 3000, rng=substream(0, "cover-walk", 0),
+                         warn_recurrent=False)
+    assert traj.heights[-1] < traj.max_height
+    args = ["cover-sim", "--graph", theta3_file, "--steps", "3000", "--trials", "2",
+            "--seed", "0", "--per-trial", "--out", str(tmp_path / "m0")]
+    code, payload, cap = run_cli(capsys, args + ["--margin", "0"])
+    assert code == 0, cap.err
+    assert payload["n_excursions"] > 100
+    code, _, cap = run_cli(capsys, args + ["--margin", "-1"])
+    assert code == 1
+    assert "margin must be nonnegative" in cap.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Cover-walk simulation, ray extraction, entropic weights, estimators."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
@@ -19,11 +21,18 @@ from liftmix import (
     log_entropic_weight,
     log_weight_trace,
     make_ray_view,
+    parse_graph,
     ray_localization_profile,
     simulate_walk,
     substream,
 )
-from liftmix.cover import MOVE_HOLD, MOVE_POP, cover_moves, cover_vertex_type
+from liftmix.cover import (
+    MOVE_HOLD,
+    MOVE_POP,
+    RayView,
+    cover_moves,
+    cover_vertex_type,
+)
 
 LOG2 = math.log(2.0)
 
@@ -136,6 +145,10 @@ def test_simulate_walk_stop_at_root(sym3):
     assert traj.stopped == "root"
     assert traj.heights[-1] == 0
     assert len(traj) >= 1
+    # when both rules fire on the same step, the root rule names the stop
+    both = simulate_walk(sym3, "a", 50_000, rng=substream(4, "walk"),
+                         stop_at_root=True, stop_height=0, warn_recurrent=False)
+    assert both.stopped == "root" and len(both) == len(traj)
 
 
 def test_simulate_walk_warns_on_recurrent_base(sym3):
@@ -162,6 +175,23 @@ def test_extract_ray_is_final_stack_prefix(theta3):
     for a, b in zip(ray, ray[1:]):
         assert theta3.oriented_end[a] == theta3.oriented_init[b]
         assert b != (a ^ 1)
+
+
+def test_extract_ray_stops_at_the_final_height(theta3):
+    # levels at or above the final height are unconfirmed whatever the
+    # margin: the walk may still drop back through them
+    traj = simulate_walk(theta3, "u", 3000, rng=substream(0, "cover-walk", 0))
+    final = int(traj.heights[-1])
+    assert final < traj.max_height
+    assert extract_ray(traj, margin=0) == traj.final_stack()
+    assert len(extract_ray(traj, margin=1)) == final
+    back = simulate_walk(theta3, "u", 50, alpha=0.0, rng=substream(1, "walk"),
+                         stop_at_root=True)
+    assert back.max_height == 1 and back.stopped == "root"
+    with pytest.raises(AnalysisError, match="ended at height 0"):
+        extract_ray(back, margin=0)
+    with pytest.raises(AnalysisError, match="nonnegative"):
+        extract_ray(traj, margin=-1)
 
 
 def test_extract_ray_margin_too_large(theta3):
@@ -422,3 +452,288 @@ def test_localization_profile_theta3(theta3):
     pooled = np.array(half.counts) + np.array(rest.counts)
     assert np.array_equal(pooled, np.array(prof.counts))
     assert half.n_samples + rest.n_samples == prof.n_samples
+
+
+# ---------------------------------------------------------------------------
+# the production path against the scalar reference loops
+# ---------------------------------------------------------------------------
+#
+# The functions below replay a walk one step at a time, the way the walk is
+# defined.  They are the reference for simulate_walk, extract_ray,
+# excursion_decomposition and ray_localization_profile, which do the same
+# work with one sequential loop over the moving draws and numpy for the rest.
+
+
+def _scalar_walk(g, root_label, steps, alpha, rng, stop_at_root, stop_height):
+    thresholds, labels = [], []
+    for u in range(g.n_vertices):
+        ks = [int(k) for k in g.out_oriented[u] if g.oriented_weight[k] > 0.0]
+        acc, cums = alpha, []
+        for k in ks:
+            acc += (1.0 - alpha) * float(g.oriented_weight[k])
+            cums.append(acc)
+        if cums:
+            cums[-1] = max(cums[-1], 1.0)
+        thresholds.append(cums)
+        labels.append(ks)
+    moves, heights, stack = [], [], []
+    cur = g.vertex_index[root_label]
+    stopped = None
+    block = rng.random(4096)
+    bi = 0
+    while len(moves) < steps:
+        if bi == len(block):
+            block = rng.random(4096)
+            bi = 0
+        r = block[bi]
+        bi += 1
+        if r < alpha:
+            moves.append(MOVE_HOLD)
+        else:
+            cums = thresholds[cur]
+            k = labels[cur][min(bisect_left(cums, r), len(cums) - 1)]
+            if stack and k == (stack[-1] ^ 1):
+                stack.pop()
+                moves.append(MOVE_POP)
+            else:
+                stack.append(k)
+                moves.append(k)
+            cur = int(g.oriented_end[k])
+        heights.append(len(stack))
+        if stop_at_root and not stack:
+            stopped = "root"
+            break
+        if stop_height is not None and len(stack) == stop_height:
+            stopped = "height"
+            break
+    return moves, heights, stopped
+
+
+def _scalar_confirmed_level(traj, margin):
+    if margin < 0:
+        raise AnalysisError("margin must be nonnegative")
+    heights = traj.heights.tolist()
+    max_h = max(heights, default=0)
+    if max_h - margin <= 0:
+        raise AnalysisError(
+            f"trajectory too short: max height {max_h} does not exceed "
+            f"margin {margin}"
+        )
+    if heights[-1] <= 0:
+        raise AnalysisError(
+            f"trajectory ended at height {heights[-1]}: no ray level is confirmed"
+        )
+    return min(max_h - margin, heights[-1])
+
+
+def _scalar_last_times(traj):
+    last = {0: -1}
+    for t, h in enumerate(traj.heights.tolist()):
+        last[h] = t
+    return last
+
+
+def _scalar_ray(traj, margin):
+    limit = _scalar_confirmed_level(traj, margin)
+    stack = []
+    for mv in traj.moves[: _scalar_last_times(traj)[limit] + 1].tolist():
+        if mv == MOVE_POP:
+            stack.pop()
+        elif mv != MOVE_HOLD:
+            stack.append(mv)
+    assert len(stack) == limit
+    return tuple(stack)
+
+
+def _scalar_excursions(traj, ray, e_star, margin, min_count):
+    if e_star is None:
+        if not (ray.edge_freq > 0).any():
+            raise AnalysisError("ray law carries no positive edge frequency")
+        e_star = int(np.argmax(ray.edge_freq))
+    limit = _scalar_confirmed_level(traj, margin)
+    last = _scalar_last_times(traj)
+    trace = log_weight_trace(traj, ray)
+    exit_times, exit_levels = [], []
+    for level in range(limit):
+        t_move = last[level] + 1
+        if traj.moves[t_move] == e_star:
+            exit_times.append(t_move)
+            exit_levels.append(level + 1)
+    if len(exit_times) < min_count + 1:
+        raise AnalysisError(
+            f"only {max(len(exit_times) - 1, 0)} complete excursions below "
+            f"the confirmed level; need at least {min_count}"
+        )
+    times = np.array(exit_times, dtype=np.int64)
+    logw = trace[times]
+    if not np.isfinite(logw).all():
+        raise AnalysisError(
+            "a ray renewal vertex has zero entropic weight; the walk "
+            "started outside the pruned core (pick a root on a core vertex)"
+        )
+    durations = np.diff(times)
+    increments = -np.diff(logw)
+    if (durations < 1).any():
+        raise AnalysisError("internal error: non-positive excursion duration")
+    if (increments < -1e-9).any():
+        raise AnalysisError("internal error: negative log-weight increment")
+    return ExcursionStats(
+        durations=durations,
+        log_weight_increments=np.clip(increments, 0.0, None),
+        level_increments=np.diff(np.array(exit_levels, dtype=np.int64)),
+        e_star=e_star,
+        degenerate=bool((increments <= 1e-9).all()),
+    )
+
+
+def _scalar_localization(traj, r_max, margin, max_samples):
+    ray = _scalar_ray(traj, margin)
+    limit = len(ray)
+    eligible = int(np.count_nonzero(traj.heights <= limit))
+    stride = max(1, eligible // max(1, max_samples))
+    counts = [0] * (r_max + 1)
+    n_samples = seen = cpl = 0
+    stack = []
+    for mv in traj.moves.tolist():
+        if mv == MOVE_POP:
+            stack.pop()
+            cpl = min(cpl, len(stack))
+        elif mv != MOVE_HOLD:
+            if cpl == len(stack) < limit and ray[len(stack)] == mv:
+                cpl += 1
+            stack.append(mv)
+        if len(stack) <= limit:
+            if seen % stride == 0:
+                n_samples += 1
+                for r in range(min(len(stack) - cpl, r_max + 1)):
+                    counts[r] += 1
+            seen += 1
+    return tuple(counts), n_samples
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the message of the AnalysisError it raises."""
+    try:
+        return fn(*args, **kwargs), None
+    except AnalysisError as exc:
+        return None, str(exc)
+
+
+@st.composite
+def walk_cases(draw):
+    """A small multigraph in which some orientations carry weight zero,
+    sometimes with a pendant vertex (a root off the core), plus a walk
+    configuration and a ray law made up over the graph's oriented edges."""
+    n_v = draw(st.integers(1, 4))
+    ends = [(draw(st.integers(0, n_v - 1)), draw(st.integers(0, n_v - 1)))
+            for _ in range(draw(st.integers(1, 5)))]
+    # loops at one vertex make most graphs branch, so the walk escapes
+    ends += [(0, 0)] * draw(st.sampled_from([2, 2, 1, 0]))
+    if draw(st.booleans()):
+        ends.append((n_v, draw(st.integers(0, n_v - 1))))
+    raw = [[draw(st.integers(0, 2)), draw(st.integers(0, 2))] for _ in ends]
+    for w in raw:
+        if w == [0, 0]:
+            w[0] = 1
+    slots = {}
+    for j, (t, h) in enumerate(ends):
+        slots.setdefault(t, []).append((j, 0))
+        slots.setdefault(h, []).append((j, 1))
+    for out in slots.values():
+        if all(raw[j][side] == 0 for j, side in out):
+            j, side = out[0]
+            raw[j][side] = 1
+    total = {u: sum(raw[j][side] for j, side in out) for u, out in slots.items()}
+    lines = ["alpha 0"] + [f"vertex v{u}" for u in sorted(slots)]
+    lines += [f"edge e{j} v{t} v{h} {raw[j][0]}/{total[t]} {raw[j][1]}/{total[h]}"
+              for j, (t, h) in enumerate(ends)]
+    g = parse_graph("\n".join(lines) + "\n")
+    # exit probabilities of at most half keep the ray's log-weights
+    # nonincreasing; zeros put whole subtrees off the ray
+    scale = draw(st.lists(st.sampled_from([0.5, 0.25, 0.0]) | st.floats(0.05, 0.5),
+                          min_size=g.n_oriented, max_size=g.n_oriented))
+    freq = draw(st.lists(st.sampled_from([1.0, 2.0, 0.0]),
+                         min_size=g.n_oriented, max_size=g.n_oriented))
+    view = RayView(graph=g, exit_prob=g.oriented_weight * np.array(scale),
+                   edge_freq=np.array(freq))
+    steps = draw(st.sampled_from([20_000, 20_000, 20_000, 0, 1, 4095, 4096, 4097]))
+    if steps == 20_000:
+        steps += draw(st.integers(-1000, 1000))
+    return {
+        "g": g,
+        "view": view,
+        "root": draw(st.sampled_from(g.vertices)),
+        "alpha": draw(st.sampled_from([0.0, 0.25, 0.5, 0.9])),
+        "steps": steps,
+        "stop_at_root": draw(st.sampled_from([False, False, False, True])),
+        "stop_height": draw(st.sampled_from([None, None, None, 0, 1, 40])),
+        "seed": draw(st.integers(0, 2**16)),
+        "margin": draw(st.sampled_from([0, 0, 1, 5, 25])),
+        # the default renewal edge, the edge the walk pushes most, or any
+        "e_star": draw(st.sampled_from([None, "most pushed"])
+                       | st.integers(0, g.n_oriented - 1)),
+        "min_count": draw(st.sampled_from([0, 1, 30])),
+        "r_max": draw(st.integers(0, 6)),
+        "max_samples": draw(st.sampled_from([1, 7, 5000])),
+    }
+
+
+def _check_against_scalar_loops(traj, view, margin, e_star, min_count, r_max,
+                                max_samples):
+    assert _outcome(extract_ray, traj, margin=margin) == \
+        _outcome(_scalar_ray, traj, margin)
+
+    got, err = _outcome(excursion_decomposition, traj, view, e_star=e_star,
+                        margin=margin, min_count=min_count)
+    want, want_err = _outcome(_scalar_excursions, traj, view, e_star, margin,
+                              min_count)
+    assert err == want_err
+    if want is not None:
+        for field in ("durations", "log_weight_increments", "level_increments"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (got.e_star, got.degenerate) == (want.e_star, want.degenerate)
+
+    prof, err = _outcome(ray_localization_profile, [traj], r_max, margin=margin,
+                         max_samples_per_traj=max_samples)
+    want, want_err = _outcome(_scalar_localization, traj, r_max, margin, max_samples)
+    assert err == want_err
+    if want is not None:
+        assert (prof.counts, prof.n_samples) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_cases())
+def test_walk_and_its_analysis_match_the_scalar_loops(case):
+    g = case["g"]
+    stops = {"stop_at_root": case["stop_at_root"], "stop_height": case["stop_height"]}
+    rng_ref = substream(case["seed"], "walk")
+    rng = substream(case["seed"], "walk")
+    moves, heights, stopped = _scalar_walk(g, case["root"], case["steps"],
+                                           case["alpha"], rng_ref, **stops)
+    traj = simulate_walk(g, case["root"], case["steps"], alpha=case["alpha"],
+                         rng=rng, warn_recurrent=False, **stops)
+    assert traj.moves.tolist() == moves
+    assert traj.heights.tolist() == heights
+    assert traj.stopped == stopped
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    e_star = case["e_star"]
+    if e_star == "most pushed":
+        pushed = traj.moves[traj.moves >= 0]
+        e_star = int(np.bincount(pushed).argmax()) if len(pushed) else None
+    _check_against_scalar_loops(traj, case["view"], case["margin"], e_star,
+                                case["min_count"], case["r_max"], case["max_samples"])
+
+
+@pytest.mark.parametrize("margin", [0, 1])
+def test_walks_ending_below_their_peak_match_the_scalar_loops(theta3, margin):
+    # most of these walks end a few levels below their maximum height, so
+    # the final height caps the confirmed level
+    view = _view(theta3)
+    capped = 0
+    for trial in range(12):
+        traj = simulate_walk(theta3, "u", 3000, rng=substream(0, "cover-walk", trial))
+        capped += int(traj.heights[-1]) < traj.max_height - margin
+        _check_against_scalar_loops(traj, view, margin, None, 30, 6, 500)
+    assert capped >= 3

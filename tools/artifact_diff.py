@@ -14,7 +14,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
 * ``mix --alpha 0`` on theta3 with ``n = 8`` (a periodic lift, so it also
   writes ``curve_averaged.csv``);
 * ``validate``, ``analyze``, ``spectrum``, ``lift`` and ``mix`` on every
-  demo graph, and ``validate`` on the analyze batch.
+  demo graph, and ``validate`` on the analyze batch;
+* ``cover-sim`` on every demo graph at its own holding probability and at
+  0, with ``--per-trial``, with a step count that is not a multiple of the
+  walk's 4096-draw blocks, and with an explicit ``--e-star``; and
+  ``cover-sim`` from the pendant vertex ``p``, off the pruned core.
 
 For each call it compares the exit code, standard output, the error lines
 (``liftmix: ...`` on standard error), every artifact file byte for byte, and
@@ -102,9 +106,26 @@ def calls(batch):
             ["lift", "--graph", g, "--n", "8", *out],
             ["mix", "--graph", g, "--n", "8", *out],
         ]
+        cover = ["cover-sim", "--graph", g, "--trials", "2", "--seed", "1"]
+        argvs += [
+            [*cover, "--steps", "30000", "--per-trial", *out],
+            [*cover, "--steps", "30000", "--alpha", "0", "--per-trial", *out],
+            [*cover, "--steps", str(3 * 4096 + 1), *out],
+            [*cover, "--steps", "30000", "--e-star", f"{_first_edge(g)}+",
+             "--per-trial", *out],
+        ]
+    argvs.append(["cover-sim", "--graph", _graph(DEMO_GRAPHS, "pendant"), "--root", "p",
+                  "--steps", "30000", "--trials", "2", "--seed", "1", "--per-trial",
+                  *out])
     for g in batch:
         argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
     return argvs
+
+
+def _first_edge(path):
+    """Id of the first edge declared in a graph file."""
+    with open(path, encoding="utf-8") as fh:
+        return next(line.split()[1] for line in fh if line.startswith("edge "))
 
 
 def _run(args, cwd, src, stdin=""):
