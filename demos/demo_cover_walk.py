@@ -17,7 +17,6 @@ from liftmix import (
     estimate_clt_params,
     estimate_speed,
     excursion_decomposition,
-    make_ray_view,
     parse_graph,
     ray_localization_profile,
     simulate_walk,
@@ -36,7 +35,6 @@ def main():
 
     g = parse_graph(pathlib.Path(args.graph).read_text())
     report = entropy(g)
-    view = make_ray_view(g, report.ray_law)
 
     rng = substream(args.seed, "demo-cover-walk")
     traj = simulate_walk(g, g.vertices[0], args.steps, rng=rng)
@@ -45,7 +43,7 @@ def main():
           f"(drift {traj.heights[-1] / len(traj):.4f} levels/step, "
           f"analytic speed {report.speed:.4f})")
 
-    stats = excursion_decomposition(traj, view)
+    stats = excursion_decomposition(traj, report)
     est = estimate_clt_params(stats)
     sp = estimate_speed(stats)
     print(f"\n{stats.n} renewal excursions at edge "

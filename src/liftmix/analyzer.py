@@ -27,15 +27,13 @@ from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .base_graph import (
     AnalysisError,
     CoreDecomposition,
     WeightedMultigraph,
-    _cycle_structure,
     solve_stationary,
+    strong_components,
 )
 from .errors import NonConvergenceError
 
@@ -235,23 +233,18 @@ def ray_law(g, first_passage):
                 continue
             kernel[k, l] = exit_prob[l] / denom
 
-    # Unique closed class of the ray chain, then its stationary law.
-    sup_idx = np.nonzero(support)[0]
-    sub = kernel[np.ix_(sup_idx, sup_idx)]
-    ncomp, labels = connected_components(
-        csr_matrix(sub > 0.0), directed=True, connection="strong"
-    )
-    closed = []
-    for c in range(ncomp):
-        members = np.nonzero(labels == c)[0]
-        outside = np.setdiff1d(np.arange(len(sup_idx)), members)
-        if len(outside) == 0 or not (sub[np.ix_(members, outside)] > 0).any():
-            closed.append(members)
+    # Unique closed class of the ray chain, a component that no arc leaves,
+    # then its stationary law.
+    sup_idx = np.flatnonzero(support)
+    tails, heads = np.nonzero(kernel[np.ix_(sup_idx, sup_idx)] > 0.0)
+    ncomp, labels = strong_components(len(sup_idx), tails, heads)
+    leaving = labels[tails] != labels[heads]
+    closed = np.setdiff1d(np.arange(ncomp), labels[tails[leaving]])
     if len(closed) != 1:
         raise AnalysisError(
             f"ray chain has {len(closed)} closed classes; expected exactly one"
         )
-    class_idx = sup_idx[closed[0]]
+    class_idx = sup_idx[labels == closed[0]]
     pi_c, residual = solve_stationary(kernel[np.ix_(class_idx, class_idx)])
     if residual > RAY_STATIONARY_TOL:
         raise AnalysisError(
@@ -311,7 +304,7 @@ def _line_drift_speed(g):
     cycle's period; the speed is the absolute mean drift under the
     stationary law of the position-phase chain.
     """
-    _, _, _, pure_cycles = _cycle_structure(g)
+    pure_cycles = g.cycle_census[3]
     if not pure_cycles:
         raise AnalysisError("no cycle found for line-drift speed")
     cycle = pure_cycles[0]
@@ -367,6 +360,11 @@ class EntropyReport:
     the fraction of moving steps spent on the pruned graph's edges.
     ``sigma_mc`` is an optional Monte Carlo estimate of the step-CLT spread
     of the ray's location information, filled in from cover simulations.
+
+    ``exit_prob`` and ``edge_freq`` restate ``ray_law``, which lives on the
+    pruned graph, on the oriented edges of ``graph``, the analyzed graph,
+    with zeros off the core.  The cover functions take the report as their
+    ray law, so walks simulated on ``graph`` read it directly.
     """
 
     per_level_entropy: float
@@ -379,6 +377,9 @@ class EntropyReport:
     first_passage: FirstPassageSolution
     ray_law: RayLaw
     core: CoreDecomposition
+    graph: WeightedMultigraph
+    exit_prob: np.ndarray
+    edge_freq: np.ndarray
     sigma_mc: Optional[float] = None
     sigma_mc_se: Optional[float] = None
 
@@ -421,6 +422,9 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
     afrac = cd.core_step_fraction
     speed_alpha = (1.0 - alpha) * s0 * afrac
     rate = speed_alpha * h_level
+    exit_prob, edge_freq = np.zeros((2, g.n_oriented))
+    exit_prob[cd.host_oriented] = rl.exit_prob
+    edge_freq[cd.host_oriented] = rl.edge_freq
     return EntropyReport(
         per_level_entropy=h_level,
         escape_speed=s0,
@@ -432,6 +436,9 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
         first_passage=fps,
         ray_law=rl,
         core=cd,
+        graph=g,
+        exit_prob=exit_prob,
+        edge_freq=edge_freq,
     )
 
 
@@ -505,10 +512,7 @@ def chain_clt_params(kernel, f, stationary=None):
     rowsums = p.sum(axis=1)
     if np.max(np.abs(rowsums - 1.0)) > 1e-9:
         raise AnalysisError("kernel rows must sum to one")
-    ncomp, _ = connected_components(
-        csr_matrix(p > 0.0), directed=True, connection="strong"
-    )
-    if ncomp != 1:
+    if strong_components(n, *np.nonzero(p > 0.0))[0] != 1:
         raise AnalysisError("kernel is reducible; CLT parameters undefined")
     if stationary is None:
         pi, residual = solve_stationary(p)

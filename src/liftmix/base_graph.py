@@ -13,10 +13,13 @@ the inverse of oriented edge ``k`` is ``k ^ 1``.
 
 Besides parsing and validation this module provides:
 
+* :func:`strong_components` -- the strong components of a digraph given by
+  arcs, the one search behind irreducibility, the cycle census, the
+  periods (:func:`strong_periods`, also of a lift) and the analyzer's ray
+  chain;
 * :func:`check_assumptions` -- irreducibility, positivity, the two-cycle
   branching property of the non-backtracking structure, the
-  every-edge-on-a-cycle property, and the walk's period (from
-  :func:`strong_periods`, which also gives the periods of a lift);
+  every-edge-on-a-cycle property, and the walk's period;
 * :func:`stationary_distribution` -- the stationary law of the vertex chain,
   from :func:`solve_stationary`, the least-squares solve shared with the
   analyzer's ray chain;
@@ -26,9 +29,11 @@ Besides parsing and validation this module provides:
 * :func:`is_cover_transient` -- whether the walk on the universal cover of
   the graph escapes to infinity.
 
-A graph keeps these results once computed (``g.assumptions``,
-``g.stationary``, ``g.core``, ``g.transience``); a call that raises keeps
-nothing and raises again on the next access.
+A graph keeps these results once computed (``g.irreducible``,
+``g.cycle_census``, ``g.assumptions``, ``g.stationary``, ``g.core``,
+``g.transience``); a call that raises keeps nothing and raises again on the
+next access.  ``g.core.host_oriented`` maps the oriented edges of the pruned
+graph to those of ``g``.
 """
 
 from __future__ import annotations
@@ -131,6 +136,19 @@ class WeightedMultigraph:
         for k in range(self.n_oriented):
             buckets[self.oriented_init[k]].append(k)
         return tuple(np.array(b, dtype=np.int64) for b in buckets)
+
+    @cached_property
+    def irreducible(self):
+        """Whether the positive moves of the vertex chain are strongly
+        connected, decided on first use."""
+        pos = self.oriented_weight > 0.0
+        return strong_components(self.n_vertices, self.oriented_init[pos],
+                                 self.oriented_end[pos])[0] == 1
+
+    @cached_property
+    def cycle_census(self):
+        """:func:`_cycle_structure` of this graph, taken on first use."""
+        return _cycle_structure(self)
 
     @cached_property
     def stationary(self):
@@ -346,14 +364,6 @@ class AssumptionReport:
     witness_cycles: tuple
 
 
-def _is_irreducible(g):
-    """Whether the positive moves of the vertex chain are strongly connected."""
-    pos = g.oriented_weight > 0.0
-    adj = csr_matrix((np.ones(pos.sum()), (g.oriented_init[pos], g.oriented_end[pos])),
-                     shape=(g.n_vertices, g.n_vertices))
-    return connected_components(adj, directed=True, connection="strong")[0] == 1
-
-
 def _continuation_arcs(g):
     """Non-backtracking continuation structure on positive oriented edges.
 
@@ -370,27 +380,6 @@ def _continuation_arcs(g):
     for k in nodes:
         succ[k] = [l for l in out_by_vertex[g.oriented_end[k]] if l != (k ^ 1)]
     return nodes, succ
-
-
-def _scc_partition(nodes, succ):
-    """Strongly connected components of the continuation structure."""
-    if not nodes:
-        return []
-    index = {k: i for i, k in enumerate(nodes)}
-    rows, cols = [], []
-    for k in nodes:
-        for l in succ[k]:
-            rows.append(index[k])
-            cols.append(index[l])
-    mat = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-        shape=(len(nodes), len(nodes)),
-    )
-    ncomp, labels = connected_components(mat, directed=True, connection="strong")
-    comps = [[] for _ in range(ncomp)]
-    for k, lab in zip(nodes, labels):
-        comps[lab].append(k)
-    return comps
 
 
 def _component_has_cycle(comp, succ):
@@ -438,7 +427,13 @@ def _cycle_structure(g):
     the unique simple cycle of every branching-free cyclic component.
     """
     nodes, succ = _continuation_arcs(g)
-    comps = _scc_partition(nodes, succ)
+    index = {k: i for i, k in enumerate(nodes)}
+    tails = [index[k] for k in nodes for _ in succ[k]]
+    heads = [index[l] for k in nodes for l in succ[k]]
+    ncomp, labels = strong_components(len(nodes), tails, heads)
+    comps = [[] for _ in range(ncomp)]
+    for k, lab in zip(nodes, labels):
+        comps[lab].append(k)
     cyclic = [c for c in comps if _component_has_cycle(c, succ)]
     cyclic_nodes = set(k for comp in cyclic for k in comp)
     a4 = len(cyclic_nodes) == len(nodes) and bool(nodes)
@@ -541,17 +536,29 @@ def arc_period(n_nodes, tails, heads, start):
     return period if period > 0 else 1
 
 
+def strong_components(n_nodes, tails, heads):
+    """Strong components of the digraph with arcs ``tails[i] -> heads[i]``.
+
+    Returns ``(n_components, labels)``: node ``v`` lies in component
+    ``labels[v]``.  The matrix is built through the coordinate format, which
+    sums parallel arcs: scipy's search may never return on a CSR matrix
+    that holds duplicate entries.
+    """
+    adj = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(n_nodes, n_nodes))
+    return connected_components(adj, directed=True, connection="strong")
+
+
 def strong_periods(n_nodes, tails, heads):
     """Strong components of a digraph given by arcs, and their periods.
 
     Returns ``(labels, periods)``: node ``v`` lies in component
-    ``labels[v]``, whose period :func:`arc_period` finds on the arcs inside
-    components; ``periods[c]`` is 0 when no arc lies inside ``c``.
+    ``labels[v]`` of :func:`strong_components`, whose period
+    :func:`arc_period` finds on the arcs inside components; ``periods[c]``
+    is 0 when no arc lies inside ``c``.
     """
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
-    adj = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(n_nodes, n_nodes))
-    ncomp, labels = connected_components(adj, directed=True, connection="strong")
+    ncomp, labels = strong_components(n_nodes, tails, heads)
     inside = labels[tails] == labels[heads]
     tails, heads = tails[inside], heads[inside]
     periods = np.zeros(ncomp, dtype=np.int64)
@@ -568,7 +575,7 @@ def check_assumptions(g):
     a3_star = any(
         e.weight_fwd > 0.0 and e.weight_bwd > 0.0 for e in g.edges
     )
-    a4, a2, witnesses, _ = _cycle_structure(g)
+    a4, a2, witnesses, _ = g.cycle_census
     for cyc in witnesses:
         if not verify_witness_cycle(g, cyc):
             raise AnalysisError("internal error: witness cycle failed replay")
@@ -655,7 +662,7 @@ def stationary_distribution(g):
     :class:`AnalysisError` if the chain is reducible.  ``g.stationary``
     holds the same result, solved once per graph.
     """
-    if not _is_irreducible(g):
+    if not g.irreducible:
         raise AnalysisError("vertex chain is reducible; no unique stationary law")
     pi, residual = solve_stationary(transition_matrix(g, alpha=0.0))
     if residual > STATIONARY_TOL:
@@ -675,7 +682,8 @@ class CoreDecomposition:
     """Result of stripping hanging trees off a graph.
 
     ``graph`` is the pruned graph with outgoing weights renormalized to sum
-    to one again; it keeps the ids of the surviving edges.
+    to one again; it keeps the ids of the surviving edges, and its oriented
+    edge ``k`` is the full graph's oriented edge ``host_oriented[k]``.
     ``core_step_fraction`` is the long-run fraction of the full walk's moving
     steps that traverse surviving edges.
     """
@@ -683,6 +691,7 @@ class CoreDecomposition:
     graph: WeightedMultigraph
     removed_vertices: tuple
     core_step_fraction: float
+    host_oriented: np.ndarray
 
 
 def core(g):
@@ -765,6 +774,7 @@ def core(g):
         graph=pruned,
         removed_vertices=tuple(removed),
         core_step_fraction=float(fraction),
+        host_oriented=np.flatnonzero(np.repeat(alive_edge, 2)),
     )
 
 
@@ -788,7 +798,7 @@ def is_cover_transient(g):
     is transient exactly when the two orientations of the cycle carry
     different weight products.
     """
-    if not _is_irreducible(g):
+    if not g.irreducible:
         raise AnalysisError("vertex chain is reducible; transience undefined")
     try:
         cd = g.core
@@ -808,7 +818,7 @@ def is_cover_transient(g):
 
 def _pruned_transience(gc):
     """:func:`is_cover_transient` of a graph with no hanging trees."""
-    a4, a2, _, pure_cycles = _cycle_structure(gc)
+    a4, a2, _, pure_cycles = gc.cycle_census
     if not a4:
         raise AnalysisError(
             "internal error: pruned graph should have every positive oriented "

@@ -35,12 +35,11 @@ from .analyzer import (
 from .base_graph import parse_graph, validate_graph
 from .cover import (
     ExcursionStats,
-    RayView,
+    _confirmed_ray,
+    _excursions,
+    _localization_counts,
     estimate_clt_params,
     estimate_speed,
-    excursion_decomposition,
-    make_ray_view,
-    ray_localization_profile,
     simulate_walk,
 )
 from .errors import AnalysisError, GraphError, NonConvergenceError
@@ -302,16 +301,14 @@ def _cmd_analyze(args):
 
 
 def _cover_trial(packed):
-    (text, root, steps, alpha, master_seed, trial, margin, e_star, r_max,
-     exit_prob, edge_freq) = packed
-    g = parse_graph(text)
-    view = RayView(graph=g, exit_prob=np.asarray(exit_prob),
-                   edge_freq=np.asarray(edge_freq))
+    report, root, steps, alpha, master_seed, trial, margin, e_star, r_max = packed
     rng = substream(master_seed, "cover-walk", trial)
-    traj = simulate_walk(g, root, steps, alpha=alpha, rng=rng,
+    traj = simulate_walk(report.graph, root, steps, alpha=alpha, rng=rng,
                          warn_recurrent=False)
-    stats = excursion_decomposition(traj, view, e_star=e_star, margin=margin)
-    profile = ray_localization_profile([traj], r_max, margin=margin)
+    # the excursions and the localization profile read one confirmed ray
+    times, ray_labels = _confirmed_ray(traj, margin)
+    stats = _excursions(report, e_star, times, ray_labels, min_count=30)
+    counts, n_samples = _localization_counts(traj, ray_labels, r_max, max_samples=5000)
     return {
         "trial": trial,
         "durations": stats.durations,
@@ -319,16 +316,19 @@ def _cover_trial(packed):
         "levels": stats.level_increments,
         "n_excursions": stats.n,
         "final_height": int(traj.heights[-1]) if len(traj) else 0,
-        "counts": np.asarray(profile.counts, dtype=np.int64),
-        "n_samples": profile.n_samples,
+        "counts": counts,
+        "n_samples": n_samples,
     }
 
 
 def _cmd_cover_sim(args):
+    if args.trials < 1:
+        raise AnalysisError(f"trials must be at least 1, got {args.trials}")
+    if args.r_max < 0:
+        raise AnalysisError("r_max must be nonnegative")
     g = _load_graph(args.graph)
     alpha = g.alpha if args.alpha is None else float(args.alpha)
     report = entropy(g, alpha=alpha)
-    view_full = make_ray_view(g, report.ray_law)
     root = args.root if args.root is not None else g.vertices[0]
     if root not in g.vertex_index:
         raise GraphError(f"unknown root vertex {root!r}")
@@ -337,7 +337,7 @@ def _cmd_cover_sim(args):
             raise AnalysisError(f"unknown oriented edge {args.e_star!r}")
         e_star = g.oriented_index_by_name[args.e_star]
     else:
-        e_star = int(np.argmax(view_full.edge_freq))
+        e_star = int(np.argmax(report.edge_freq))
     workers = _resolve_workers(args)
     run = _Run("cover-sim", g, {
         "alpha": alpha,
@@ -350,10 +350,9 @@ def _cmd_cover_sim(args):
         "r_max": args.r_max,
         "per_trial": bool(args.per_trial),
     }, _resolve_out_dir(args))
-    text = g.to_text()
     packed = [
-        (text, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
-         args.r_max, view_full.exit_prob, view_full.edge_freq)
+        (report, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
+         args.r_max)
         for trial in range(args.trials)
     ]
     results = []

@@ -10,7 +10,11 @@ This module simulates the lazy walk on the cover, extracts the escape ray
 from a finite trajectory by last-exit decomposition, evaluates the
 probability that a given cover vertex lies on the ray (its *entropic
 weight*), and estimates the entropy rate, speed, and CLT spread from
-excursions between ray renewals.
+excursions between ray renewals.  The functions that need the ray's law
+take it as ``ray``, an object with ``graph``, ``exit_prob`` and
+``edge_freq`` indexed on the oriented edges of ``graph``: for a walk on a
+graph ``g``, the :class:`~liftmix.analyzer.EntropyReport` of ``g``, which
+states the law of its pruned core on ``g``'s own oriented edges.
 
 Only the walk itself is sequential.  :func:`simulate_walk` draws uniforms in
 blocks of 4096, finds the holds of a block with numpy, and loops over the
@@ -299,19 +303,21 @@ def _confirmed_level(traj, margin):
     return min(max_h - margin, final_h)
 
 
-def _ray_exit_times(traj, limit):
-    """Steps at which the walk leaves levels ``0 .. limit - 1`` for the last
-    time.
+def _confirmed_ray(traj, margin):
+    """Steps at which the walk leaves each confirmed level for the last time,
+    and the ray's labels read at those steps.
 
     The step after the last visit to a level is a push that is never undone,
     so ``traj.moves`` at these steps are the ray's labels, level by level.
     """
+    limit = _confirmed_level(traj, margin)
     heights = traj.heights
     last = np.full(traj.max_height + 1, -2, dtype=np.int64)
     last[0] = -1  # the initial position, at height zero before any move
     # With repeated indices the last write wins, giving last-visit times.
     last[heights] = np.arange(len(heights), dtype=np.int64)
-    return last[:limit] + 1
+    times = last[:limit] + 1
+    return times, traj.moves[times]
 
 
 def extract_ray(traj, margin=DEFAULT_MARGIN):
@@ -324,54 +330,12 @@ def extract_ray(traj, margin=DEFAULT_MARGIN):
     the confirmed prefix.  Raises :class:`AnalysisError` when no level is
     confirmed.
     """
-    limit = _confirmed_level(traj, margin)
-    return tuple(traj.moves[_ray_exit_times(traj, limit)].tolist())
+    return tuple(_confirmed_ray(traj, margin)[1].tolist())
 
 
 # ---------------------------------------------------------------------------
 # entropic weights
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RayView:
-    """Ray exit law restated on the oriented edges of a host graph.
-
-    Trajectories are simulated on the full graph while the exit law lives
-    on its pruned core; this view maps core quantities back onto the full
-    graph's oriented-edge indexing (edges outside the core get zero).
-    """
-
-    graph: object
-    exit_prob: np.ndarray
-    edge_freq: np.ndarray
-
-
-def make_ray_view(g, raylaw):
-    """Restate a (possibly core-level) ray law on graph ``g``'s edges."""
-    gc = raylaw.graph
-    if gc is g or gc.to_text() == g.to_text():
-        return RayView(graph=g, exit_prob=raylaw.exit_prob.copy(),
-                       edge_freq=raylaw.edge_freq.copy())
-    by_id = {e.eid: j for j, e in enumerate(g.edges)}
-    exit_full = np.zeros(g.n_oriented)
-    freq_full = np.zeros(g.n_oriented)
-    for jc, e in enumerate(gc.edges):
-        if e.eid not in by_id:
-            raise AnalysisError(
-                f"edge {e.eid!r} of the pruned graph is missing from the host"
-            )
-        j = by_id[e.eid]
-        host = g.edges[j]
-        if (host.tail, host.head) != (e.tail, e.head):
-            raise AnalysisError(
-                f"edge {e.eid!r} has different endpoints in the host graph"
-            )
-        exit_full[2 * j] = raylaw.exit_prob[2 * jc]
-        exit_full[2 * j + 1] = raylaw.exit_prob[2 * jc + 1]
-        freq_full[2 * j] = raylaw.edge_freq[2 * jc]
-        freq_full[2 * j + 1] = raylaw.edge_freq[2 * jc + 1]
-    return RayView(graph=g, exit_prob=exit_full, edge_freq=freq_full)
 
 
 def _push_increment(exit_prob, label, below):
@@ -395,10 +359,11 @@ def log_entropic_weight(path, ray):
     """Log-probability that the cover vertex with this label path lies on
     the escape ray (``-inf`` when it cannot).
 
-    ``ray`` is a :class:`~liftmix.analyzer.RayLaw` or :class:`RayView`
-    whose graph indexes the labels.  The empty path (the root) has weight
-    one.  Raises :class:`AnalysisError` if the path is not a composable
-    non-backtracking label sequence.
+    ``ray`` is a ray law whose ``graph`` indexes the labels: the
+    :class:`~liftmix.analyzer.EntropyReport` of the graph the walk runs on,
+    or the :class:`~liftmix.analyzer.RayLaw` of a pruned graph.  The empty
+    path (the root) has weight one.  Raises :class:`AnalysisError` if the
+    path is not a composable non-backtracking label sequence.
     """
     g = ray.graph
     x = ray.exit_prob
@@ -596,17 +561,18 @@ def excursion_decomposition(traj, ray, e_star=None, margin=DEFAULT_MARGIN,
     :class:`AnalysisError` when fewer than ``min_count`` complete
     excursions remain.
     """
-    g = ray.graph
     if e_star is None:
         if not (ray.edge_freq > 0).any():
             raise AnalysisError("ray law carries no positive edge frequency")
         e_star = int(np.argmax(ray.edge_freq))
     else:
-        e_star = _resolve_label(g, e_star)
+        e_star = _resolve_label(ray.graph, e_star)
+    return _excursions(ray, e_star, *_confirmed_ray(traj, margin), min_count)
 
-    limit = _confirmed_level(traj, margin)
-    times = _ray_exit_times(traj, limit)
-    ray_labels = traj.moves[times]
+
+def _excursions(ray, e_star, times, ray_labels, min_count):
+    """:func:`excursion_decomposition` at the oriented edge index ``e_star``,
+    given a trajectory's :func:`_confirmed_ray`."""
     renewals = np.flatnonzero(ray_labels == e_star)
     if len(renewals) < min_count + 1:
         raise AnalysisError(
@@ -615,8 +581,8 @@ def excursion_decomposition(traj, ray, e_star=None, margin=DEFAULT_MARGIN,
         )
     # The log-weight of each ray vertex is the left fold of the push
     # increments along the ray, the same sums log_weight_trace forms.
-    below = np.empty(limit, dtype=np.int64)
-    below[0] = g.n_oriented  # the table's row for a push at the root
+    below = np.empty(len(ray_labels), dtype=np.int64)
+    below[0] = len(ray.exit_prob)  # the table's row for a push at the root
     below[1:] = ray_labels[:-1]
     push_inc = _increment_table(ray.exit_prob)[below, ray_labels]
     logw = np.cumsum(push_inc)[renewals]
@@ -779,6 +745,19 @@ def _ray_prefix_lengths(traj, ray_labels, times):
     return prefix[node]
 
 
+def _localization_counts(traj, ray_labels, r_max, max_samples):
+    """One trajectory's share of :func:`ray_localization_profile`, given the
+    ray's labels at its confirmed levels: how many of its sampled steps lie
+    farther than ``r`` from the ray, for ``r = 0 .. r_max``, and how many
+    steps were sampled."""
+    eligible = traj.heights <= len(ray_labels)
+    stride = max(1, int(np.count_nonzero(eligible)) // max(1, int(max_samples)))
+    times = np.flatnonzero(eligible)[::stride].copy()
+    dist = traj.heights[times] - _ray_prefix_lengths(traj, ray_labels, times)
+    hist = np.bincount(np.minimum(dist, r_max + 1), minlength=r_max + 2)
+    return np.cumsum(hist[::-1])[::-1][1:], len(times)
+
+
 def ray_localization_profile(trajs, r_max, margin=DEFAULT_MARGIN,
                              max_samples_per_traj=5000):
     """Tail frequencies of the distance from the walk to its escape ray.
@@ -798,17 +777,10 @@ def ray_localization_profile(trajs, r_max, margin=DEFAULT_MARGIN,
     counts = np.zeros(r_max + 1, dtype=np.int64)
     n_samples = 0
     for traj in trajs:
-        limit = _confirmed_level(traj, margin)
-        ray_labels = traj.moves[_ray_exit_times(traj, limit)]
-        eligible = traj.heights <= limit
-        stride = max(1, int(np.count_nonzero(eligible))
-                      // max(1, int(max_samples_per_traj)))
-        times = np.flatnonzero(eligible)[::stride].copy()
-        dist = traj.heights[times] - _ray_prefix_lengths(traj, ray_labels, times)
-        # counts[r] tallies the samples with distance above r
-        hist = np.bincount(np.minimum(dist, r_max + 1), minlength=r_max + 2)
-        counts += np.cumsum(hist[::-1])[::-1][1:]
-        n_samples += len(times)
+        tally, n = _localization_counts(traj, _confirmed_ray(traj, margin)[1], r_max,
+                                        max_samples_per_traj)
+        counts += tally
+        n_samples += n
     if n_samples == 0:
         raise AnalysisError("no eligible samples inside the confirmed region")
     freqs = {r: float(counts[r]) / n_samples for r in range(r_max + 1)}

@@ -315,6 +315,9 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2 or sorted(set(n_grid)) != list(n_grid):
         raise AnalysisError("n_grid must be strictly increasing, length >= 2")
+    n_seeds = int(n_seeds)
+    if n_seeds < 1:
+        raise AnalysisError(f"n_seeds must be at least 1, got {n_seeds}")
     eps_list = tuple(float(e) for e in eps_list)
     if eps_primary not in eps_list:
         raise AnalysisError("eps_primary must be one of eps_list")
@@ -324,7 +327,7 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
                      else int(math.ceil(2.2 * math.log(n) / h)) + 30)
     text = g.to_text()
     cells = [(text, n, seed, alpha, eps_list, starts, int(master_seed),
-              t_caps[n]) for n in n_grid for seed in range(int(n_seeds))]
+              t_caps[n]) for n in n_grid for seed in range(n_seeds)]
     rows = tuple(row for chunk in _pool_map(_sweep_cell, cells, workers)
                  for row in chunk)
 
@@ -340,7 +343,7 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     # slope of seed-averaged worst-start time at eps_primary vs log n
     xs, ys = [], []
     for n in n_grid:
-        vals = [worst[(n, seed, eps_primary)] for seed in range(int(n_seeds))]
+        vals = [worst[(n, seed, eps_primary)] for seed in range(n_seeds)]
         if any(v is None for v in vals):
             raise AnalysisError(
                 f"worst-start mixing time at eps={eps_primary} exceeded the "
@@ -367,7 +370,7 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     mid = min(eps_list, key=lambda e: abs(e - 0.5))
     window_ratios = {}
     nonincreasing = 0
-    for seed in range(int(n_seeds)):
+    for seed in range(n_seeds):
         ratios = []
         for n in n_grid:
             t_lo = worst[(n, seed, lo)]
@@ -382,10 +385,10 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
             ratios[i + 1] <= ratios[i] + 1e-9 for i in range(len(ratios) - 1)
         ):
             nonincreasing += 1
-    verdict_window = nonincreasing >= math.ceil(0.8 * int(n_seeds))
+    verdict_window = nonincreasing >= math.ceil(0.8 * n_seeds)
 
     return SweepResult(
-        rows=rows, n_grid=n_grid, n_seeds=int(n_seeds), eps_list=eps_list,
+        rows=rows, n_grid=n_grid, n_seeds=n_seeds, eps_list=eps_list,
         eps_primary=float(eps_primary), slope=slope, slope_se=slope_se,
         slope_ci=ci, predicted_slope=predicted, entropy_rate=h,
         window_ratios=window_ratios,

@@ -24,7 +24,6 @@ from liftmix import (
     generate_uniform_lift,
     is_cover_transient,
     level_weight_check,
-    make_ray_view,
     parse_graph,
     projection_identity_check,
     ray_localization_profile,
@@ -252,7 +251,7 @@ def test_05_level_weight_normalization():
     t0 = time.monotonic()
     for text, r_max in ((THETA3_TEXT, 6), (bouquet_text(4), 5)):
         g = parse_graph(text)
-        view = make_ray_view(g, entropy(g).ray_law)
+        view = entropy(g)  # the ray law on g's own oriented edges
         for depth in range(r_max + 1):
             chk = level_weight_check(g, view, depth)
             assert chk.deviation <= 1e-10, (g.vertices, depth)

@@ -430,15 +430,33 @@ def test_entropy_checks_assumptions_once_per_graph(monkeypatch):
     for fn in calls:
         monkeypatch.setattr(base_graph, fn, lambda g, fn=fn, real=getattr(base_graph, fn):
                             calls[fn].append(g) or real(g))
+    # the cycle census per graph object, and every strong-component search by
+    # the size of its digraph
+    census = []
+    real_census = base_graph._cycle_structure
+    monkeypatch.setattr(base_graph, "_cycle_structure",
+                        lambda g: census.append(g) or real_census(g))
+    searches = []
+    real_search = base_graph.connected_components
+    monkeypatch.setattr(base_graph, "connected_components",
+                        lambda adj, **kw: searches.append(adj.shape[0])
+                        or real_search(adj, **kw))
     g = parse_graph(PENDANT_TEXT)
     first = entropy(g)
     assert calls == {"is_cover_transient": [g], "core": [g]}
     assert g.core.graph.transience is g.transience
+    assert census == [g.core.graph]
+    # one irreducibility test of the host's 3 vertices, the period of the
+    # core's 2, the census of its 6 positive orientations, the ray chain on
+    # its 6 exit edges
+    assert sorted(searches) == [2, 3, 6, 6]
     again = entropy(g, alpha=0.0)
     assert len(seen) == 1 and seen[0] is g.core.graph
+    assert len(census) == 1 and len(searches) == 5  # only the new ray chain
     assert first.first_passage.prob.tolist() == again.first_passage.prob.tolist()
     entropy(parse_graph(PENDANT_TEXT))  # a new graph object derives its own
     assert len(seen) == 2 and seen[1] is not seen[0]
+    assert len(census) == 2 and census[1] is not census[0]
 
 
 def test_ray_law_on_a_recurrent_core_still_raises(sym3):

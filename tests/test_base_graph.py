@@ -29,7 +29,7 @@ from liftmix import (
     transition_matrix,
     validate_graph,
 )
-from liftmix.base_graph import arc_period, verify_witness_cycle
+from liftmix.base_graph import arc_period, strong_components, verify_witness_cycle
 from liftmix.cli import main
 
 from conftest import (
@@ -471,3 +471,40 @@ def test_period_matches_return_times(text, n, seed):
     f = rng.standard_normal(lift.n_states)
     assert np.allclose(apply_kernel(lift, mu), mu @ p_alpha, rtol=0, atol=1e-14)
     assert np.allclose(apply_kernel_to_function(lift, f), p_alpha @ f, rtol=0, atol=1e-14)
+
+
+@st.composite
+def random_digraph(draw):
+    """Arcs on up to 9 nodes: self-loops, repeated arcs and isolated nodes."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if arcs:
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=len(arcs)))
+    return n, draw(st.permutations(arcs))
+
+
+def _mutually_reachable(n, arcs):
+    """Which pairs of nodes reach each other, from boolean powers of the
+    adjacency matrix with the identity added."""
+    step = np.eye(n, dtype=np.int64)
+    for u, v in arcs:
+        step[u, v] = 1
+    reach = step
+    for _ in range(n):
+        reach = np.minimum(reach @ step, 1)
+    return (reach > 0) & (reach.T > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_digraph())
+def test_strong_components_match_mutual_reachability(digraph):
+    n, arcs = digraph
+    tails = [u for u, _ in arcs]
+    heads = [v for _, v in arcs]
+    ncomp, labels = strong_components(n, tails, heads)
+    assert sorted(set(labels.tolist())) == list(range(ncomp))
+    assert np.array_equal(labels[:, None] == labels[None, :],
+                          _mutually_reachable(n, arcs))

@@ -263,6 +263,22 @@ def test_cover_sim_margin_zero_confirms_up_to_the_final_height(capsys, theta3_fi
     assert "margin must be nonnegative" in cap.err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", "0", "trials must be at least 1"),
+    ("--trials", "-2", "trials must be at least 1"),
+    ("--r-max", "-1", "r_max must be nonnegative"),
+])
+def test_cover_sim_rejects_empty_runs(capsys, theta3_file, tmp_path, flag, value,
+                                      message):
+    code, _, cap = run_cli(capsys, [
+        "cover-sim", "--graph", theta3_file, "--steps", "5000",
+        flag, value, "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert cap.err.startswith(f"liftmix: error: {message}")
+    assert "Traceback" not in cap.err
+
+
 # ---------------------------------------------------------------------------
 # lift generate / verify
 # ---------------------------------------------------------------------------
@@ -499,6 +515,16 @@ def test_sweep_bad_env_workers(capsys, theta3_file, monkeypatch, tmp_path):
     ])
     assert code == 1
     assert "LIFTMIX_WORKERS" in cap.err
+
+
+def test_sweep_rejects_zero_seeds(capsys, theta3_file, tmp_path):
+    code, _, cap = run_cli(capsys, [
+        "sweep", "--graph", theta3_file, "--n", "8,16", "--seeds", "0",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert "liftmix: error: n_seeds must be at least 1" in cap.err
+    assert not (tmp_path / "x" / "summary.json").exists()
 
 
 def test_sweep_rejects_degenerate_graph(capsys, tmp_path):

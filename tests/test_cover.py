@@ -2,6 +2,7 @@
 
 import math
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from liftmix import (
     level_weight_check,
     log_entropic_weight,
     log_weight_trace,
-    make_ray_view,
     parse_graph,
     ray_localization_profile,
     simulate_walk,
@@ -29,7 +29,6 @@ from liftmix import (
 from liftmix.cover import (
     MOVE_HOLD,
     MOVE_POP,
-    RayView,
     cover_moves,
     cover_vertex_type,
 )
@@ -38,7 +37,8 @@ LOG2 = math.log(2.0)
 
 
 def _view(g, alpha=None):
-    return make_ray_view(g, entropy(g, alpha=alpha).ray_law)
+    """The ray law on ``g``'s own oriented edges: its entropy report."""
+    return entropy(g, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +654,8 @@ def walk_cases(draw):
                           min_size=g.n_oriented, max_size=g.n_oriented))
     freq = draw(st.lists(st.sampled_from([1.0, 2.0, 0.0]),
                          min_size=g.n_oriented, max_size=g.n_oriented))
-    view = RayView(graph=g, exit_prob=g.oriented_weight * np.array(scale),
-                   edge_freq=np.array(freq))
+    view = SimpleNamespace(graph=g, exit_prob=g.oriented_weight * np.array(scale),
+                           edge_freq=np.array(freq))
     steps = draw(st.sampled_from([20_000, 20_000, 20_000, 0, 1, 4095, 4096, 4097]))
     if steps == 20_000:
         steps += draw(st.integers(-1000, 1000))

@@ -188,6 +188,13 @@ def test_cutoff_sweep_deterministic_across_workers(theta3):
     assert r1.window_ratios == r2.window_ratios
 
 
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_cutoff_sweep_needs_a_seed(theta3, n_seeds):
+    # with no seed the slope fit has nothing to fit and came out NaN
+    with pytest.raises(AnalysisError, match="n_seeds must be at least 1"):
+        cutoff_sweep(theta3, (8, 16), n_seeds=n_seeds)
+
+
 def test_cutoff_sweep_rejects_degenerate(c3b):
     with pytest.raises(AnalysisError, match="degenerate"):
         cutoff_sweep(c3b, (16,), n_seeds=1)

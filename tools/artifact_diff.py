@@ -18,7 +18,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
 * ``cover-sim`` on every demo graph at its own holding probability and at
   0, with ``--per-trial``, with a step count that is not a multiple of the
   walk's 4096-draw blocks, and with an explicit ``--e-star``; and
-  ``cover-sim`` from the pendant vertex ``p``, off the pruned core.
+  ``cover-sim`` from the pendant vertex ``p``, off the pruned core;
+* ``validate`` and ``analyze`` on 100 graphs the analyze batch's generator
+  rejects: reducible ones, recurrent ones, ones whose core is a single
+  cycle, ones whose analysis fails, and trees.  Their witness cycles and
+  error lines depend on the order in which strong components are found.
 
 For each call it compares the exit code, standard output, the error lines
 (``liftmix: ...`` on standard error), every artifact file byte for byte, and
@@ -69,12 +73,57 @@ json.dump(results, sys.stdout)
 """
 
 #: Runs in a child with the working tree on the path: writes the seed-0
-#: analyze batch and the known-defect probe, prints their paths.
+#: analyze batch with the known-defect probe, and the rejected graphs; prints
+#: the two lists of paths.
 BATCH = r"""
-import json, sys
+import json, random, sys
+import numpy as np
 from perfbench import inputs
+from liftmix.base_graph import parse_graph
+from liftmix.errors import AnalysisError
+
+QUOTA = {"reducible": 25, "recurrent": 20, "line": 20, "failing": 15, "tree": 20}
+
+def kind(text):
+    # why the batch generator rejects a graph it drew, or "accepted"
+    g = parse_graph(text)
+    if not g.assumptions.a1_irreducible:
+        return "reducible"
+    try:
+        transient = g.transience.transient
+    except AnalysisError:
+        return "failing"
+    if not transient:
+        return "recurrent"
+    return "line" if inputs.core_cycle_rank(text) == 1 else "accepted"
+
+def tree_text(rnd):
+    # a random tree on 2 to 6 vertices, every orientation positive
+    nv = rnd.randint(2, 6)
+    ends = [(rnd.randrange(i), i) for i in range(1, nv)]
+    raw = [(rnd.randint(1, 4), rnd.randint(1, 4)) for _ in ends]
+    total = [0] * nv
+    for (a, b), (wf, wb) in zip(ends, raw):
+        total[a] += wf
+        total[b] += wb
+    lines = [f"alpha {rnd.choice(inputs.ALPHAS)}"] + [f"vertex v{i}" for i in range(nv)]
+    lines += [f"edge e{j} v{a} v{b} {wf}/{total[a]} {wb}/{total[b]}"
+              for j, ((a, b), (wf, wb)) in enumerate(zip(ends, raw))]
+    return "\n".join(lines) + "\n"
+
+rejected = {k: [] for k in QUOTA}
+rng = np.random.default_rng([0, 1])
+while any(len(rejected[k]) < QUOTA[k] for k in QUOTA if k != "tree"):
+    text = inputs.random_graph_text(rng)
+    k = None if text is None else kind(text)
+    if k in rejected and len(rejected[k]) < QUOTA[k]:
+        rejected[k].append((f"{k}-{len(rejected[k]):02d}", text))
+rnd = random.Random(0)
+rejected["tree"] = [(f"tree-{i:02d}", tree_text(rnd)) for i in range(QUOTA["tree"])]
 items = inputs.batch_texts(0, 0, sys.argv[2]) + inputs.defect_texts()
-json.dump(inputs.write_batch(items, sys.argv[1]), sys.stdout)
+json.dump([inputs.write_batch(items, sys.argv[1]),
+           inputs.write_batch([it for k in QUOTA for it in rejected[k]],
+                              sys.argv[1] + "-rejected")], sys.stdout)
 """
 
 
@@ -82,8 +131,9 @@ def _graph(directory, name):
     return os.path.join(directory, f"{name}.g")
 
 
-def calls(batch):
-    """The fixed list of CLI argument vectors, given the batch graph paths."""
+def calls(batch, rejected):
+    """The fixed list of CLI argument vectors, given the paths of the batch
+    graphs and of the rejected graphs."""
     theta3, bouquet4 = _graph(BENCH_GRAPHS, "theta3"), _graph(BENCH_GRAPHS, "bouquet4")
     out = ["--out", OUT]
     argvs = [
@@ -117,7 +167,7 @@ def calls(batch):
     argvs.append(["cover-sim", "--graph", _graph(DEMO_GRAPHS, "pendant"), "--root", "p",
                   "--steps", "30000", "--trials", "2", "--seed", "1", "--per-trial",
                   *out])
-    for g in batch:
+    for g in batch + rejected:
         argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
     return argvs
 
@@ -184,9 +234,9 @@ def main(argv=None):
             os.makedirs(d, exist_ok=True)
         old_src = export_src(args.rev, old_dir)
         new_src = os.path.join(ROOT, "src")
-        batch = _run([BATCH, os.path.join(work, "batch"), BENCH_GRAPHS], work,
-                     [ROOT, new_src])
-        argvs = calls(batch)
+        batch, rejected = _run([BATCH, os.path.join(work, "batch"), BENCH_GRAPHS],
+                               work, [ROOT, new_src])
+        argvs = calls(batch, rejected)
         stdin = json.dumps(argvs)
         print(f"running {len(argvs)} CLI calls at {args.rev} ...", file=sys.stderr)
         old = _run([CHILD], old_dir, [old_src], stdin)
