@@ -8,7 +8,9 @@ vertex across ``f``.  These first-passage probabilities solve
     p(f) = w(f) + p(f) * sum_{g out of tail(f), g != f} w(g) * p(g~)
 
 where ``g~`` is the reverse orientation of ``g``.  The minimal solution is
-reached by iterating from zero.  From it we compute:
+reached by Newton's method from zero, which increases monotonically to it
+(Etessami & Yannakakis, J. ACM 2009; Esparza, Kiefer & Luttenberger, SIAM
+J. Comput. 2010).  From it we compute:
 
 * the *ray exit law* ``x(e)``: the probability that the escape ray of a
   transient cover walk leaves a vertex along (a copy of) ``e``;
@@ -37,17 +39,12 @@ from .base_graph import (
 )
 from .errors import NonConvergenceError
 
-#: Convergence tolerance for the first-passage fixed point.
+#: Newton correction size at which the first-passage solve stops.
 FIRST_PASSAGE_TOL = 1e-12
-#: Iteration budget for the fixed point.
+#: Newton step budget for the first-passage solve.
 FIRST_PASSAGE_MAX_ITER = 10**6
 #: Residual tolerance for stationary solves on the ray kernel.
 RAY_STATIONARY_TOL = 1e-10
-#: Exit probabilities below this are treated as exact zeros.  The
-#: first-passage tolerance leaves noise of order 1e-12 in probabilities
-#: that are analytically zero, so the cut sits well above that and well
-#: below any genuine exit probability.
-SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,10 @@ class FirstPassageSolution:
     ``prob_over_weight[k] = prob[k] / weight[k]`` evaluated in the form
     ``1 / (1 - s_k)`` that stays finite when the weight vanishes;
     ``return_prob[u]`` is the probability that the cover walk started at a
-    copy of vertex ``u`` ever returns to it.
+    copy of vertex ``u`` ever returns to it.  ``iterations`` counts the
+    Newton steps, ``residual`` is the size (max norm) of the last Newton
+    correction, and ``error`` bounds the error of ``prob``: the larger of
+    that correction and the rounding floor of the last linear solve.
     """
 
     prob: np.ndarray
@@ -66,6 +66,7 @@ class FirstPassageSolution:
     return_prob: np.ndarray
     residual: float
     iterations: int
+    error: float
 
     def as_dict(self, g):
         return {g.oriented_name(k): float(self.prob[k]) for k in range(g.n_oriented)}
@@ -73,65 +74,96 @@ class FirstPassageSolution:
 
 def solve_first_passage(g, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITER,
                         init=None):
-    """Iterate the first-passage fixed point from zero to its minimal root.
+    """Newton's method from zero for the minimal root of the first-passage system.
 
-    Requires every positive oriented edge of ``g`` to lie on a
-    non-backtracking cycle (i.e. ``g`` should already be pruned via
-    :func:`liftmix.base_graph.core`).  The iteration from the zero vector is
-    componentwise nondecreasing and converges to the minimal nonnegative
-    root; ``init`` may supply a different starting vector (used to check
-    minimality), in which case monotonicity is not asserted.
+    Requires ``g`` to have no hanging vertex, i.e. at least two oriented
+    edges out of every vertex (prune the graph with
+    :func:`liftmix.base_graph.core` first).  Each step solves the linearized
+    system ``(I - J) d = w + q*s(q) - q``, with ``J = diag(s(q)) + q*ds/dq``
+    the Jacobian of the right-hand side, and moves ``q`` to ``q + d``
+    clipped to ``[0, 1]``.  From the zero vector the steps are componentwise
+    nonnegative and the iterates increase to the minimal nonnegative root
+    (Etessami & Yannakakis 2009; Esparza, Kiefer & Luttenberger 2010):
+    quadratically away from criticality, about one bit per step at a
+    critical (double) root.  ``init`` may supply a different starting vector
+    (used to check minimality), in which case monotonicity is not asserted.
 
-    Raises :class:`NonConvergenceError` with the last residual if the
-    tolerance is not met within ``max_iter`` sweeps -- this is the expected
-    outcome when the cover walk is recurrent and the root sits at the
-    boundary of the contraction region.
+    The iteration stops when a correction is at most ``tol``, or at the
+    rounding floor: when a correction is within the rounding error
+    ``n * eps * |(I - J)^-1|`` of the linear solve, or stops shrinking.
+    Near a critical root that floor is of order ``sqrt(eps)``, as close as
+    double precision gets, and the last correction may exceed ``tol``.  The
+    solution reports the steps taken (``iterations``), the size of the last
+    correction (``residual``) and the achieved error (``error``); the
+    monotonicity check and :func:`ray_law`'s support cut read the latter.
+
+    Raises :class:`NonConvergenceError` with the last correction if neither
+    stop is reached within ``max_iter`` steps, or if the linear system
+    becomes singular.
     """
-    if not g.assumptions.a4_every_edge_on_cycle:
+    if (np.bincount(g.oriented_init, minlength=g.n_vertices) < 2).any():
         raise AnalysisError(
-            "first-passage system needs every positive oriented edge on a "
-            "non-backtracking cycle; prune the graph to its core first"
+            "first-passage system needs two oriented edges out of every "
+            "vertex; prune the graph to its core first"
         )
     w = g.oriented_weight
-    init_v = g.oriented_init
-    inv = np.arange(g.n_oriented) ^ 1
+    n_or = g.n_oriented
+    inv = np.arange(n_or) ^ 1
     monotone = init is None
-    q = np.zeros(g.n_oriented) if init is None else np.asarray(init, dtype=float).copy()
+    q = np.zeros(n_or) if init is None else np.asarray(init, dtype=float).copy()
     if q.shape != w.shape:
         raise AnalysisError("init vector has the wrong length")
+    # sib[f, g] = w(g) for the other oriented edges g out of tail(f), so that
+    # s(q) = sib @ q[inv] and ds/dq = sib[:, inv].
+    sib = np.where(g.oriented_init[:, None] == g.oriented_init[None, :], w, 0.0)
+    np.fill_diagonal(sib, 0.0)
+    dsdq = sib[:, inv]
+    eye = np.eye(n_or)
+    unit = n_or * np.finfo(float).eps
 
-    residual = math.inf
-    iterations = 0
-    n_vert = g.n_vertices
+    residual = error = math.inf
+    last = math.inf
     for iterations in range(1, max_iter + 1):
-        contrib = w * q[inv]
-        total = np.zeros(n_vert)
-        np.add.at(total, init_v, contrib)
-        s = total[init_v] - contrib
-        q_new = w + q * s
-        residual = float(np.max(np.abs(q_new - q)))
-        if monotone and (q_new < q - 1e-13).any():
-            raise AnalysisError(
-                "internal error: fixed-point iteration from zero decreased"
-            )
-        q = q_new
-        if residual <= tol:
+        s = sib @ q[inv]
+        try:
+            lin_inv = np.linalg.inv(eye - np.diag(s) - q[:, None] * dsdq)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError(
+                f"first-passage Newton system became singular at step "
+                f"{iterations} (last correction {residual:.3e}); the cover walk "
+                "may be recurrent",
+                residual=residual,
+                iterations=iterations - 1,
+            ) from None
+        step = lin_inv @ (w + q * s - q)
+        # The right-hand side carries a rounding error of about n * eps; the
+        # solve amplifies it by the norm of the inverse.
+        floor = unit * float(np.abs(lin_inv).sum(axis=1).max())
+        residual = float(np.max(np.abs(step)))
+        error = max(residual, floor)
+        # Early corrections may grow; one that does not shrink although it is
+        # below the accuracy a double root allows is rounding noise.
+        if last <= residual <= math.sqrt(floor):
             break
-    else:  # pragma: no cover - loop always breaks or exhausts
-        pass
-    if residual > tol:
+        if monotone and (step < -floor).any():
+            raise AnalysisError(
+                "internal error: Newton iteration from zero decreased"
+            )
+        q = np.clip(q + step, 0.0, 1.0)
+        if residual <= max(tol, floor):
+            break
+        last = residual
+    else:
         raise NonConvergenceError(
-            f"first-passage iteration did not reach tolerance {tol:g} after "
-            f"{max_iter} sweeps (last residual {residual:.3e}); the cover "
-            "walk may be recurrent",
+            f"first-passage Newton iteration reached neither tolerance {tol:g} "
+            f"nor its rounding floor in {max_iter} steps (last correction "
+            f"{residual:.3e}); the cover walk may be recurrent",
             residual=residual,
             iterations=max_iter,
         )
 
-    contrib = w * q[inv]
-    total = np.zeros(n_vert)
-    np.add.at(total, init_v, contrib)
-    s = total[init_v] - contrib
+    total = np.bincount(g.oriented_init, weights=w * q[inv], minlength=g.n_vertices)
+    s = sib @ q[inv]
     if (s >= 1.0 - 1e-14).any():
         raise AnalysisError(
             "sibling first-passage mass reaches one; the walk cannot be "
@@ -144,6 +176,7 @@ def solve_first_passage(g, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
         return_prob=total,
         residual=residual,
         iterations=iterations,
+        error=error,
     )
 
 
@@ -195,25 +228,29 @@ def ray_law(g, first_passage):
     q = first_passage.prob
     w = g.oriented_weight
     inv = np.arange(g.n_oriented) ^ 1
-    stay = 1.0 - first_passage.return_prob
+    # The probability of never returning, summed from the exits rather than
+    # taken as 1 - return_prob: near criticality that difference cancels
+    # and would leave exit probabilities above one.
+    leave = w * (1.0 - q[inv])
+    stay = np.bincount(g.oriented_init, weights=leave, minlength=g.n_vertices)
+    worst = float(np.max(np.abs(stay - (1.0 - first_passage.return_prob))))
+    if worst > RAY_STATIONARY_TOL:
+        raise AnalysisError(
+            f"ray exit mass differs from the escape probability by {worst:.3e} "
+            "at some vertex"
+        )
     if (stay <= 1e-14).any():
         bad = g.vertices[int(np.argmin(stay))]
         raise AnalysisError(
             f"return probability at vertex {bad!r} reaches one; "
             "inconsistent with transience"
         )
-    exit_prob = w * (1.0 - q[inv]) / stay[g.oriented_init]
-
-    sums = np.zeros(g.n_vertices)
-    np.add.at(sums, g.oriented_init, exit_prob)
-    worst = float(np.max(np.abs(sums - 1.0)))
-    if worst > RAY_STATIONARY_TOL:
-        raise AnalysisError(
-            f"ray exit probabilities sum to 1 +- {worst:.3e} at some vertex"
-        )
+    exit_prob = leave / stay[g.oriented_init]
 
     n_or = g.n_oriented
-    support = exit_prob > SUPPORT_TOL
+    # An error of at most r in each q moves an exit probability by at most
+    # 2 r / (1 - return probability); exits within that of zero are zero.
+    support = exit_prob > 2.0 * first_passage.error / stay[g.oriented_init]
     kernel = np.zeros((n_or, n_or))
     out_by_vertex = [[] for _ in range(g.n_vertices)]
     for k in range(n_or):

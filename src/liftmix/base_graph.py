@@ -818,12 +818,7 @@ def is_cover_transient(g):
 
 def _pruned_transience(gc):
     """:func:`is_cover_transient` of a graph with no hanging trees."""
-    a4, a2, _, pure_cycles = gc.cycle_census
-    if not a4:
-        raise AnalysisError(
-            "internal error: pruned graph should have every positive oriented "
-            "edge on a cycle"
-        )
+    _, a2, _, pure_cycles = gc.cycle_census
     if a2:
         return TransienceVerdict(
             transient=True,

@@ -497,7 +497,9 @@ def _cmd_mix(args):
             _progress(f"start {idx + 1}/{len(states)} done")
 
     def _rank(state):
-        t = curves[state].crossings[eps_primary]
+        # a periodic curve mixes only on average, so it ranks by that curve
+        curve = curves[state]
+        t = (curve.averaged if curve.periodic else curve).crossings[eps_primary]
         return (math.inf if t is None else t, -state)
 
     worst_state = max(states, key=_rank)
@@ -674,9 +676,11 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None,
                    help="holding probability (default: graph's own)")
     p.add_argument("--tol", type=float, default=FIRST_PASSAGE_TOL,
-                   help="first-passage solver tolerance")
+                   help="first-passage Newton solve: stop once a correction "
+                   "is at most this (it also stops at its rounding floor)")
     p.add_argument("--max-iter", type=int, default=FIRST_PASSAGE_MAX_ITER,
-                   help="first-passage solver iteration cap")
+                   help="first-passage Newton solve: step budget; exit 2 "
+                   "when it runs out")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("cover-sim",

@@ -17,7 +17,11 @@ class AnalysisError(RuntimeError):
 class NonConvergenceError(AnalysisError):
     """An iterative solver exhausted its iteration budget.
 
-    Carries the last residual so callers can report how close it got.
+    For the first-passage solve this means Newton's method met neither its
+    tolerance nor its rounding floor within the step budget, or its linear
+    system became singular.  Carries the last residual (the size of the
+    last Newton correction) and the steps taken, so callers can report how
+    close it got.
     """
 
     def __init__(self, message, residual=None, iterations=None):

@@ -101,10 +101,9 @@ def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
     threshold in ``eps_list`` has been crossed (unless ``early_stop`` is
     off) or at ``t_cap`` steps.  TV monotonicity is asserted at every step;
     a violation would indicate a propagation bug.  When the chain is
-    periodic and unlazy, the returned curve carries a two-step averaged
-    sibling whose thresholds are meaningful; the early stop still watches
-    the raw TV, so such a curve runs until the raw TV crosses
-    ``min(eps_list)``, or until ``t_cap``.
+    periodic and unlazy, the raw TV never settles; the returned curve then
+    carries a two-step averaged sibling whose thresholds are meaningful,
+    and the early stop watches that averaged curve instead.
     """
     if alpha is None:
         alpha = lift.base.alpha
@@ -141,7 +140,7 @@ def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
         if periodic:
             avg_tvs.append(0.5 * float(np.abs(0.5 * (mu + nxt) - pi).sum()))
         mu = nxt
-        if early_stop and tv <= eps_min:
+        if early_stop and (avg_tvs if periodic else tvs)[-1] <= eps_min:
             break
     mass_drift = abs(float(mu.sum()) - 1.0)
     if mass_drift > PROPAGATION_TOL * max(1, t):

@@ -4,10 +4,12 @@ Each fixture returns the text of a small weighted multigraph in the
 line-oriented input format.  Expected analysis constants for these graphs
 are frozen in the individual test modules; where a closed form exists the
 frozen number is that closed form, otherwise it was computed once with an
-independent high-precision solver and hard-coded.
+independent high-precision solver and hard-coded.  Hypothesis strategies
+that more than one test module draws from live here too.
 """
 
 import pytest
+from hypothesis import strategies as st
 
 from liftmix import parse_graph
 
@@ -96,6 +98,37 @@ def bouquet_text(d, alpha="0"):
     lines = [f"alpha {alpha}", "vertex o"]
     for j in range(d // 2):
         lines.append(f"edge l{j + 1} o o 1/{d} 1/{d}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def random_graph_with_dead_orientations(draw):
+    """Small multigraphs at holding probability 0, 1/4 or 1/2 in which some
+    orientations carry weight zero."""
+    n_v = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=5))
+    ends = [
+        (draw(st.integers(0, n_v - 1)), draw(st.integers(0, n_v - 1)))
+        for _ in range(m)
+    ]
+    raw = [[draw(st.integers(0, 2)), draw(st.integers(0, 2))] for _ in range(m)]
+    for w in raw:
+        if w == [0, 0]:
+            w[0] = 1
+    slots = {}
+    for j, (t, h) in enumerate(ends):
+        slots.setdefault(t, []).append((j, 0))
+        slots.setdefault(h, []).append((j, 1))
+    for u, out in slots.items():
+        if all(raw[j][side] == 0 for j, side in out):
+            j, side = out[0]
+            raw[j][side] = 1
+    total = {u: sum(raw[j][side] for j, side in out) for u, out in slots.items()}
+    alpha = draw(st.sampled_from(["0", "1/4", "1/2"]))
+    lines = [f"alpha {alpha}"] + [f"vertex v{u}" for u in sorted(slots)]
+    for j, (t, h) in enumerate(ends):
+        lines.append(f"edge e{j} v{t} v{h} "
+                     f"{raw[j][0]}/{total[t]} {raw[j][1]}/{total[h]}")
     return "\n".join(lines) + "\n"
 
 

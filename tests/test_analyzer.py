@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
@@ -26,6 +26,7 @@ from liftmix import (
     chain_clt_params,
     core,
     entropy,
+    is_cover_transient,
     parse_graph,
     predict_mixing_time,
     ray_law,
@@ -34,7 +35,7 @@ from liftmix import (
     weight_entropy,
 )
 
-from conftest import bouquet_text
+from conftest import bouquet_text, random_graph_with_dead_orientations
 
 LOG2 = math.log(2.0)
 
@@ -133,11 +134,16 @@ def test_first_passage_biased_cycle(c3b):
     assert np.allclose(fp.return_prob, 0.6, atol=1e-9)
 
 
-def test_first_passage_diverges_on_recurrent_graph(sym3):
+def test_first_passage_on_recurrent_graph(sym3):
+    # the critical system q = 1/2 + q^2 / 2 has a double root at 1: Newton
+    # gains one bit per step, so a small budget runs out ...
     with pytest.raises(NonConvergenceError) as err:
-        solve_first_passage(sym3, max_iter=2000)
+        solve_first_passage(sym3, max_iter=3)
     assert err.value.residual > 0
-    assert err.value.iterations == 2000
+    assert err.value.iterations == 3
+    # ... and an unbudgeted solve reaches the root to about sqrt(eps)
+    fp = solve_first_passage(sym3)
+    assert np.allclose(fp.prob, 1.0, atol=1e-6)
 
 
 def test_first_passage_rejects_unpruned_graph(pendant):
@@ -466,3 +472,107 @@ def test_ray_law_on_a_recurrent_core_still_raises(sym3):
     # the guard comes before any use of the first-passage solution
     with pytest.raises(AnalysisError, match="ray law needs a transient cover walk"):
         ray_law(sym3.core.graph, None)
+
+
+# ---------------------------------------------------------------------------
+# Newton against the fixed-point iteration, on random graphs
+# ---------------------------------------------------------------------------
+
+
+def kleene_first_passage(g, tol=1e-15, max_iter=200_000):
+    """The first-passage fixed point iterated from zero: the reference the
+    Newton solver is checked against.  Returns the iterate and the ray
+    support it implies, cut at 1e-9."""
+    w = g.oriented_weight
+    inv = np.arange(g.n_oriented) ^ 1
+    q = np.zeros(g.n_oriented)
+    for _ in range(max_iter):
+        contrib = w * q[inv]
+        total = np.zeros(g.n_vertices)
+        np.add.at(total, g.oriented_init, contrib)
+        q_new = w + q * (total[g.oriented_init] - contrib)
+        done = np.max(np.abs(q_new - q)) <= tol
+        q = q_new
+        if done:
+            break
+    else:
+        raise AssertionError("reference iteration did not converge")
+    contrib = w * q[inv]
+    total = np.zeros(g.n_vertices)
+    np.add.at(total, g.oriented_init, contrib)
+    exit_prob = w * (1.0 - q[inv]) / (1.0 - total[g.oriented_init])
+    return q, exit_prob > 1e-9
+
+
+@st.composite
+def integer_weight_graph_text(draw):
+    """Multigraphs on 1 to 4 vertices with ``n`` to ``n + 3`` edges, loops
+    allowed; each orientation weighs an integer 0 to 4 (never both zero),
+    normalized over each vertex's out-orientations."""
+    n_v = draw(st.integers(1, 4))
+    m = draw(st.integers(n_v, n_v + 3))
+    ends = [(draw(st.integers(0, n_v - 1)), draw(st.integers(0, n_v - 1)))
+            for _ in range(m)]
+    raw = [draw(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                .filter(lambda pair: any(pair))) for _ in range(m)]
+    out_total = [0] * n_v
+    for (tail, head), (wf, wb) in zip(ends, raw):
+        out_total[tail] += wf
+        out_total[head] += wb
+    assume(all(out_total))
+    alpha = draw(st.sampled_from(["0", "1/4", "1/2"]))
+    lines = [f"alpha {alpha}"] + [f"vertex v{i}" for i in range(n_v)]
+    for j, ((tail, head), (wf, wb)) in enumerate(zip(ends, raw)):
+        lines.append(f"edge e{j} v{tail} v{head} "
+                     f"{wf}/{out_total[tail]} {wb}/{out_total[head]}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_graph_with_dead_orientations(), integer_weight_graph_text()))
+def test_transient_graphs_get_a_report_matching_the_fixed_point(text):
+    g = parse_graph(text)
+    assume(g.irreducible)
+    verdict = is_cover_transient(g)  # never an internal error
+    if not verdict.transient:
+        return
+    rep = entropy(g)
+    gc = rep.core.graph
+    fp = rep.first_passage
+    assert ((fp.prob >= 0.0) & (fp.prob <= 1.0)).all()
+    q_ref, support_ref = kleene_first_passage(gc)
+    assert np.allclose(fp.prob, q_ref, rtol=0, atol=1e-9)
+    assert np.array_equal(rep.ray_law.support, support_ref)
+
+
+def _cycle_text(forward):
+    back = f"{1 - float(forward):.{len(forward) - 2}f}"
+    return "alpha 0\nvertex a\nvertex b\nvertex c\n" + "".join(
+        f"edge {t}{h} {t} {h} {forward} {back}\n"
+        for t, h in (("a", "b"), ("b", "c"), ("c", "a")))
+
+
+# a triangle with a pendant vertex; its core is one cycle with drift
+PENDANT_TRIANGLE_TEXT = """\
+alpha 0
+vertex v0
+vertex v1
+vertex v2
+vertex v3
+edge e0 v2 v0 3/9 2/5
+edge e1 v2 v1 4/9 2/4
+edge e2 v2 v3 2/9 3/3
+edge e3 v1 v0 2/4 3/5
+"""
+
+
+@pytest.mark.parametrize("text", [_cycle_text("0.51"), _cycle_text("0.501"),
+                                  _cycle_text("0.5001"), PENDANT_TRIANGLE_TEXT],
+                         ids=["cycle-0.51", "cycle-0.501", "cycle-0.5001",
+                              "pendant-triangle"])
+def test_near_balanced_cycles_are_degenerate(text):
+    # a line cover: the ray is the drift direction, with no per-level entropy
+    rep = entropy(parse_graph(text))
+    assert rep.degenerate
+    assert rep.entropy_rate == 0.0
+    assert rep.escape_speed > 0.0

@@ -38,6 +38,7 @@ from conftest import (
     PENDANT_TEXT,
     THETA3_TEXT,
     bouquet_text,
+    random_graph_with_dead_orientations,
 )
 
 
@@ -383,37 +384,6 @@ def test_random_graph_assumption_report_is_consistent(text):
         assert rep.a3_star
     if rep.a1_irreducible and rep.a2_two_cycles:
         assert is_cover_transient(g).transient
-
-
-@st.composite
-def random_graph_with_dead_orientations(draw):
-    """Small multigraphs at holding probability 0, 1/4 or 1/2 in which some
-    orientations carry weight zero."""
-    n_v = draw(st.integers(min_value=1, max_value=4))
-    m = draw(st.integers(min_value=1, max_value=5))
-    ends = [
-        (draw(st.integers(0, n_v - 1)), draw(st.integers(0, n_v - 1)))
-        for _ in range(m)
-    ]
-    raw = [[draw(st.integers(0, 2)), draw(st.integers(0, 2))] for _ in range(m)]
-    for w in raw:
-        if w == [0, 0]:
-            w[0] = 1
-    slots = {}
-    for j, (t, h) in enumerate(ends):
-        slots.setdefault(t, []).append((j, 0))
-        slots.setdefault(h, []).append((j, 1))
-    for u, out in slots.items():
-        if all(raw[j][side] == 0 for j, side in out):
-            j, side = out[0]
-            raw[j][side] = 1
-    total = {u: sum(raw[j][side] for j, side in out) for u, out in slots.items()}
-    alpha = draw(st.sampled_from(["0", "1/4", "1/2"]))
-    lines = [f"alpha {alpha}"] + [f"vertex v{u}" for u in sorted(slots)]
-    for j, (t, h) in enumerate(ends):
-        lines.append(f"edge e{j} v{t} v{h} "
-                     f"{raw[j][0]}/{total[t]} {raw[j][1]}/{total[h]}")
-    return "\n".join(lines) + "\n"
 
 
 def _return_time_gcds(mat):

@@ -7,7 +7,14 @@ import os
 
 import pytest
 
-from liftmix import __version__, parse_graph, simulate_walk, substream
+from liftmix import (
+    __version__,
+    generate_uniform_lift,
+    mixing_curve,
+    parse_graph,
+    simulate_walk,
+    substream,
+)
 from liftmix.cli import main
 
 from conftest import ASYM_THETA_TEXT, SYM3_TEXT, THETA3_TEXT
@@ -401,6 +408,32 @@ def test_mix_periodic_writes_averaged_curve(capsys, theta3_file, tmp_path):
     assert summary["exhaustive"] is False
     assert len(summary["per_start"]) == 4
     assert summary["averaged_crossings"] is not None
+
+
+def test_mix_periodic_stops_and_ranks_on_averaged_curve(capsys, theta3_file, tmp_path):
+    out = tmp_path / "mix-p64"
+    code, payload, _ = run_cli(capsys, [
+        "mix", "--graph", theta3_file, "--n", "64", "--alpha", "0",
+        "--seed", "0", "--out", str(out),
+    ])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # the raw TV of the bipartite lift plateaus at 1/2 and never crosses
+    # 0.1 or 0.25, so the starts rank by the averaged curve, ...
+    assert summary["periodic"] is True
+    assert summary["worst_start"] == 3
+    assert summary["worst_crossings"]["0.25"] is None
+    assert summary["averaged_crossings"] == {"0.25": 27, "0.1": 42, "0.5": 15, "0.9": 4}
+    lift = generate_uniform_lift(parse_graph(THETA3_TEXT), 64,
+                                 substream(0, "lift", 64, 0), seed=0)
+    averaged = [mixing_curve(lift, s, alpha=0.0).averaged.crossings[0.25]
+                for s in range(lift.n_states)]
+    assert max(averaged) == 27 and averaged.index(27) == 3
+    # ... and each curve stops once the averaged curve crosses min(eps)
+    for name in ("curve.csv", "curve_averaged.csv"):
+        rows = [ln for ln in (out / name).read_text().splitlines()
+                if not ln.startswith("#")]
+        assert len(rows) == 1 + 43  # header, then t = 0 .. 42
 
 
 def test_mix_bad_eps_list(capsys, theta3_file, tmp_path):

@@ -19,15 +19,18 @@ of CLI calls on that tree and on the working tree's ``src/``:
   0, with ``--per-trial``, with a step count that is not a multiple of the
   walk's 4096-draw blocks, and with an explicit ``--e-star``; and
   ``cover-sim`` from the pendant vertex ``p``, off the pruned core;
-* ``validate`` and ``analyze`` on 100 graphs the analyze batch's generator
-  rejects: reducible ones, recurrent ones, ones whose core is a single
-  cycle, ones whose analysis fails, and trees.  Their witness cycles and
-  error lines depend on the order in which strong components are found.
+* ``validate`` and ``analyze`` on 100 graphs of the kinds the analyze batch
+  leaves out or rarely draws: reducible ones, recurrent ones, ones whose
+  core is a single cycle, one-way ones (an orientation of the core lies on
+  no non-backtracking cycle), and trees.  Their witness cycles and error lines
+  depend on the order in which strong components are found.
 
 For each call it compares the exit code, standard output, the error lines
 (``liftmix: ...`` on standard error), every artifact file byte for byte, and
 ``manifest.json`` without its ``timing`` key.  Each difference is printed;
-the exit status is 1 if there is any, else 0.
+the exit status is 1 if there is any, else 0.  When two JSON payloads on
+standard output, or two JSON or CSV artifacts, differ only in numbers, the
+line also gives their largest relative difference and where it is.
 
 Only the standard library is used here.  The calls of each tree run in one
 child process with that tree's ``src`` first on ``PYTHONPATH`` and the
@@ -80,20 +83,23 @@ import json, random, sys
 import numpy as np
 from perfbench import inputs
 from liftmix.base_graph import parse_graph
-from liftmix.errors import AnalysisError
+from liftmix.errors import GraphError
 
-QUOTA = {"reducible": 25, "recurrent": 20, "line": 20, "failing": 15, "tree": 20}
+QUOTA = {"reducible": 25, "recurrent": 20, "line": 20, "one-way": 15, "tree": 20}
 
 def kind(text):
-    # why the batch generator rejects a graph it drew, or "accepted"
+    # the kind of a graph the batch generator drew, or "accepted";
+    # "one-way" is any graph whose core has an orientation on no
+    # non-backtracking cycle, whatever its analysis says
     g = parse_graph(text)
     if not g.assumptions.a1_irreducible:
         return "reducible"
     try:
-        transient = g.transience.transient
-    except AnalysisError:
-        return "failing"
-    if not transient:
+        if not g.core.graph.assumptions.a4_every_edge_on_cycle:
+            return "one-way"
+    except GraphError:  # a tree has no core
+        pass
+    if not g.transience.transient:
         return "recurrent"
     return "line" if inputs.core_cycle_rank(text) == 1 else "accepted"
 
@@ -204,22 +210,86 @@ def _manifest(path):
     return data
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def numeric_diff(a, b, path="$"):
+    """``(largest relative difference, path)`` of two JSON-like values that
+    differ at most in numbers, or None when they differ in anything else."""
+    if a == b or (a != a and b != b):  # equal, or both NaN
+        return 0.0, path
+    if _is_number(a) and _is_number(b):
+        return abs(a - b) / max(abs(a), abs(b)), path
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = [(a[k], b[k], f"{path}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(x, y, f"{path}[{j}]") for j, (x, y) in enumerate(zip(a, b))]
+    else:
+        return None
+    worst = (0.0, path)
+    for x, y, where in pairs:
+        found = numeric_diff(x, y, where)
+        if found is None:
+            return None
+        worst = max(worst, found, key=lambda pair: pair[0])
+    return worst
+
+
+def _values(text, csv):
+    """A JSON document, or CSV rows with numeric cells read as floats."""
+    if not csv:
+        return json.loads(text)
+    rows = []
+    for line in text.splitlines():
+        cells = []
+        for cell in line.split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(cells)
+    return rows
+
+
+def _numbers_only(a, b, csv=False):
+    """A note with the largest relative difference when two JSON or CSV
+    texts differ only in numbers, else an empty string."""
+    try:
+        found = numeric_diff(_values(a, csv), _values(b, csv))
+    except ValueError:
+        return ""
+    if found is None:
+        return ""
+    return f" (numbers only: by at most {found[0]:.3g} relative, at {found[1]})"
+
+
 def compare(i, argv, old, new, old_dir, new_dir):
     """Differences of one call, as printable lines."""
     where = f"call {i} ({' '.join(a for a in argv if a not in ('--out', OUT))})"
-    diffs = [f"{where}: {key} differs" for key in ("rc", "stdout", "errors")
+    diffs = [f"{where}: {key} differs" for key in ("rc", "errors")
              if old[key] != new[key]]
+    if old["stdout"] != new["stdout"]:
+        diffs.append(f"{where}: stdout differs"
+                     + _numbers_only(old["stdout"], new["stdout"]))
     a, b = os.path.join(old_dir, "out", str(i)), os.path.join(new_dir, "out", str(i))
     names_a = sorted(os.listdir(a)) if os.path.isdir(a) else []
     names_b = sorted(os.listdir(b)) if os.path.isdir(b) else []
     if names_a != names_b:
         diffs.append(f"{where}: artifacts {names_a} != {names_b}")
-    for name in set(names_a) & set(names_b):
+    for name in sorted(set(names_a) & set(names_b)):
         pa, pb = os.path.join(a, name), os.path.join(b, name)
-        same = (_manifest(pa) == _manifest(pb) if name == "manifest.json"
-                else filecmp.cmp(pa, pb, shallow=False))
-        if not same:
-            diffs.append(f"{where}: {name} differs")
+        if name == "manifest.json":
+            ma, mb = _manifest(pa), _manifest(pb)
+            if ma != mb:
+                diffs.append(f"{where}: {name} differs"
+                             + _numbers_only(json.dumps(ma), json.dumps(mb)))
+        elif not filecmp.cmp(pa, pb, shallow=False):
+            suffix = ""
+            if name.endswith((".json", ".csv")):
+                with open(pa, encoding="utf-8") as fa, open(pb, encoding="utf-8") as fb:
+                    suffix = _numbers_only(fa.read(), fb.read(), name.endswith(".csv"))
+            diffs.append(f"{where}: {name} differs{suffix}")
     return diffs
 
 
