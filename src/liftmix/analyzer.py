@@ -30,12 +30,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import base_graph
 from .base_graph import (
     AnalysisError,
     CoreDecomposition,
     WeightedMultigraph,
     solve_stationary,
-    strong_components,
 )
 from .errors import NonConvergenceError
 
@@ -274,7 +274,7 @@ def ray_law(g, first_passage):
     # then its stationary law.
     sup_idx = np.flatnonzero(support)
     tails, heads = np.nonzero(kernel[np.ix_(sup_idx, sup_idx)] > 0.0)
-    ncomp, labels = strong_components(len(sup_idx), tails, heads)
+    ncomp, labels = base_graph.strong_components(len(sup_idx), tails, heads)
     leaving = labels[tails] != labels[heads]
     closed = np.setdiff1d(np.arange(ncomp), labels[tails[leaving]])
     if len(closed) != 1:
@@ -549,7 +549,7 @@ def chain_clt_params(kernel, f, stationary=None):
     rowsums = p.sum(axis=1)
     if np.max(np.abs(rowsums - 1.0)) > 1e-9:
         raise AnalysisError("kernel rows must sum to one")
-    if strong_components(n, *np.nonzero(p > 0.0))[0] != 1:
+    if base_graph.strong_components(n, *np.nonzero(p > 0.0))[0] != 1:
         raise AnalysisError("kernel is reducible; CLT parameters undefined")
     if stationary is None:
         pi, residual = solve_stationary(p)

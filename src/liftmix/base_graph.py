@@ -14,9 +14,11 @@ the inverse of oriented edge ``k`` is ``k ^ 1``.
 Besides parsing and validation this module provides:
 
 * :func:`strong_components` -- the strong components of a digraph given by
-  arcs, the one search behind irreducibility, the cycle census, the
-  periods (:func:`strong_periods`, also of a lift) and the analyzer's ray
-  chain;
+  arcs (an iterative Tarjan search), the one search behind irreducibility,
+  the cycle census, the walk's period and the analyzer's ray chain;
+* :func:`component_periods` -- the periods of given strong components, from
+  one breadth-first search over all of them at once; a lift finds its
+  components from the covering argument and its periods here;
 * :func:`check_assumptions` -- irreducibility, positivity, the two-cycle
   branching property of the non-backtracking structure, the
   every-edge-on-a-cycle property, and the walk's period;
@@ -29,7 +31,7 @@ Besides parsing and validation this module provides:
 * :func:`is_cover_transient` -- whether the walk on the universal cover of
   the graph escapes to infinity.
 
-A graph keeps these results once computed (``g.irreducible``,
+A graph keeps these results once computed (``g.vertex_components``,
 ``g.cycle_census``, ``g.assumptions``, ``g.stationary``, ``g.core``,
 ``g.transience``); a call that raises keeps nothing and raises again on the
 next access.  ``g.core.host_oriented`` maps the oriented edges of the pruned
@@ -45,8 +47,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import AnalysisError, GraphError
 
@@ -138,12 +138,19 @@ class WeightedMultigraph:
         return tuple(np.array(b, dtype=np.int64) for b in buckets)
 
     @cached_property
-    def irreducible(self):
-        """Whether the positive moves of the vertex chain are strongly
-        connected, decided on first use."""
+    def vertex_components(self):
+        """:func:`strong_components` of the positive moves of the vertex
+        chain, searched on first use; irreducibility, the period and a
+        lift's components all read it."""
         pos = self.oriented_weight > 0.0
         return strong_components(self.n_vertices, self.oriented_init[pos],
-                                 self.oriented_end[pos])[0] == 1
+                                 self.oriented_end[pos])
+
+    @property
+    def irreducible(self):
+        """Whether the positive moves of the vertex chain are strongly
+        connected."""
+        return self.vertex_components[0] == 1
 
     @cached_property
     def cycle_census(self):
@@ -505,6 +512,92 @@ def verify_witness_cycle(g, cycle):
     return True
 
 
+def strong_components(n_nodes, tails, heads):
+    """Strong components of the digraph with arcs ``tails[i] -> heads[i]``.
+
+    Returns ``(n_components, labels)``: node ``v`` lies in component
+    ``labels[v]``.  An iterative Tarjan search (Tarjan, SIAM J. Comput.
+    1972) that starts from the nodes in index order and visits each node's
+    distinct successors in descending order; components are numbered in
+    the order they are completed, so each one after every component it
+    reaches.  Witness cycles and error lines follow this order.
+    Self-loops and repeated arcs are allowed.
+    """
+    succ = [set() for _ in range(n_nodes)]
+    for u, v in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist()):
+        succ[u].add(v)
+    succ = [sorted(out, reverse=True) for out in succ]
+    index = [-1] * n_nodes
+    low = [0] * n_nodes
+    on_stack = [False] * n_nodes
+    stack = []
+    labels = [0] * n_nodes
+    visited = n_components = 0
+    for root in range(n_nodes):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    path.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        labels[w] = n_components
+                        if w == v:
+                            break
+                    n_components += 1
+    return n_components, np.array(labels, dtype=np.int64)
+
+
+def _bfs_levels(n_nodes, tails, heads, sources):
+    """Breadth-first level of every node from the nearest of ``sources``,
+    -1 where unreached.
+
+    Expands the whole frontier at once over the arcs sorted by tail, so it
+    takes one round of array operations per level.
+    """
+    succ = heads[np.argsort(tails)]
+    degree = np.bincount(tails, minlength=n_nodes)
+    first_arc = np.cumsum(degree) - degree
+    level = np.full(n_nodes, -1, dtype=np.int64)
+    slot = np.empty(n_nodes, dtype=np.int64)
+    frontier = np.asarray(sources, dtype=np.int64)
+    level[frontier] = 0
+    depth = 0
+    while frontier.size:
+        depth += 1
+        count = degree[frontier]
+        # the arcs of frontier node i sit at first_arc[i] onwards
+        shift = np.repeat(first_arc[frontier] - (np.cumsum(count) - count), count)
+        reached = succ[shift + np.arange(shift.size)]
+        reached = reached[level[reached] < 0]
+        level[reached] = depth
+        # keep one copy of each node: the one whose position won its slot
+        order = np.arange(reached.size)
+        slot[reached] = order
+        frontier = reached[slot[reached] == order]
+    return level
+
+
 def arc_period(n_nodes, tails, heads, start):
     """Period of the closed walks through ``start`` in a digraph given by arcs.
 
@@ -515,57 +608,33 @@ def arc_period(n_nodes, tails, heads, start):
     """
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
-    # CSR rows built directly: scipy's coordinate-format path costs more
-    # than the search itself on the few arcs of a base graph.
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
-    adj = csr_matrix((np.ones(len(tails)), heads[np.argsort(tails)], indptr),
-                     shape=(n_nodes, n_nodes))
-    order, parent = breadth_first_order(adj, int(start), return_predecessors=True)
-    # A node's BFS level is its depth in the BFS tree: sum the parent
-    # distances while jumping to ever higher ancestors.
-    up = np.where(parent < 0, start, parent)
-    level = (np.arange(n_nodes) != start).astype(np.int64)
-    while (up != start).any():
-        level += level[up]
-        up = up[up]
-    reached = np.zeros(n_nodes, dtype=bool)
-    reached[order] = True
-    inside = reached[tails]
+    level = _bfs_levels(n_nodes, tails, heads, [start])
+    inside = level[tails] >= 0
     period = int(np.gcd.reduce(level[tails[inside]] + 1 - level[heads[inside]]))
     return period if period > 0 else 1
 
 
-def strong_components(n_nodes, tails, heads):
-    """Strong components of the digraph with arcs ``tails[i] -> heads[i]``.
+def component_periods(n_components, labels, tails, heads):
+    """Periods of the strong components ``labels`` of a digraph given by arcs.
 
-    Returns ``(n_components, labels)``: node ``v`` lies in component
-    ``labels[v]``.  The matrix is built through the coordinate format, which
-    sums parallel arcs: scipy's search may never return on a CSR matrix
-    that holds duplicate entries.
+    ``(n_components, labels)`` is :func:`strong_components` of the digraph,
+    or the same partition found otherwise.  One breadth-first search, kept
+    to the arcs inside components, starts from the lowest node of every
+    component at once; ``periods[c]`` is the gcd of ``level[u] + 1 -
+    level[v]`` over the arcs ``u -> v`` inside ``c``, and 0 when there are
+    none.
     """
-    adj = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(n_nodes, n_nodes))
-    return connected_components(adj, directed=True, connection="strong")
-
-
-def strong_periods(n_nodes, tails, heads):
-    """Strong components of a digraph given by arcs, and their periods.
-
-    Returns ``(labels, periods)``: node ``v`` lies in component
-    ``labels[v]`` of :func:`strong_components`, whose period
-    :func:`arc_period` finds on the arcs inside components; ``periods[c]``
-    is 0 when no arc lies inside ``c``.
-    """
+    labels = np.asarray(labels)
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
-    ncomp, labels = strong_components(n_nodes, tails, heads)
     inside = labels[tails] == labels[heads]
     tails, heads = tails[inside], heads[inside]
-    periods = np.zeros(ncomp, dtype=np.int64)
-    for comp in np.unique(labels[tails]):
-        start = int(np.argmax(labels == comp))
-        periods[comp] = arc_period(n_nodes, tails, heads, start)
-    return labels, periods
+    lowest = np.full(n_components, len(labels), dtype=np.int64)
+    np.minimum.at(lowest, labels, np.arange(len(labels)))
+    level = _bfs_levels(len(labels), tails, heads, lowest)
+    periods = np.zeros(n_components, dtype=np.int64)
+    np.gcd.at(periods, labels[tails], level[tails] + 1 - level[heads])
+    return periods
 
 
 def check_assumptions(g):
@@ -584,10 +653,10 @@ def check_assumptions(g):
     # The vertex chain's period is the gcd of the periods of the strong
     # components that hold an arc.
     pos = weight > 0.0
-    _, periods = strong_periods(g.n_vertices, g.oriented_init[pos],
+    periods = component_periods(*g.vertex_components, g.oriented_init[pos],
                                 g.oriented_end[pos])
     return AssumptionReport(
-        a1_irreducible=len(periods) == 1,
+        a1_irreducible=g.irreducible,
         a2_two_cycles=a2,
         a3_all_positive=a3,
         a3_star=a3_star,

@@ -38,6 +38,7 @@ from .cover import (
     _confirmed_ray,
     _excursions,
     _localization_counts,
+    default_renewal_edge,
     estimate_clt_params,
     estimate_speed,
     simulate_walk,
@@ -337,7 +338,7 @@ def _cmd_cover_sim(args):
             raise AnalysisError(f"unknown oriented edge {args.e_star!r}")
         e_star = g.oriented_index_by_name[args.e_star]
     else:
-        e_star = int(np.argmax(report.edge_freq))
+        e_star = default_renewal_edge(report)
     workers = _resolve_workers(args)
     run = _Run("cover-sim", g, {
         "alpha": alpha,

@@ -551,20 +551,32 @@ def _resolve_label(g, e_star):
     return k
 
 
+def default_renewal_edge(ray):
+    """The most frequent ray edge, the default renewal edge of excursions.
+
+    Returns the lowest oriented edge whose ray frequency lies within the
+    first-passage solver's achieved error of the largest frequency: edges
+    whose frequencies tie exactly (all six of theta3 carry 1/6) differ only
+    in rounding below that error, which must not pick the edge.
+    """
+    freq = ray.edge_freq
+    if not (freq > 0).any():
+        raise AnalysisError("ray law carries no positive edge frequency")
+    return int(np.flatnonzero(freq >= freq.max() - ray.first_passage.error)[0])
+
+
 def excursion_decomposition(traj, ray, e_star=None, margin=DEFAULT_MARGIN,
                             min_count=30):
     """Cut a trajectory into excursions between ray renewals.
 
     ``e_star`` is an oriented edge (index or name like ``"e1+"``); by
-    default the most frequent ray edge.  The segment before the first exit
+    default :func:`default_renewal_edge`.  The segment before the first exit
     and the censored tail above the confirmed region are discarded.  Raises
     :class:`AnalysisError` when fewer than ``min_count`` complete
     excursions remain.
     """
     if e_star is None:
-        if not (ray.edge_freq > 0).any():
-            raise AnalysisError("ray law carries no positive edge frequency")
-        e_star = int(np.argmax(ray.edge_freq))
+        e_star = default_renewal_edge(ray)
     else:
         e_star = _resolve_label(ray.graph, e_star)
     return _excursions(ray, e_star, *_confirmed_ray(traj, margin), min_count)

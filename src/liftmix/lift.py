@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base_graph import strong_periods
+from .base_graph import component_periods
 from .errors import AnalysisError, GraphError
 
 
@@ -78,12 +78,28 @@ class Lift:
 
     @cached_property
     def _strong_periods(self):
-        """:func:`~liftmix.base_graph.strong_periods` of the unlazy walk."""
+        """Strong components of the unlazy walk and their
+        :func:`~liftmix.base_graph.component_periods`, as ``(labels,
+        periods)``.
+
+        A finite cover of a strongly connected digraph has strongly
+        connected weak components.  A lift arc ``(u, i) -> (v, j)`` over an
+        arc inside a base strong component closes up: a base walk from ``v``
+        back to ``u`` completes a closed walk through ``u -> v``, whose lift
+        permutes the finite fiber over ``u``, and repeating it as often as
+        the permutation's order leads from ``(v, j)`` back to ``(u, i)``.
+        So the walk's strong components are the weak components of the
+        lift arcs over arcs inside one base strong component; states over a
+        base component without such an arc are singletons.
+        """
+        _, base_labels = self.base.vertex_components
         fibers = np.arange(self.n)
-        tails = [u * self.n + fibers for _, u, _, _ in self.moves]
-        heads = [v * self.n + self.maps[k] for k, _, v, _ in self.moves]
-        return strong_periods(self.n_states, np.concatenate(tails),
-                              np.concatenate(heads))
+        inner = [(k, u, v) for k, u, v, _ in self.moves
+                 if base_labels[u] == base_labels[v]]
+        tails = np.concatenate([u * self.n + fibers for _, u, _ in inner])
+        heads = np.concatenate([v * self.n + self.maps[k] for k, _, v in inner])
+        n_components, labels = _weak_components(self.n_states, tails, heads)
+        return labels, component_periods(n_components, labels, tails, heads)
 
     def period(self, state):
         """Period of the unlazy walk on the strong component of ``state``.
@@ -127,6 +143,33 @@ class Lift:
                 f"vertex {g.vertices[u]!r}"
             )
         return int(g.oriented_end[k]) * self.n + int(self.maps[k][i])
+
+
+def _weak_components(n_nodes, tails, heads):
+    """Weak components of the digraph with arcs ``tails[i] -> heads[i]``, as
+    ``(n_components, labels)`` numbered by their lowest node.
+
+    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982):
+    every round hooks the larger root of each arc that joins two trees onto
+    the smaller one, then jumps every node straight to its root.
+    """
+    parent = np.arange(n_nodes)
+    while True:
+        root_t, root_h = parent[tails], parent[heads]
+        apart = root_t != root_h
+        if not apart.any():
+            break
+        # an arc inside one tree stays inside it
+        tails, heads = tails[apart], heads[apart]
+        root_t, root_h = root_t[apart], root_h[apart]
+        np.minimum.at(parent, np.maximum(root_t, root_h), np.minimum(root_t, root_h))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    roots, labels = np.unique(parent, return_inverse=True)
+    return len(roots), labels
 
 
 def generate_uniform_lift(g, n, rng, seed=None):

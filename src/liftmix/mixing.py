@@ -285,8 +285,10 @@ def _sweep_cell(args):
     for s in states:
         curve = mixing_curve(lift, s, alpha=alpha, eps_list=eps_list,
                              t_cap=t_cap)
+        # a periodic curve's raw TV never settles; its averaged sibling does
+        crossings = (curve.averaged or curve).crossings
         for eps in eps_list:
-            t_mix = curve.crossings[eps]
+            t_mix = crossings[eps]
             rows.append(SweepRow(n=n, seed=seed, start=s, eps=eps,
                                  t_mix=t_mix, reached=t_mix is not None))
     return rows

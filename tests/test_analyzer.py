@@ -443,10 +443,10 @@ def test_entropy_checks_assumptions_once_per_graph(monkeypatch):
     monkeypatch.setattr(base_graph, "_cycle_structure",
                         lambda g: census.append(g) or real_census(g))
     searches = []
-    real_search = base_graph.connected_components
-    monkeypatch.setattr(base_graph, "connected_components",
-                        lambda adj, **kw: searches.append(adj.shape[0])
-                        or real_search(adj, **kw))
+    real_search = base_graph.strong_components
+    monkeypatch.setattr(base_graph, "strong_components",
+                        lambda n, tails, heads: searches.append(n)
+                        or real_search(n, tails, heads))
     g = parse_graph(PENDANT_TEXT)
     first = entropy(g)
     assert calls == {"is_cover_transient": [g], "core": [g]}

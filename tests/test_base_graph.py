@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from liftmix import (
     AnalysisError,
     GraphError,
+    Lift,
     apply_kernel,
     apply_kernel_to_function,
     build_graph,
@@ -29,7 +30,12 @@ from liftmix import (
     transition_matrix,
     validate_graph,
 )
-from liftmix.base_graph import arc_period, strong_components, verify_witness_cycle
+from liftmix.base_graph import (
+    arc_period,
+    component_periods,
+    strong_components,
+    verify_witness_cycle,
+)
 from liftmix.cli import main
 
 from conftest import (
@@ -478,3 +484,60 @@ def test_strong_components_match_mutual_reachability(digraph):
     assert sorted(set(labels.tolist())) == list(range(ncomp))
     assert np.array_equal(labels[:, None] == labels[None, :],
                           _mutually_reachable(n, arcs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_digraph())
+def test_strong_components_number_components_as_scipy_does(digraph):
+    # witness cycles and error lines depend on the component order, which
+    # the search keeps from scipy's; scipy serves only as an oracle here
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    n, arcs = digraph
+    tails = np.array([u for u, _ in arcs], dtype=np.int64)
+    heads = np.array([v for _, v in arcs], dtype=np.int64)
+    adj = sparse.csr_matrix((np.ones(len(arcs)), (tails, heads)), shape=(n, n))
+    ncomp, labels = csgraph.connected_components(adj, directed=True,
+                                                 connection="strong")
+    got = strong_components(n, tails, heads)
+    assert (got[0], got[1].tolist()) == (ncomp, labels.tolist())
+
+
+@st.composite
+def random_lift(draw):
+    """A lift of a small graph (some reducible, some with orientations of
+    weight zero) in which each edge's permutation may be the identity."""
+    g = parse_graph(draw(random_graph_with_dead_orientations()))
+    n = draw(st.integers(1, 6))
+    perms = tuple(range(n) if draw(st.booleans()) else draw(st.permutations(range(n)))
+                  for _ in g.edges)
+    return Lift(base=g, n=n, perms=perms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lift())
+def test_lift_components_and_periods_match_the_general_search(lift):
+    tails, heads = np.nonzero(lift_transition_matrix(lift, alpha=0.0))
+    ncomp, labels = strong_components(lift.n_states, tails, heads)
+    periods = component_periods(ncomp, labels, tails, heads)
+    got_labels, got_periods = lift._strong_periods
+    assert np.array_equal(got_labels[:, None] == got_labels[None, :],
+                          labels[:, None] == labels[None, :])
+    assert got_periods[got_labels].tolist() == periods[labels].tolist()
+
+
+def test_validate_searches_the_vertex_chain_once(monkeypatch, tmp_path):
+    from liftmix import base_graph
+
+    searches = []
+    real_search = base_graph.strong_components
+    monkeypatch.setattr(base_graph, "strong_components",
+                        lambda n, tails, heads: searches.append(n)
+                        or real_search(n, tails, heads))
+    path = tmp_path / "pendant.g"
+    path.write_text(PENDANT_TEXT)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", "--graph", str(path)]) == 0
+    # the host's census of 8 positive orientations, its 3-vertex chain for
+    # irreducibility and period alike, the core's census of 6
+    assert sorted(searches) == [3, 6, 8]

@@ -4,9 +4,12 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import liftmix
 from liftmix import (
     __version__,
     generate_uniform_lift,
@@ -93,6 +96,16 @@ def test_exit_3_on_usage_errors(capsys, theta3_file):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--graph", theta3_file])
     assert exc.value.code == 3
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only dependency; scipy would add most of the start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liftmix.__file__)))
+    probe = ("import sys, liftmix.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

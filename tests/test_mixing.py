@@ -188,6 +188,23 @@ def test_cutoff_sweep_deterministic_across_workers(theta3):
     assert r1.window_ratios == r2.window_ratios
 
 
+def test_cutoff_sweep_on_periodic_lifts_reads_the_averaged_curves(theta3):
+    # the unlazy walk on a theta3 lift is bipartite: its raw TV plateaus at
+    # 1/2, so a sweep that read the raw crossings stopped on the step cap
+    res = cutoff_sweep(theta3, (256, 1024, 4096), alpha=0.0, n_seeds=3,
+                       master_seed=0)
+    assert all(row.reached for row in res.rows)
+    assert res.slope == pytest.approx(4.69, abs=0.01)
+    assert res.predicted_slope == pytest.approx(6.0 / math.log(2) / 2.0, abs=1e-9)
+    assert res.verdict
+    row = next(r for r in res.rows if r.eps == res.eps_primary)
+    lift = generate_uniform_lift(theta3, row.n, substream(0, "lift", row.n, row.seed))
+    curve = mixing_curve(lift, row.start, alpha=0.0, eps_list=res.eps_list,
+                         t_cap=res.t_caps[row.n])
+    assert curve.periodic and curve.crossings[row.eps] is None
+    assert row.t_mix == curve.averaged.crossings[row.eps]
+
+
 @pytest.mark.parametrize("n_seeds", [0, -1])
 def test_cutoff_sweep_needs_a_seed(theta3, n_seeds):
     # with no seed the slope fit has nothing to fit and came out NaN
