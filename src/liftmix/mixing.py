@@ -4,7 +4,11 @@ Total-variation distance to stationarity is propagated exactly (dense
 distribution vectors, no renormalization; each step is one gather per
 positive-weight oriented edge through the lift's fiber maps, see
 :func:`liftmix.lift.apply_kernel`), so the reported mixing times are
-deterministic given the lift.  The period of an unlazy lift is found once
+deterministic given the lift.  A curve owns its buffers: two distributions
+that swap roles each step, written by ``apply_kernel(..., out=)``, and one
+buffer in which every TV, the averaged one included, is evaluated against
+the per-vertex stationary column.  A step allocates nothing larger than
+the kernel's fiber-sized scratch row.  The period of an unlazy lift is found once
 per strong component (:meth:`liftmix.lift.Lift.period`).  The sweep
 driver scales the lift degree over a grid, fits the growth of the
 worst-start mixing time against ``log n``, and compares the slope with the
@@ -93,6 +97,15 @@ def _crossings_of(tvs, eps_list):
     return crossings, reached
 
 
+def _tv(mu, pi, diff):
+    """Total variation between ``mu`` and ``pi``, computed in ``diff`` (which
+    may be ``mu`` itself)."""
+    np.subtract(mu, pi, out=diff)
+    np.abs(diff, out=diff)
+    # what diff.sum() runs, without its Python wrapper
+    return 0.5 * float(np.add.reduce(diff, axis=None))
+
+
 def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
                  t_cap=10_000, early_stop=True):
     """Exact TV-to-stationarity curve of the lazy walk from one start state.
@@ -117,29 +130,35 @@ def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
     if not 0 <= start < lift.n_states:
         raise AnalysisError(f"start state {start} out of range")
 
-    pi = lift_stationary(lift).reshape(-1)
-    mu = np.zeros(lift.n_states)
-    mu[start] = 1.0
+    # lift_stationary puts pi_v / n on every state of fiber v: one column
+    # broadcast over the fibers gives the same TV without a state-sized pi
+    pi = (lift.base.stationary.as_array() / lift.n)[:, None]
+    mu = np.zeros((lift.base.n_vertices, lift.n))
+    mu[lift.split(start)] = 1.0
+    nxt = np.empty_like(mu)
+    diff = np.empty_like(mu)
     eps_min = min(eps_list)
 
     # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
     periodic = alpha <= 0.0 and lift.period(start) > 1
-    tvs = [0.5 * float(np.abs(mu - pi).sum())]
+    tvs = [_tv(mu, pi, diff)]
     # The average of mu_0 with itself at t=0 is mu_0.
     avg_tvs = tvs[:1] if periodic else []
     t = 0
     while t < t_cap:
-        nxt = apply_kernel(lift, mu, alpha=alpha)
+        apply_kernel(lift, mu, alpha=alpha, out=nxt)
         t += 1
-        tv = 0.5 * float(np.abs(nxt - pi).sum())
+        tv = _tv(nxt, pi, diff)
         if tv > tvs[-1] + PROPAGATION_TOL:
             raise AnalysisError(
                 f"TV increased at step {t}: {tvs[-1]!r} -> {tv!r}"
             )
         tvs.append(tv)
         if periodic:
-            avg_tvs.append(0.5 * float(np.abs(0.5 * (mu + nxt) - pi).sum()))
-        mu = nxt
+            np.add(mu, nxt, out=diff)
+            diff *= 0.5
+            avg_tvs.append(_tv(diff, pi, diff))
+        mu, nxt = nxt, mu
         if early_stop and (avg_tvs if periodic else tvs)[-1] <= eps_min:
             break
     mass_drift = abs(float(mu.sum()) - 1.0)
@@ -213,7 +232,8 @@ def worst_and_best_case(lift, alpha=None, eps=0.25, starts="all", rng=None,
     per_start = {}
     for s in states:
         curve = mixing_curve(lift, s, alpha=alpha, eps_list=(eps,), t_cap=t_cap)
-        per_start[s] = curve.crossings[eps]
+        # a periodic curve's raw TV never settles; its averaged sibling does
+        per_start[s] = (curve.averaged or curve).crossings[eps]
     reached = {s: t for s, t in per_start.items() if t is not None}
     exact = exhaustive and len(reached) == len(per_start)
     if reached:
@@ -505,10 +525,12 @@ def projection_identity_check(lift, start, t_max, alpha=None):
     p0 = transition_matrix(g, alpha=a)
     mu = np.zeros(lift.n_states)
     mu[start] = 1.0
+    nxt = np.empty_like(mu)
     base_mu = project_distribution(lift, mu)
-    worst = float(np.abs(project_distribution(lift, mu) - base_mu).max())
+    worst = 0.0  # at t = 0 the base distribution is the fiber-sum itself
     for _ in range(t_max):
-        mu = apply_kernel(lift, mu, alpha=a)
+        apply_kernel(lift, mu, alpha=a, out=nxt)
+        mu, nxt = nxt, mu
         base_mu = base_mu @ p0
         dev = float(np.abs(project_distribution(lift, mu) - base_mu).max())
         worst = max(worst, dev)

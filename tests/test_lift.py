@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from liftmix import (
+    AnalysisError,
     GraphError,
     Lift,
     apply_kernel,
@@ -107,6 +108,23 @@ def test_apply_kernel_matches_dense_matrix(asym_theta):
     # alpha override changes laziness
     p0 = lift_transition_matrix(lift, alpha=0.0)
     assert np.allclose(apply_kernel(lift, mu, alpha=0.0), mu @ p0, atol=1e-14)
+
+
+def test_apply_kernel_rejects_an_out_that_overlaps_mu(asym_theta):
+    # the gathers read mu while out is written, so a shared buffer would
+    # feed half-stepped mass back into the step
+    lift = _uniform(asym_theta, 4, seed=1)
+    size = lift.n_states
+    buf = np.full(2 * size, 1.0 / size)
+    mu = buf[:size]
+    for out in (mu, buf[size // 2:size // 2 + size]):
+        with pytest.raises(AnalysisError, match="overlap"):
+            apply_kernel(lift, mu, out=out)
+    with pytest.raises(AnalysisError, match="shape"):
+        apply_kernel(lift, mu, out=np.empty((2, size)))
+    out = buf[size:]
+    assert apply_kernel(lift, mu, out=out) is out
+    assert np.array_equal(out, apply_kernel(lift, mu))
 
 
 def test_apply_kernel_to_function_is_the_adjoint(asym_theta):

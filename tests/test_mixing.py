@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
     Lift,
+    apply_kernel,
+    check_assumptions,
     conductance_proxy,
     cutoff_sweep,
     entropy,
@@ -20,8 +23,9 @@ from liftmix import (
     transition_matrix,
     worst_and_best_case,
 )
+from liftmix.mixing import DEFAULT_EPS_LIST
 
-from conftest import THETA3_TEXT
+from conftest import THETA3_TEXT, random_graph_with_dead_orientations
 
 
 def _lift8(theta3):
@@ -127,6 +131,20 @@ def test_worst_best_unreached_cap(theta3):
     wb = worst_and_best_case(lift, eps=0.01, starts="all", t_cap=2)
     assert wb.t_max is None
     assert wb.argmax is None
+
+
+def test_worst_best_reads_the_averaged_curves_of_periodic_lifts(theta3):
+    # the unlazy walk on a theta3 lift is bipartite: the raw TV plateaus at
+    # 1/2, so reading the raw crossings left every start unreached
+    lift = _lift8(theta3)
+    wb = worst_and_best_case(lift, alpha=0.0, eps=0.25, t_cap=200)
+    averaged = {s: mixing_curve(lift, s, alpha=0.0, eps_list=(0.25,), t_cap=200)
+                .averaged.crossings[0.25] for s in range(lift.n_states)}
+    assert wb.per_start == averaged
+    assert wb.per_start[0] == 4
+    assert wb.exact
+    assert (wb.t_max, wb.t_min) == (7, 4)
+    assert (wb.argmax, wb.argmin) == (4, 0)
 
 
 def test_worst_best_policy_validation(theta3):
@@ -294,3 +312,86 @@ def test_projected_step_equals_base_step(theta3):
     base = np.zeros(2)
     base[0] = 1.0
     assert np.allclose(folded, base @ transition_matrix(theta3), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the buffered step and TV loop against the allocating reference
+# ---------------------------------------------------------------------------
+#
+# The two functions below step and measure the way the walk is written down:
+# every step allocates its result, every TV its difference, against the
+# state-sized stationary law.  They are the reference for apply_kernel's
+# out= and for mixing_curve, which keeps two swapped distributions and one
+# difference buffer and must reproduce them bit for bit.
+
+
+def _allocating_step(lift, mu, alpha):
+    m = np.asarray(mu).reshape(lift.base.n_vertices, lift.n)
+    out = alpha * m
+    lazy = 1.0 - alpha
+    for k, u, v, w in lift.moves:
+        out[v] += (lazy * w) * m[u][lift.maps[k ^ 1]]
+    return out.reshape(np.shape(mu))
+
+
+def _allocating_curve(lift, start, alpha, eps_min, t_cap):
+    """``(tv, averaged tv or None, mass drift)`` with an early stop at
+    ``eps_min``."""
+    pi = lift_stationary(lift).reshape(-1)
+    mu = np.zeros(lift.n_states)
+    mu[start] = 1.0
+    periodic = alpha <= 0.0 and lift.period(start) > 1
+    tvs = [0.5 * float(np.abs(mu - pi).sum())]
+    avg_tvs = tvs[:1] if periodic else []
+    t = 0
+    while t < t_cap:
+        nxt = _allocating_step(lift, mu, alpha)
+        t += 1
+        tvs.append(0.5 * float(np.abs(nxt - pi).sum()))
+        if periodic:
+            avg_tvs.append(0.5 * float(np.abs(0.5 * (mu + nxt) - pi).sum()))
+        mu = nxt
+        if (avg_tvs if periodic else tvs)[-1] <= eps_min:
+            break
+    return tvs, avg_tvs if periodic else None, abs(float(mu.sum()) - 1.0)
+
+
+def _first_crossings(tvs, eps_list):
+    return {eps: next((t for t, tv in enumerate(tvs) if tv <= eps), None)
+            for eps in eps_list}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.just(THETA3_TEXT), random_graph_with_dead_orientations()),
+       st.integers(1, 90), st.integers(0, 2**16), st.sampled_from([0.0, 0.25, 0.5]),
+       st.integers(0, 2**16))
+@example(THETA3_TEXT, 8, 0, 0.0, 0)  # periodic: theta3 at holding 0
+def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, alpha,
+                                                               start):
+    g = parse_graph(text)
+    if not check_assumptions(g).a1_irreducible:
+        return  # the stationary law, and so the TV, needs one closed class
+    rng = np.random.default_rng(seed)
+    lift = generate_uniform_lift(g, n, rng)
+    start %= lift.n_states
+
+    mu = rng.dirichlet(np.ones(lift.n_states))
+    for shape in (mu.shape, (g.n_vertices, n)):
+        m = mu.reshape(shape)
+        out = np.empty(shape)
+        assert apply_kernel(lift, m, alpha=alpha, out=out) is out
+        assert np.array_equal(out, apply_kernel(lift, m, alpha=alpha))
+        assert np.array_equal(out, _allocating_step(lift, m, alpha))
+
+    t_cap = 60
+    curve = mixing_curve(lift, start, alpha=alpha, t_cap=t_cap)
+    tvs, avg_tvs, drift = _allocating_curve(lift, start, alpha,
+                                            min(DEFAULT_EPS_LIST), t_cap)
+    assert np.array_equal(curve.tv, tvs)
+    assert curve.crossings == _first_crossings(tvs, DEFAULT_EPS_LIST)
+    assert curve.mass_drift == drift
+    assert curve.periodic == (avg_tvs is not None)
+    if avg_tvs is not None:
+        assert np.array_equal(curve.averaged.tv, avg_tvs)
+        assert curve.averaged.crossings == _first_crossings(avg_tvs, DEFAULT_EPS_LIST)
+        assert curve.averaged.mass_drift == drift

@@ -12,7 +12,8 @@ of CLI calls on that tree and on the working tree's ``src/``:
   ``sweep`` and ``analyze`` on the seed-0 analyze batch with its
   known-defect probe), at seed 0;
 * ``mix --alpha 0`` on theta3 with ``n = 8`` (a periodic lift, so it also
-  writes ``curve_averaged.csv``);
+  writes ``curve_averaged.csv``), and ``sweep --alpha 0`` on theta3, whose
+  rows are the crossings of the averaged curves;
 * ``validate``, ``analyze``, ``spectrum``, ``lift`` and ``mix`` on every
   demo graph, and ``validate`` on the analyze batch;
 * ``cover-sim`` on every demo graph at its own holding probability and at
@@ -152,6 +153,9 @@ def calls(batch, rejected):
          "--workers", "1", *out],
         ["mix", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "8", "--alpha", "0",
          *out],
+        ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--alpha", "0",
+         "--n", "64,256,1024", "--seeds", "2", "--starts", "sample:2",
+         "--master-seed", "0", "--workers", "1", *out],
     ]
     for fname in sorted(os.listdir(DEMO_GRAPHS)):
         g = os.path.join(DEMO_GRAPHS, fname)
