@@ -51,7 +51,7 @@ from .lift import (
     lift_to_json,
     spectrum_inheritance_check,
 )
-from .mixing import _pool_map, _pool_size, _select_starts, cutoff_sweep, mixing_curve
+from .mixing import _pool_map, _pool_size, _select_starts, cutoff_sweep, mixing_curves
 from .rng import substream
 
 ENV_OUT_DIR = "LIFTMIX_OUT_DIR"
@@ -490,12 +490,18 @@ def _cmd_mix(args):
                                  seed=args.seed)
     rng = substream(args.seed, "start-sample", args.n, 0)
     states, exhaustive = _select_starts(lift, args.starts, rng)
-    curves = {}
-    for idx, s in enumerate(states):
-        curves[s] = mixing_curve(lift, s, alpha=alpha, eps_list=eps_list,
-                                 t_cap=args.t_cap)
-        if (idx + 1) % 50 == 0 or idx + 1 == len(states):
-            _progress(f"start {idx + 1}/{len(states)} done")
+    last = 0
+
+    def _report(done):
+        # a line per 50 starts, at the end of the block that passes them
+        nonlocal last
+        if done // 50 > last // 50 or done == len(states):
+            _progress(f"start {done}/{len(states)} done")
+        last = done
+
+    curves = dict(zip(states, mixing_curves(lift, states, alpha=alpha,
+                                            eps_list=eps_list, t_cap=args.t_cap,
+                                            progress=_report)))
 
     def _rank(state):
         # a periodic curve mixes only on average, so it ranks by that curve

@@ -224,20 +224,23 @@ def _check_alpha(lift, alpha):
 def apply_kernel(lift, mu, alpha=None, out=None):
     """One lazy-walk step applied to a distribution on the lift.
 
-    ``mu`` has shape ``(n_vertices, n)`` (or flat ``n_states``); the result
-    has the same shape.  Pure gathers, no renormalization: mass moving along
-    ``k`` lands on ``(v, maps[k][i])``, so fiber ``v`` reads ``maps[k ^ 1]``.
+    ``mu`` has shape ``(n_vertices, n)`` (or flat ``n_states``), or ``(k,
+    n_vertices, n)`` for a block of ``k`` distributions stepped together;
+    the result has the same shape.  Pure gathers, no renormalization: mass
+    moving along ``k`` lands on ``(v, maps[k][i])``, so fiber ``v`` reads
+    ``maps[k ^ 1]``.  Each row of a block comes out exactly as if it were
+    stepped alone.
 
     ``out``, when given, receives the step and is returned.  It has the
     shape of ``mu`` and must not overlap it, because the gathers read ``mu``
     while ``out`` is written.  The result is the same with or without it:
-    each gather lands in one fiber-sized scratch row and is scaled and added
-    in place, in the order of the allocating expression
+    each gather lands in one ``(k, n)`` scratch array and is scaled and
+    added in place, in the order of the allocating expression
     ``out[v] += (lazy * w) * m[u][maps[k ^ 1]]``.
     """
     alpha = _check_alpha(lift, alpha)
     arr = np.asarray(mu)
-    m = arr.reshape(lift.base.n_vertices, lift.n)
+    m = arr.reshape(-1, lift.base.n_vertices, lift.n)
     if out is None:
         res = alpha * m
     else:
@@ -250,17 +253,17 @@ def apply_kernel(lift, mu, alpha=None, out=None):
     if m.dtype != res.dtype:
         m = m.astype(res.dtype)  # an integer mu is gathered in floating point
     lazy = 1.0 - alpha
-    scratch = np.empty(lift.n, dtype=res.dtype)
+    scratch = np.empty((len(m), lift.n), dtype=res.dtype)
     for k, u, v, w in lift.moves:
         # the method, not np.take, whose wrapper costs more than a small
         # gather; "clip" because under "raise" take buffers out, and the
         # maps are permutations, so nothing is ever clipped
-        m[u].take(lift.maps[k ^ 1], out=scratch, mode="clip")
+        m[:, u].take(lift.maps[k ^ 1], axis=-1, out=scratch, mode="clip")
         scratch *= lazy * w
-        # add through a view: ``res[v] += scratch`` also assigns the row
-        # back onto itself, a second pass over it
-        row = res[v]
-        row += scratch
+        # add through a view: ``res[:, v] += scratch`` also assigns the
+        # rows back onto themselves, a second pass over them
+        rows = res[:, v]
+        rows += scratch
     return res.reshape(arr.shape) if out is None else out
 
 

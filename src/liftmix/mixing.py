@@ -4,15 +4,22 @@ Total-variation distance to stationarity is propagated exactly (dense
 distribution vectors, no renormalization; each step is one gather per
 positive-weight oriented edge through the lift's fiber maps, see
 :func:`liftmix.lift.apply_kernel`), so the reported mixing times are
-deterministic given the lift.  A curve owns its buffers: two distributions
-that swap roles each step, written by ``apply_kernel(..., out=)``, and one
-buffer in which every TV, the averaged one included, is evaluated against
-the per-vertex stationary column.  A step allocates nothing larger than
-the kernel's fiber-sized scratch row.  The period of an unlazy lift is found once
-per strong component (:meth:`liftmix.lift.Lift.period`).  The sweep
-driver scales the lift degree over a grid, fits the growth of the
-worst-start mixing time against ``log n``, and compares the slope with the
-reciprocal entropy rate of the base graph.
+deterministic given the lift.  :func:`mixing_curves` propagates the starts
+of one lift together, in blocks of ``max(1, _BLOCK_DOUBLES // n_states)``
+rows: a fixed budget of 2**15 doubles (256 KB) per buffer, so a block stays
+in cache and a lift larger than the budget runs one start per block.  The
+block owns its buffers: two distribution blocks that swap roles each step,
+written by ``apply_kernel(..., out=)``, and one in which every TV, the
+averaged one included, is evaluated row by row against the per-vertex
+stationary column.  Each start keeps its own checks, early stop, mass drift
+and crossings, and its curve is the same bit for bit as if it were
+propagated alone; :func:`mixing_curve` is the one-start call.  A step
+allocates nothing larger than the kernel's ``(k, n)`` scratch array.  The
+period of an unlazy lift is found once per strong component
+(:meth:`liftmix.lift.Lift.period`).  The sweep driver scales the lift
+degree over a grid, fits the growth of the worst-start mixing time against
+``log n``, and compares the slope with the reciprocal entropy rate of the
+base graph.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .analyzer import entropy
 from .base_graph import parse_graph, transition_matrix
 from .errors import AnalysisError
 from .lift import (
+    _check_alpha,
     apply_kernel,
     apply_kernel_to_function,
     generate_uniform_lift,
@@ -42,6 +50,10 @@ PROPAGATION_TOL = 1e-12
 #: Largest state count enumerated exhaustively by worst-start search.
 EXHAUSTIVE_START_CAP = 20_000
 DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
+#: Doubles in each block buffer of :func:`mixing_curves` (256 KB): a lift
+#: propagates ``max(1, _BLOCK_DOUBLES // n_states)`` starts together, so a
+#: block stays in cache and a lift larger than this runs one start at a time.
+_BLOCK_DOUBLES = 1 << 15
 
 
 def _pool_size(workers, n_items):
@@ -97,86 +109,145 @@ def _crossings_of(tvs, eps_list):
     return crossings, reached
 
 
-def _tv(mu, pi, diff):
-    """Total variation between ``mu`` and ``pi``, computed in ``diff`` (which
-    may be ``mu`` itself)."""
+def _tvs(mu, pi, diff):
+    """Total variation between each row of the block ``mu`` and ``pi``, as a
+    list, computed in ``diff`` (which may be ``mu`` itself)."""
     np.subtract(mu, pi, out=diff)
     np.abs(diff, out=diff)
-    # what diff.sum() runs, without its Python wrapper
-    return 0.5 * float(np.add.reduce(diff, axis=None))
+    # one pairwise sum per row, the same one a single row's diff.sum() runs
+    return (0.5 * np.add.reduce(diff.reshape(len(diff), -1), axis=1)).tolist()
 
 
 def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
                  t_cap=10_000, early_stop=True):
-    """Exact TV-to-stationarity curve of the lazy walk from one start state.
+    """Exact TV-to-stationarity curve of the lazy walk from one start state:
+    ``mixing_curves(lift, [start], ...)[0]``."""
+    return mixing_curves(lift, [start], alpha=alpha, eps_list=eps_list,
+                         t_cap=t_cap, early_stop=early_stop)[0]
 
-    ``start`` is a flat state index.  Propagation stops once every
-    threshold in ``eps_list`` has been crossed (unless ``early_stop`` is
-    off) or at ``t_cap`` steps.  TV monotonicity is asserted at every step;
-    a violation would indicate a propagation bug.  When the chain is
-    periodic and unlazy, the raw TV never settles; the returned curve then
-    carries a two-step averaged sibling whose thresholds are meaningful,
-    and the early stop watches that averaged curve instead.
+
+def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
+                  t_cap=10_000, early_stop=True, progress=None):
+    """Exact TV-to-stationarity curves of the lazy walk, one per start.
+
+    ``starts`` are flat state indices; the curves come back in their order.
+    Each curve's propagation stops once every threshold in ``eps_list`` has
+    been crossed (unless ``early_stop`` is off) or at ``t_cap`` steps.  TV
+    monotonicity is asserted at every step and mass conservation at the
+    stop; a violation would indicate a propagation bug, and raises the error
+    of the first start, in start order, whose curve fails.  When the chain
+    is periodic and unlazy from a start, the raw TV never settles; that
+    curve then carries a two-step averaged sibling whose thresholds are
+    meaningful, and its early stop watches the averaged curve instead.
+
+    The starts are propagated together, in blocks of
+    ``max(1, _BLOCK_DOUBLES // n_states)``; every curve is the same, bit for
+    bit, as if its start were propagated alone.  ``progress``, when given,
+    is called with the number of curves done after each block.
     """
-    if alpha is None:
-        alpha = lift.base.alpha
+    alpha = _check_alpha(lift, alpha)
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list or not all(0.0 < e < 1.0 for e in eps_list):
         raise AnalysisError("thresholds must lie strictly between 0 and 1")
     t_cap = int(t_cap)
     if t_cap < 0:
         raise AnalysisError("t_cap must be nonnegative")
-    start = int(start)
-    if not 0 <= start < lift.n_states:
-        raise AnalysisError(f"start state {start} out of range")
+    starts = [int(s) for s in starts]
+    for s in starts:
+        if not 0 <= s < lift.n_states:
+            raise AnalysisError(f"start state {s} out of range")
 
     # lift_stationary puts pi_v / n on every state of fiber v: one column
     # broadcast over the fibers gives the same TV without a state-sized pi
     pi = (lift.base.stationary.as_array() / lift.n)[:, None]
-    mu = np.zeros((lift.base.n_vertices, lift.n))
-    mu[lift.split(start)] = 1.0
-    nxt = np.empty_like(mu)
-    diff = np.empty_like(mu)
-    eps_min = min(eps_list)
+    size = max(1, min(len(starts), _BLOCK_DOUBLES // lift.n_states))
+    buffers = [np.empty((size, lift.base.n_vertices, lift.n)) for _ in range(3)]
+    curves = []
+    for b in range(0, len(starts), size):
+        curves += _block_curves(lift, starts[b:b + size], alpha, eps_list,
+                                t_cap, early_stop, pi, buffers)
+        if progress is not None:
+            progress(len(curves))
+    return curves
 
+
+def _block_curves(lift, starts, alpha, eps_list, t_cap, early_stop, pi, buffers):
+    """The curves of one block of starts, propagated together.
+
+    ``buffers`` holds two distribution blocks that swap roles each step and
+    one difference block.  The rows still stepping occupy the leading slots:
+    when rows stop, the others move up, so a step never works on a row that
+    has stopped.
+    """
+    mu, nxt, diff = buffers
+    k = len(starts)
+    mu[:k] = 0.0
+    for r, s in enumerate(starts):
+        mu[(r, *lift.split(s))] = 1.0
     # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
-    periodic = alpha <= 0.0 and lift.period(start) > 1
-    tvs = [_tv(mu, pi, diff)]
+    periodic = [alpha <= 0.0 and lift.period(s) > 1 for s in starts]
+    tv0 = _tvs(mu[:k], pi, diff[:k])
+    tvs = [[tv] for tv in tv0]
     # The average of mu_0 with itself at t=0 is mu_0.
-    avg_tvs = tvs[:1] if periodic else []
+    avg_tvs = [[tv] if p else None for tv, p in zip(tv0, periodic)]
+    eps_min = min(eps_list)
+    ends = [None] * k  # per row: (stop step, mass drift), or its error
+    live = list(range(k))  # the rows still stepping, by slot
     t = 0
-    while t < t_cap:
-        apply_kernel(lift, mu, alpha=alpha, out=nxt)
+    while live and t < t_cap:
+        j = len(live)
+        apply_kernel(lift, mu[:j], alpha=alpha, out=nxt[:j])
         t += 1
-        tv = _tv(nxt, pi, diff)
-        if tv > tvs[-1] + PROPAGATION_TOL:
-            raise AnalysisError(
-                f"TV increased at step {t}: {tvs[-1]!r} -> {tv!r}"
-            )
-        tvs.append(tv)
-        if periodic:
-            np.add(mu, nxt, out=diff)
-            diff *= 0.5
-            avg_tvs.append(_tv(diff, pi, diff))
+        step_tvs = _tvs(nxt[:j], pi, diff[:j])
+        if any(periodic[r] for r in live):
+            np.add(mu[:j], nxt[:j], out=diff[:j])
+            diff[:j] *= 0.5
+            step_avg = _tvs(diff[:j], pi, diff[:j])
         mu, nxt = nxt, mu
-        if early_stop and (avg_tvs if periodic else tvs)[-1] <= eps_min:
-            break
-    mass_drift = abs(float(mu.sum()) - 1.0)
-    if mass_drift > PROPAGATION_TOL * max(1, t):
-        raise AnalysisError(f"propagation lost mass: drift {mass_drift:g}")
-    crossings, reached = _crossings_of(tvs, eps_list)
-    averaged = None
-    if periodic:
-        avg_cross, avg_reached = _crossings_of(avg_tvs, eps_list)
-        averaged = TVCurve(
-            tv=np.asarray(avg_tvs), crossings=avg_cross, reached=avg_reached,
-            mass_drift=mass_drift, t_cap=t_cap, periodic=False, averaged=None,
-        )
-    return TVCurve(
-        tv=np.asarray(tvs), crossings=crossings, reached=reached,
-        mass_drift=mass_drift, t_cap=t_cap, periodic=periodic,
-        averaged=averaged,
-    )
+        stopped = []
+        for slot, r in enumerate(live):
+            tv = step_tvs[slot]
+            if tv > tvs[r][-1] + PROPAGATION_TOL:
+                ends[r] = AnalysisError(
+                    f"TV increased at step {t}: {tvs[r][-1]!r} -> {tv!r}"
+                )
+                stopped.append(slot)
+                continue
+            tvs[r].append(tv)
+            if periodic[r]:
+                avg_tvs[r].append(step_avg[slot])
+            if early_stop and (avg_tvs[r] or tvs[r])[-1] <= eps_min:
+                ends[r] = (t, abs(float(mu[slot].sum()) - 1.0))
+                stopped.append(slot)
+        if stopped:
+            kept = [slot for slot in range(j) if slot not in stopped]
+            mu[:len(kept)] = mu[kept]
+            live = [live[slot] for slot in kept]
+    for slot, r in enumerate(live):
+        ends[r] = (t, abs(float(mu[slot].sum()) - 1.0))
+
+    curves = []
+    for r, end in enumerate(ends):
+        if isinstance(end, AnalysisError):
+            raise end
+        t_stop, mass_drift = end
+        if mass_drift > PROPAGATION_TOL * max(1, t_stop):
+            raise AnalysisError(f"propagation lost mass: drift {mass_drift:g}")
+        crossings, reached = _crossings_of(tvs[r], eps_list)
+        averaged = None
+        if periodic[r]:
+            avg_cross, avg_reached = _crossings_of(avg_tvs[r], eps_list)
+            averaged = TVCurve(
+                tv=np.asarray(avg_tvs[r]), crossings=avg_cross,
+                reached=avg_reached, mass_drift=mass_drift, t_cap=t_cap,
+                periodic=False, averaged=None,
+            )
+        curves.append(TVCurve(
+            tv=np.asarray(tvs[r]), crossings=crossings, reached=reached,
+            mass_drift=mass_drift, t_cap=t_cap, periodic=periodic[r],
+            averaged=averaged,
+        ))
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +300,10 @@ def worst_and_best_case(lift, alpha=None, eps=0.25, starts="all", rng=None,
     """Worst- and best-start mixing times at one TV threshold."""
     eps = float(eps)
     states, exhaustive = _select_starts(lift, starts, rng)
-    per_start = {}
-    for s in states:
-        curve = mixing_curve(lift, s, alpha=alpha, eps_list=(eps,), t_cap=t_cap)
-        # a periodic curve's raw TV never settles; its averaged sibling does
-        per_start[s] = (curve.averaged or curve).crossings[eps]
+    curves = mixing_curves(lift, states, alpha=alpha, eps_list=(eps,), t_cap=t_cap)
+    # a periodic curve's raw TV never settles; its averaged sibling does
+    per_start = {s: (curve.averaged or curve).crossings[eps]
+                 for s, curve in zip(states, curves)}
     reached = {s: t for s, t in per_start.items() if t is not None}
     exact = exhaustive and len(reached) == len(per_start)
     if reached:
@@ -302,9 +372,8 @@ def _sweep_cell(args):
     rng = substream(master_seed, "start-sample", n, seed)
     states, _ = _select_starts(lift, starts, rng)
     rows = []
-    for s in states:
-        curve = mixing_curve(lift, s, alpha=alpha, eps_list=eps_list,
-                             t_cap=t_cap)
+    curves = mixing_curves(lift, states, alpha=alpha, eps_list=eps_list, t_cap=t_cap)
+    for s, curve in zip(states, curves):
         # a periodic curve's raw TV never settles; its averaged sibling does
         crossings = (curve.averaged or curve).crossings
         for eps in eps_list:

@@ -457,6 +457,21 @@ def test_mix_bad_eps_list(capsys, theta3_file, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "-0.5"])
+def test_mix_rejects_a_bad_holding_probability_without_a_step(capsys, theta3_file,
+                                                              tmp_path, alpha):
+    # at --t-cap 0 no kernel step runs: 1.5 wrote artifacts, and -0.5
+    # reported a periodic lift
+    code, _, cap = run_cli(capsys, [
+        "mix", "--graph", theta3_file, "--n", "8", "--alpha", alpha,
+        "--t-cap", "0", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert cap.err.startswith(
+        f"liftmix: error: holding probability must lie in [0, 1), got {float(alpha)}")
+    assert not (tmp_path / "x" / "summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

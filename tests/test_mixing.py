@@ -17,15 +17,17 @@ from liftmix import (
     generate_uniform_lift,
     lift_stationary,
     mixing_curve,
+    mixing_curves,
     parse_graph,
     projection_identity_check,
     substream,
     transition_matrix,
     worst_and_best_case,
 )
+from liftmix import mixing
 from liftmix.mixing import DEFAULT_EPS_LIST
 
-from conftest import THETA3_TEXT, random_graph_with_dead_orientations
+from conftest import THETA3_TEXT, bouquet_text, random_graph_with_dead_orientations
 
 
 def _lift8(theta3):
@@ -96,6 +98,13 @@ def test_mixing_curve_input_validation(theta3):
         mixing_curve(lift, 0, eps_list=(0.0,))
     with pytest.raises(AnalysisError):
         mixing_curve(lift, 0, t_cap=-1)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.0, -0.5])
+def test_mixing_curve_checks_alpha_without_a_step(theta3, alpha):
+    # at t_cap = 0 no kernel step runs, and the kernel was the only check
+    with pytest.raises(AnalysisError, match=r"holding probability must lie in \[0, 1\)"):
+        mixing_curve(_lift8(theta3), 0, alpha=alpha, t_cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +343,9 @@ def _allocating_step(lift, mu, alpha):
     return out.reshape(np.shape(mu))
 
 
-def _allocating_curve(lift, start, alpha, eps_min, t_cap):
+def _allocating_curve(lift, start, alpha, eps_min, t_cap, early_stop=True):
     """``(tv, averaged tv or None, mass drift)`` with an early stop at
-    ``eps_min``."""
+    ``eps_min`` unless ``early_stop`` is off."""
     pi = lift_stationary(lift).reshape(-1)
     mu = np.zeros(lift.n_states)
     mu[start] = 1.0
@@ -351,7 +360,7 @@ def _allocating_curve(lift, start, alpha, eps_min, t_cap):
         if periodic:
             avg_tvs.append(0.5 * float(np.abs(0.5 * (mu + nxt) - pi).sum()))
         mu = nxt
-        if (avg_tvs if periodic else tvs)[-1] <= eps_min:
+        if early_stop and (avg_tvs if periodic else tvs)[-1] <= eps_min:
             break
     return tvs, avg_tvs if periodic else None, abs(float(mu.sum()) - 1.0)
 
@@ -395,3 +404,107 @@ def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, al
         assert np.array_equal(curve.averaged.tv, avg_tvs)
         assert curve.averaged.crossings == _first_crossings(avg_tvs, DEFAULT_EPS_LIST)
         assert curve.averaged.mass_drift == drift
+
+
+@st.composite
+def lift_cases(draw):
+    """``(text, n, perms)`` of a lift of a small irreducible graph."""
+    text = draw(st.one_of(st.just(THETA3_TEXT), random_graph_with_dead_orientations()))
+    g = parse_graph(text)
+    if not check_assumptions(g).a1_irreducible:
+        text, g = THETA3_TEXT, parse_graph(THETA3_TEXT)
+    n = draw(st.integers(1, 12))
+    perms = tuple(draw(st.permutations(range(n))) for _ in g.edges)
+    return text, n, perms
+
+
+# one loop whose permutation has the fixed point 0 and the 2-cycle (1 2): at
+# holding 0 start 0 is aperiodic and starts 1 and 2 have period 2, and with
+# eps 0.5 the periodic rows stop at step 1 while the aperiodic one runs on
+MIXED_PERIODS = (bouquet_text(2), 3, ((0, 2, 1),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_cases(), st.sampled_from([0.0, 0.25, 0.5]),
+       st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
+       st.sampled_from([0, 1, 7, 60]), st.booleans(), st.integers(1, 4),
+       st.sampled_from([DEFAULT_EPS_LIST, (0.5,), (0.3, 0.9)]),
+       st.integers(0, 2**16))
+@example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, True, 3, (0.5,), 0)
+@example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6),) * 3), 0.0, [0, 5, 9], 0,
+         True, 2, DEFAULT_EPS_LIST, 0)
+# the two rows stop at steps 21 and 15, and start 2's mass drifts on after
+# its stop: 3.3e-16 there, 6.7e-16 at step 21
+@example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6), (1, 2, 3, 4, 5, 6, 7, 0),
+                           tuple(range(8)))), 0.5, [0, 2], 60, True, 2,
+         DEFAULT_EPS_LIST, 0)
+def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_cap,
+                                                       early_stop, rows, eps_list,
+                                                       seed):
+    text, n, perms = case
+    g = parse_graph(text)
+    lift = Lift(g, n, perms)
+    starts = [s % lift.n_states for s in starts]
+
+    # a block of distributions steps row by row as each one would alone
+    block = np.random.default_rng(seed).dirichlet(np.ones(lift.n_states), size=rows)
+    block = block.reshape(rows, g.n_vertices, n)
+    out = np.empty_like(block)
+    assert apply_kernel(lift, block, alpha=alpha, out=out) is out
+    assert np.array_equal(out, apply_kernel(lift, block, alpha=alpha))
+    for r in range(rows):
+        assert np.array_equal(out[r], apply_kernel(lift, block[r], alpha=alpha))
+        assert np.array_equal(out[r], _allocating_step(lift, block[r], alpha))
+
+    # rows starts per block, so several blocks, whose rows stop at different steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
+        curves = mixing_curves(lift, starts, alpha=alpha, eps_list=eps_list,
+                               t_cap=t_cap, early_stop=early_stop)
+    assert len(curves) == len(starts)
+    for start, curve in zip(starts, curves):
+        tvs, avg_tvs, drift = _allocating_curve(lift, start, alpha, min(eps_list),
+                                                t_cap, early_stop)
+        assert np.array_equal(curve.tv, tvs)
+        assert curve.crossings == _first_crossings(tvs, eps_list)
+        assert curve.mass_drift == drift
+        assert curve.t_cap == t_cap
+        assert curve.periodic == (avg_tvs is not None)
+        if avg_tvs is not None:
+            assert np.array_equal(curve.averaged.tv, avg_tvs)
+            assert curve.averaged.crossings == _first_crossings(avg_tvs, eps_list)
+            assert curve.averaged.mass_drift == drift
+
+
+def test_the_mixed_period_lift_puts_different_stops_in_one_block():
+    # the pinned example above exercises what it claims
+    text, n, perms = MIXED_PERIODS
+    lift = Lift(parse_graph(text), n, perms)
+    curves = mixing_curves(lift, [0, 1, 2], alpha=0.0, eps_list=(0.5,), t_cap=60)
+    assert [c.periodic for c in curves] == [False, True, True]
+    assert [len(c.tv) for c in curves] == [61, 2, 2]
+
+
+@pytest.mark.parametrize("tol, starts", [
+    # start 1 keeps its mass exactly, 3 and 2 drift by 2.2e-16 and 4.4e-16
+    (1e-17, [1, 3, 2, 0, 6]),
+    # every curve fails: start 4's TV at step 15, start 1's already at step 11
+    (-0.02, [4, 1, 5, 0]),
+])
+def test_blocked_curves_raise_the_first_failing_start_in_order(theta3, monkeypatch,
+                                                               tol, starts):
+    lift = _lift8(theta3)
+    monkeypatch.setattr(mixing, "PROPAGATION_TOL", tol)
+    expected = None
+    for s in starts:
+        try:
+            mixing_curve(lift, s)
+        except AnalysisError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None
+    for rows in (1, 2, len(starts)):
+        monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
+        with pytest.raises(AnalysisError) as exc:
+            mixing_curves(lift, starts)
+        assert str(exc.value) == expected

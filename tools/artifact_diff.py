@@ -14,6 +14,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
 * ``mix --alpha 0`` on theta3 with ``n = 8`` (a periodic lift, so it also
   writes ``curve_averaged.csv``), and ``sweep --alpha 0`` on theta3, whose
   rows are the crossings of the averaged curves;
+* ``mix --starts all --alpha 0`` on a lift of the biased cycle with three
+  components, some aperiodic and some of period 2, so one block of starts
+  holds periodic and aperiodic curves that stop at different steps; and a
+  small-``n`` ``sweep --starts sample:8`` on theta3, whose sampled starts
+  share a block and stop at different steps;
 * ``validate``, ``analyze``, ``spectrum``, ``lift`` and ``mix`` on every
   demo graph, and ``validate`` on the analyze batch;
 * ``cover-sim`` on every demo graph at its own holding probability and at
@@ -156,6 +161,12 @@ def calls(batch, rejected):
         ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--alpha", "0",
          "--n", "64,256,1024", "--seeds", "2", "--starts", "sample:2",
          "--master-seed", "0", "--workers", "1", *out],
+        ["mix", "--graph", _graph(DEMO_GRAPHS, "biased_cycle"), "--n", "4",
+         "--alpha", "0", "--starts", "all", "--seed", "0", "--eps", "0.75,0.5,0.9",
+         "--t-cap", "300", *out],
+        ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "16,32,64",
+         "--seeds", "2", "--starts", "sample:8", "--master-seed", "0",
+         "--workers", "1", *out],
     ]
     for fname in sorted(os.listdir(DEMO_GRAPHS)):
         g = os.path.join(DEMO_GRAPHS, fname)
