@@ -434,10 +434,7 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
     graph's own value.  Raises :class:`AnalysisError` when the vertex chain
     is reducible or the cover walk is not transient.
     """
-    if alpha is None:
-        alpha = g.alpha
-    if not 0.0 <= alpha < 1.0:
-        raise AnalysisError(f"holding probability must lie in [0, 1), got {alpha}")
+    alpha = base_graph.holding_probability(g, alpha)
     verdict = g.transience
     if not verdict.transient:
         raise AnalysisError(
@@ -466,7 +463,7 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
         per_level_entropy=h_level,
         escape_speed=s0,
         core_step_fraction=afrac,
-        holding_prob=float(alpha),
+        holding_prob=alpha,
         speed=speed_alpha,
         entropy_rate=rate,
         degenerate=degenerate,
@@ -525,44 +522,3 @@ def predict_mixing_time(report, n, eps):
     return MixingPrediction(
         t_center=t_center, t_lower=t_lower, window_used=True, n=n, eps=eps
     )
-
-
-# ---------------------------------------------------------------------------
-# CLT parameters of additive functionals
-# ---------------------------------------------------------------------------
-
-
-def chain_clt_params(kernel, f, stationary=None):
-    """Mean and variances of an additive functional of a finite chain.
-
-    Returns ``(mean, var_iid, var_asymptotic)`` where ``var_iid`` ignores
-    correlations and ``var_asymptotic`` solves the associated Poisson
-    equation ``(I - P) g = f - mean`` by least squares (the minimum-norm
-    solution; the result is invariant to the additive constant and the
-    solve is well posed even for periodic chains).  Raises
-    :class:`AnalysisError` for a reducible kernel.
-    """
-    p = np.asarray(kernel, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise AnalysisError("kernel must be a square matrix")
-    n = p.shape[0]
-    rowsums = p.sum(axis=1)
-    if np.max(np.abs(rowsums - 1.0)) > 1e-9:
-        raise AnalysisError("kernel rows must sum to one")
-    if base_graph.strong_components(n, *np.nonzero(p > 0.0))[0] != 1:
-        raise AnalysisError("kernel is reducible; CLT parameters undefined")
-    if stationary is None:
-        pi, residual = solve_stationary(p)
-        if residual > RAY_STATIONARY_TOL:
-            raise AnalysisError(f"stationary residual {residual:.3e}")
-    else:
-        pi = np.asarray(stationary, dtype=float)
-    f = np.asarray(f, dtype=float)
-    mean = float(np.dot(pi, f))
-    fbar = f - mean
-    var_iid = float(np.dot(pi, fbar**2))
-    gsol, *_ = np.linalg.lstsq(np.eye(n) - p, fbar, rcond=None)
-    var_asym = var_iid + 2.0 * float(np.dot(pi, fbar * (p @ gsol)))
-    if var_asym < -1e-10:
-        raise AnalysisError("asymptotic variance came out negative")
-    return mean, var_iid, max(var_asym, 0.0)

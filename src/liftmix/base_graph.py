@@ -5,7 +5,8 @@ in which every edge carries one weight per orientation and, at each vertex,
 the outgoing orientation weights sum to one.  A loop contributes both of its
 orientations to its vertex's outgoing sum.  The random walk either holds
 with probability ``alpha`` or moves along an outgoing orientation picked
-proportionally to its weight.
+proportionally to its weight; every layer resolves and checks ``alpha``
+through :func:`holding_probability`.
 
 Oriented edges are indexed ``2*j`` (the file orientation ``u -> v`` of edge
 ``j``, printed ``<id>+``) and ``2*j + 1`` (the reverse, printed ``<id>-``);
@@ -205,11 +206,6 @@ class WeightedMultigraph:
     def digest(self):
         """Hex digest of the canonical text form."""
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
-
-
-def inverse_oriented(k):
-    """Index of the reverse orientation of oriented edge ``k``."""
-    return k ^ 1
 
 
 # ---------------------------------------------------------------------------
@@ -598,22 +594,6 @@ def _bfs_levels(n_nodes, tails, heads, sources):
     return level
 
 
-def arc_period(n_nodes, tails, heads, start):
-    """Period of the closed walks through ``start`` in a digraph given by arcs.
-
-    Finds BFS levels from ``start``, then takes the gcd of ``level[u] + 1 -
-    level[v]`` over the arcs ``u -> v`` whose tail is reached.  The result
-    is the period of ``start``'s class when everything reachable from
-    ``start`` lies in that class; 1 when no closed walk is reachable.
-    """
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
-    level = _bfs_levels(n_nodes, tails, heads, [start])
-    inside = level[tails] >= 0
-    period = int(np.gcd.reduce(level[tails[inside]] + 1 - level[heads[inside]]))
-    return period if period > 0 else 1
-
-
 def component_periods(n_components, labels, tails, heads):
     """Periods of the strong components ``labels`` of a digraph given by arcs.
 
@@ -685,13 +665,19 @@ class StationaryDistribution:
         return np.array(self.probs, dtype=np.float64)
 
 
-def transition_matrix(g, alpha=None):
-    """Dense vertex transition matrix at holding probability ``alpha``.
+def holding_probability(g, alpha=None):
+    """The holding probability ``alpha`` as a float, or ``g.alpha`` when it is
+    None.  Raises :class:`AnalysisError` unless it lies in ``[0, 1)``."""
+    alpha = g.alpha if alpha is None else float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise AnalysisError(f"holding probability must lie in [0, 1), got {alpha}")
+    return alpha
 
-    ``alpha=None`` uses the graph's own value.
-    """
-    if alpha is None:
-        alpha = g.alpha
+
+def transition_matrix(g, alpha=None):
+    """Dense vertex transition matrix at holding probability ``alpha``
+    (:func:`holding_probability`)."""
+    alpha = holding_probability(g, alpha)
     n = g.n_vertices
     mat = np.zeros((n, n))
     np.add.at(mat, (g.oriented_init, g.oriented_end), (1.0 - alpha) * g.oriented_weight)

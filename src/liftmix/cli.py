@@ -32,7 +32,7 @@ from .analyzer import (
     FIRST_PASSAGE_TOL,
     entropy,
 )
-from .base_graph import parse_graph, validate_graph
+from .base_graph import holding_probability, parse_graph, validate_graph
 from .cover import (
     ExcursionStats,
     _confirmed_ray,
@@ -308,13 +308,14 @@ def _cover_trial(packed):
                          warn_recurrent=False)
     # the excursions and the localization profile read one confirmed ray
     times, ray_labels = _confirmed_ray(traj, margin)
-    stats = _excursions(report, e_star, times, ray_labels, min_count=30)
-    counts, n_samples = _localization_counts(traj, ray_labels, r_max, max_samples=5000)
+    stats = _excursions(report, e_star, times, ray_labels)
+    counts, n_samples = _localization_counts(traj, ray_labels, r_max)
     return {
         "trial": trial,
         "durations": stats.durations,
         "increments": stats.log_weight_increments,
         "levels": stats.level_increments,
+        "degenerate": stats.degenerate,
         "n_excursions": stats.n,
         "final_height": int(traj.heights[-1]) if len(traj) else 0,
         "counts": counts,
@@ -328,7 +329,7 @@ def _cmd_cover_sim(args):
     if args.r_max < 0:
         raise AnalysisError("r_max must be nonnegative")
     g = _load_graph(args.graph)
-    alpha = g.alpha if args.alpha is None else float(args.alpha)
+    alpha = holding_probability(g, args.alpha)
     report = entropy(g, alpha=alpha)
     root = args.root if args.root is not None else g.vertices[0]
     if root not in g.vertex_index:
@@ -370,7 +371,7 @@ def _cmd_cover_sim(args):
         log_weight_increments=increments,
         level_increments=levels,
         e_star=e_star,
-        degenerate=bool((increments <= 1e-9).all()),
+        degenerate=all(r["degenerate"] for r in results),
     )
     est = estimate_clt_params(pooled)
     sp = estimate_speed(pooled)
@@ -475,9 +476,9 @@ def _cmd_lift(args):
 
 def _cmd_mix(args):
     g = _load_graph(args.graph)
-    alpha = g.alpha if args.alpha is None else float(args.alpha)
     eps_list = _parse_eps_list(args.eps)
     eps_primary = eps_list[0]
+    alpha = holding_probability(g, args.alpha)
     run = _Run("mix", g, {
         "n": args.n,
         "seed": args.seed,
@@ -504,9 +505,7 @@ def _cmd_mix(args):
                                             progress=_report)))
 
     def _rank(state):
-        # a periodic curve mixes only on average, so it ranks by that curve
-        curve = curves[state]
-        t = (curve.averaged if curve.periodic else curve).crossings[eps_primary]
+        t = curves[state].mixing_crossings[eps_primary]
         return (math.inf if t is None else t, -state)
 
     worst_state = max(states, key=_rank)
@@ -520,7 +519,7 @@ def _cmd_mix(args):
 
     per_start = {
         str(s): {
-            _fmt_eps(e): curves[s].crossings[e] for e in eps_list
+            _fmt_eps(e): curves[s].mixing_crossings[e] for e in eps_list
         }
         for s in states
     }
@@ -564,11 +563,11 @@ def _cmd_mix(args):
 
 def _cmd_sweep(args):
     g = _load_graph(args.graph)
-    alpha = g.alpha if args.alpha is None else float(args.alpha)
     eps_list = _parse_eps_list(args.eps)
     n_grid = _parse_n_list(args.n)
     eps_primary = 0.25 if 0.25 in eps_list else eps_list[0]
     workers = _resolve_workers(args)
+    alpha = holding_probability(g, args.alpha)
     run = _Run("sweep", g, {
         "n_grid": list(n_grid),
         "alpha": alpha,
@@ -640,9 +639,9 @@ def _cmd_sweep(args):
 
 def _cmd_spectrum(args):
     g = _load_graph(args.graph)
-    alpha = g.alpha if args.alpha is None else float(args.alpha)
     lift = generate_uniform_lift(g, args.n, substream(args.seed, "lift", args.n, 0),
                                  seed=args.seed)
+    alpha = holding_probability(g, args.alpha)
     chk = spectrum_inheritance_check(lift, alpha=alpha)
     return {
         "eigenvalues": [[z.real, z.imag] for z in chk.eigenvalues],

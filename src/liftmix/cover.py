@@ -8,8 +8,8 @@ label (a "down" move, i.e. traversing the reverse of the previous edge).
 
 This module simulates the lazy walk on the cover, extracts the escape ray
 from a finite trajectory by last-exit decomposition, evaluates the
-probability that a given cover vertex lies on the ray (its *entropic
-weight*), and estimates the entropy rate, speed, and CLT spread from
+log-probability that a given cover vertex lies on the ray (its log
+*entropic weight*), and estimates the entropy rate, speed, and CLT spread from
 excursions between ray renewals.  The functions that need the ray's law
 take it as ``ray``, an object with ``graph``, ``exit_prob`` and
 ``edge_freq`` indexed on the oriented edges of ``graph``: for a walk on a
@@ -19,8 +19,7 @@ states the law of its pruned core on ``g``'s own oriented edges.
 Only the walk itself is sequential.  :func:`simulate_walk` draws uniforms in
 blocks of 4096, finds the holds of a block with numpy, and loops over the
 moving draws alone, keeping the label stack; heights are a cumulative sum
-of the moves, and the stopping rules are searched block by block.  The
-rest reads the finished trajectory through two last-exit rules:
+of the moves.  The rest reads the finished trajectory through two last-exit rules:
 
 * the step after the walk's last visit to height ``j - 1`` is a push that
   is never undone, and its label is the ray's label at level ``j``; these
@@ -47,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 
+from .base_graph import holding_probability
 from .errors import AnalysisError
 
 #: Default number of top levels of a trajectory treated as unconfirmed.
@@ -58,6 +58,10 @@ MOVE_HOLD = -2
 _NEG_INF = float("-inf")
 #: Uniforms drawn from the generator at a time by :func:`simulate_walk`.
 _BLOCK = 4096
+#: Default least number of excursions an estimate is made from.
+_MIN_EXCURSIONS = 30
+#: Default most steps of one trajectory sampled for the localization profile.
+_MAX_SAMPLES = 5000
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,7 @@ def cover_moves(g, v, alpha=None):
     orientation reversing the last label is a "down" move (pop), every
     other one an "up" move (push).
     """
-    if alpha is None:
-        alpha = g.alpha
-    if not 0.0 <= alpha < 1.0:
-        raise AnalysisError(f"holding probability must lie in [0, 1), got {alpha}")
+    alpha = holding_probability(g, alpha)
     base = cover_vertex_type(g, v)
     if base not in g.vertex_index:
         raise AnalysisError(f"unknown vertex {base!r}")
@@ -132,15 +133,13 @@ class CoverTrajectory:
 
     ``moves[t]`` is the oriented-edge label pushed at step ``t``, or
     ``MOVE_POP`` / ``MOVE_HOLD``; ``heights[t]`` is the height after step
-    ``t``.  ``stopped`` records an early-stop reason (``"root"`` or
-    ``"height"``) when a stopping rule was supplied.
+    ``t``.
     """
 
     root_label: str
     alpha: float
     moves: np.ndarray
     heights: np.ndarray
-    stopped: Optional[str] = None
 
     def __len__(self):
         return len(self.moves)
@@ -177,21 +176,15 @@ def _build_sampler(g, alpha):
     return thresholds, labels
 
 
-def simulate_walk(g, root_label, steps, alpha=None, rng=None, stop_at_root=False,
-                  stop_height=None, warn_recurrent=True):
+def simulate_walk(g, root_label, steps, alpha=None, rng=None, warn_recurrent=True):
     """Simulate the lazy cover walk for ``steps`` steps from a root vertex.
 
     All randomness comes from ``rng`` (a ``numpy.random.Generator``), so
-    trajectories are reproducible per stream.  ``stop_at_root`` ends the
-    walk when it returns to height zero; ``stop_height`` ends it when the
-    given height is first reached.  Emits a warning when the cover walk is
-    known to be recurrent, since escape-based estimators are then
-    meaningless.
+    trajectories are reproducible per stream.  Emits a warning when the
+    cover walk is known to be recurrent, since escape-based estimators are
+    then meaningless.
     """
-    if alpha is None:
-        alpha = g.alpha
-    if not 0.0 <= alpha < 1.0:
-        raise AnalysisError(f"holding probability must lie in [0, 1), got {alpha}")
+    alpha = holding_probability(g, alpha)
     if root_label not in g.vertex_index:
         raise AnalysisError(f"unknown root vertex {root_label!r}")
     steps = int(steps)
@@ -223,7 +216,6 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None, stop_at_root=False
     # (-1 at the root, which no label equals).
     below = []
     pop = -1
-    stopped = None
     t = 0
     while True:
         block = rng.random(_BLOCK)
@@ -246,32 +238,15 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None, stop_at_root=False
                 codes.append(k)
             thr, labs = after[k]
         seg[moving] = codes
-        hseg = heights[t:t + m]
         delta = np.zeros(m, dtype=np.int32)
         delta[moving] = np.where(seg[moving] == MOVE_POP, -1, 1)
         delta[:1] += h0
-        np.cumsum(delta, out=hseg)
-        hit = np.zeros(m, dtype=bool)
-        if stop_at_root:
-            hit |= hseg == 0
-        if stop_height is not None:
-            hit |= hseg == stop_height
-        first = np.flatnonzero(hit)[:1].tolist()
-        if first:
-            i = first[0]
-            stopped = "root" if stop_at_root and hseg[i] == 0 else "height"
-            t += i + 1
-            break
+        np.cumsum(delta, out=heights[t:t + m])
         t += m
         if t >= steps:
             break
-    return CoverTrajectory(
-        root_label=root_label,
-        alpha=float(alpha),
-        moves=moves[:t],
-        heights=heights[:t],
-        stopped=stopped,
-    )
+    return CoverTrajectory(root_label=root_label, alpha=alpha, moves=moves,
+                           heights=heights)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +368,6 @@ def log_entropic_weight(path, ray):
         total = total + inc
         below = k
     return total
-
-
-def entropic_weight(path, ray):
-    """Probability that the cover vertex with this label path is on the ray."""
-    lw = log_entropic_weight(path, ray)
-    return 0.0 if lw == _NEG_INF else math.exp(lw)
 
 
 def log_weight_trace(traj, ray):
@@ -566,7 +535,7 @@ def default_renewal_edge(ray):
 
 
 def excursion_decomposition(traj, ray, e_star=None, margin=DEFAULT_MARGIN,
-                            min_count=30):
+                            min_count=_MIN_EXCURSIONS):
     """Cut a trajectory into excursions between ray renewals.
 
     ``e_star`` is an oriented edge (index or name like ``"e1+"``); by
@@ -582,7 +551,7 @@ def excursion_decomposition(traj, ray, e_star=None, margin=DEFAULT_MARGIN,
     return _excursions(ray, e_star, *_confirmed_ray(traj, margin), min_count)
 
 
-def _excursions(ray, e_star, times, ray_labels, min_count):
+def _excursions(ray, e_star, times, ray_labels, min_count=_MIN_EXCURSIONS):
     """:func:`excursion_decomposition` at the oriented edge index ``e_star``,
     given a trajectory's :func:`_confirmed_ray`."""
     renewals = np.flatnonzero(ray_labels == e_star)
@@ -643,7 +612,7 @@ class CltEstimate:
     cylindrical: bool
 
 
-def estimate_clt_params(stats, min_count=30):
+def estimate_clt_params(stats, min_count=_MIN_EXCURSIONS):
     """Entropy rate and CLT spread from excursion samples."""
     n = stats.n
     if n < min_count:
@@ -757,7 +726,7 @@ def _ray_prefix_lengths(traj, ray_labels, times):
     return prefix[node]
 
 
-def _localization_counts(traj, ray_labels, r_max, max_samples):
+def _localization_counts(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):
     """One trajectory's share of :func:`ray_localization_profile`, given the
     ray's labels at its confirmed levels: how many of its sampled steps lie
     farther than ``r`` from the ray, for ``r = 0 .. r_max``, and how many
@@ -771,7 +740,7 @@ def _localization_counts(traj, ray_labels, r_max, max_samples):
 
 
 def ray_localization_profile(trajs, r_max, margin=DEFAULT_MARGIN,
-                             max_samples_per_traj=5000):
+                             max_samples_per_traj=_MAX_SAMPLES):
     """Tail frequencies of the distance from the walk to its escape ray.
 
     For each trajectory the confirmed ray prefix is extracted; at sampled

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base_graph import component_periods
+from .base_graph import component_periods, holding_probability, transition_matrix
 from .errors import AnalysisError, GraphError
 
 
@@ -212,15 +212,6 @@ def generate_sequential_lift(g, n, rng, seed=None):
     return Lift(base=g, n=n, perms=tuple(perms), seed=seed)
 
 
-def _check_alpha(lift, alpha):
-    if alpha is None:
-        alpha = lift.base.alpha
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise AnalysisError(f"holding probability must lie in [0, 1), got {alpha}")
-    return alpha
-
-
 def apply_kernel(lift, mu, alpha=None, out=None):
     """One lazy-walk step applied to a distribution on the lift.
 
@@ -238,7 +229,7 @@ def apply_kernel(lift, mu, alpha=None, out=None):
     added in place, in the order of the allocating expression
     ``out[v] += (lazy * w) * m[u][maps[k ^ 1]]``.
     """
-    alpha = _check_alpha(lift, alpha)
+    alpha = holding_probability(lift.base, alpha)
     arr = np.asarray(mu)
     m = arr.reshape(-1, lift.base.n_vertices, lift.n)
     if out is None:
@@ -269,7 +260,7 @@ def apply_kernel(lift, mu, alpha=None, out=None):
 
 def apply_kernel_to_function(lift, f, alpha=None):
     """One lazy-walk step applied to a function on the lift (right action)."""
-    alpha = _check_alpha(lift, alpha)
+    alpha = holding_probability(lift.base, alpha)
     arr = np.asarray(f)
     m = arr.reshape(lift.base.n_vertices, lift.n)
     out = alpha * m
@@ -281,7 +272,7 @@ def apply_kernel_to_function(lift, f, alpha=None):
 
 def lift_transition_matrix(lift, alpha=None):
     """Dense transition matrix of the lazy walk on the lift."""
-    alpha = _check_alpha(lift, alpha)
+    alpha = holding_probability(lift.base, alpha)
     size = lift.n_states
     mat = np.zeros((size, size))
     np.fill_diagonal(mat, alpha)
@@ -326,11 +317,7 @@ def spectrum_inheritance_check(lift, alpha=None):
     probability, including eigenvalue -1 on bipartite graphs without
     laziness.  Returns eigenvalues sorted by real part, descending.
     """
-    from .base_graph import transition_matrix
-
-    g = lift.base
-    alpha = _check_alpha(lift, alpha)
-    p0 = transition_matrix(g, alpha=alpha)
+    p0 = transition_matrix(lift.base, alpha=alpha)
     eigvals, eigvecs = np.linalg.eig(p0)
     worst = 0.0
     for idx in range(len(eigvals)):

@@ -16,10 +16,12 @@ and crossings, and its curve is the same bit for bit as if it were
 propagated alone; :func:`mixing_curve` is the one-start call.  A step
 allocates nothing larger than the kernel's ``(k, n)`` scratch array.  The
 period of an unlazy lift is found once per strong component
-(:meth:`liftmix.lift.Lift.period`).  The sweep driver scales the lift
-degree over a grid, fits the growth of the worst-start mixing time against
-``log n``, and compares the slope with the reciprocal entropy rate of the
-base graph.
+(:meth:`liftmix.lift.Lift.period`).  Every mixing time, worst start and
+sweep row is read from :attr:`TVCurve.mixing_crossings`, the two-step
+averaged curve's crossings on a periodic unlazy lift.  The sweep driver
+scales the lift degree over a grid, fits the growth of the worst-start
+mixing time against ``log n``, and compares the slope with the reciprocal
+entropy rate of the base graph.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .analyzer import entropy
-from .base_graph import parse_graph, transition_matrix
+from .base_graph import holding_probability, parse_graph, transition_matrix
 from .errors import AnalysisError
 from .lift import (
-    _check_alpha,
     apply_kernel,
     apply_kernel_to_function,
     generate_uniform_lift,
@@ -54,6 +55,9 @@ DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
 #: propagates ``max(1, _BLOCK_DOUBLES // n_states)`` starts together, so a
 #: block stays in cache and a lift larger than this runs one start at a time.
 _BLOCK_DOUBLES = 1 << 15
+#: Largest relative distance of the fitted slope from ``1 / h`` that
+#: :func:`cutoff_sweep` accepts.
+_SLOPE_TOLERANCE = 0.15
 
 
 def _pool_size(workers, n_items):
@@ -93,6 +97,13 @@ class TVCurve:
     periodic: bool = False
     averaged: Optional["TVCurve"] = None
 
+    @property
+    def mixing_crossings(self):
+        """The crossings that mixing times are read from: those of the
+        averaged curve when there is one (a periodic curve's raw TV never
+        settles), else :attr:`crossings`."""
+        return (self.averaged or self).crossings
+
 
 def _crossings_of(tvs, eps_list):
     arr = np.asarray(tvs)
@@ -118,34 +129,33 @@ def _tvs(mu, pi, diff):
     return (0.5 * np.add.reduce(diff.reshape(len(diff), -1), axis=1)).tolist()
 
 
-def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST,
-                 t_cap=10_000, early_stop=True):
+def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST, t_cap=10_000):
     """Exact TV-to-stationarity curve of the lazy walk from one start state:
     ``mixing_curves(lift, [start], ...)[0]``."""
     return mixing_curves(lift, [start], alpha=alpha, eps_list=eps_list,
-                         t_cap=t_cap, early_stop=early_stop)[0]
+                         t_cap=t_cap)[0]
 
 
 def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
-                  t_cap=10_000, early_stop=True, progress=None):
+                  t_cap=10_000, progress=None):
     """Exact TV-to-stationarity curves of the lazy walk, one per start.
 
     ``starts`` are flat state indices; the curves come back in their order.
     Each curve's propagation stops once every threshold in ``eps_list`` has
-    been crossed (unless ``early_stop`` is off) or at ``t_cap`` steps.  TV
-    monotonicity is asserted at every step and mass conservation at the
-    stop; a violation would indicate a propagation bug, and raises the error
-    of the first start, in start order, whose curve fails.  When the chain
-    is periodic and unlazy from a start, the raw TV never settles; that
-    curve then carries a two-step averaged sibling whose thresholds are
-    meaningful, and its early stop watches the averaged curve instead.
+    been crossed or at ``t_cap`` steps.  TV monotonicity is asserted at
+    every step and mass conservation at the stop; a violation would indicate
+    a propagation bug, and raises the error of the first start, in start
+    order, whose curve fails.  When the chain is periodic and unlazy from a
+    start, the raw TV never settles; that curve then carries a two-step
+    averaged sibling whose thresholds are meaningful, and its early stop
+    watches the averaged curve instead.
 
     The starts are propagated together, in blocks of
     ``max(1, _BLOCK_DOUBLES // n_states)``; every curve is the same, bit for
     bit, as if its start were propagated alone.  ``progress``, when given,
     is called with the number of curves done after each block.
     """
-    alpha = _check_alpha(lift, alpha)
+    alpha = holding_probability(lift.base, alpha)
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list or not all(0.0 < e < 1.0 for e in eps_list):
         raise AnalysisError("thresholds must lie strictly between 0 and 1")
@@ -165,13 +175,13 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     curves = []
     for b in range(0, len(starts), size):
         curves += _block_curves(lift, starts[b:b + size], alpha, eps_list,
-                                t_cap, early_stop, pi, buffers)
+                                t_cap, pi, buffers)
         if progress is not None:
             progress(len(curves))
     return curves
 
 
-def _block_curves(lift, starts, alpha, eps_list, t_cap, early_stop, pi, buffers):
+def _block_curves(lift, starts, alpha, eps_list, t_cap, pi, buffers):
     """The curves of one block of starts, propagated together.
 
     ``buffers`` holds two distribution blocks that swap roles each step and
@@ -216,7 +226,7 @@ def _block_curves(lift, starts, alpha, eps_list, t_cap, early_stop, pi, buffers)
             tvs[r].append(tv)
             if periodic[r]:
                 avg_tvs[r].append(step_avg[slot])
-            if early_stop and (avg_tvs[r] or tvs[r])[-1] <= eps_min:
+            if (avg_tvs[r] or tvs[r])[-1] <= eps_min:
                 ends[r] = (t, abs(float(mu[slot].sum()) - 1.0))
                 stopped.append(slot)
         if stopped:
@@ -301,9 +311,7 @@ def worst_and_best_case(lift, alpha=None, eps=0.25, starts="all", rng=None,
     eps = float(eps)
     states, exhaustive = _select_starts(lift, starts, rng)
     curves = mixing_curves(lift, states, alpha=alpha, eps_list=(eps,), t_cap=t_cap)
-    # a periodic curve's raw TV never settles; its averaged sibling does
-    per_start = {s: (curve.averaged or curve).crossings[eps]
-                 for s, curve in zip(states, curves)}
+    per_start = {s: curve.mixing_crossings[eps] for s, curve in zip(states, curves)}
     reached = {s: t for s, t in per_start.items() if t is not None}
     exact = exhaustive and len(reached) == len(per_start)
     if reached:
@@ -374,10 +382,8 @@ def _sweep_cell(args):
     rows = []
     curves = mixing_curves(lift, states, alpha=alpha, eps_list=eps_list, t_cap=t_cap)
     for s, curve in zip(states, curves):
-        # a periodic curve's raw TV never settles; its averaged sibling does
-        crossings = (curve.averaged or curve).crossings
         for eps in eps_list:
-            t_mix = crossings[eps]
+            t_mix = curve.mixing_crossings[eps]
             rows.append(SweepRow(n=n, seed=seed, start=s, eps=eps,
                                  t_mix=t_mix, reached=t_mix is not None))
     return rows
@@ -385,7 +391,7 @@ def _sweep_cell(args):
 
 def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
                  master_seed=0, starts="sample:5", workers=1, t_cap=None,
-                 eps_primary=0.25, slope_tolerance=0.15):
+                 eps_primary=0.25):
     """Measure worst-start mixing times over a grid of lift degrees.
 
     Computes the base graph's entropy rate first and refuses degenerate
@@ -394,13 +400,13 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     deterministic substreams of ``master_seed``, so results are
     byte-identical regardless of ``workers``.
     """
+    alpha = holding_probability(g, alpha)
     report = entropy(g, alpha=alpha)
     if report.degenerate or report.entropy_rate <= 0.0:
         raise AnalysisError(
             "entropy rate is degenerate; mixing time does not scale like "
             "log n and a sweep would be meaningless"
         )
-    alpha = g.alpha if alpha is None else float(alpha)
     h = report.entropy_rate
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2 or sorted(set(n_grid)) != list(n_grid):
@@ -453,7 +459,7 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     slope_se = math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
     ci = (slope - 1.96 * slope_se, slope + 1.96 * slope_se)
     predicted = 1.0 / h
-    verdict_slope = abs(slope - predicted) <= slope_tolerance * predicted
+    verdict_slope = abs(slope - predicted) <= _SLOPE_TOLERANCE * predicted
 
     # cutoff window: (t(lo) - t(hi)) / t(mid) nonincreasing along the grid
     lo, hi = min(eps_list), max(eps_list)
@@ -589,16 +595,14 @@ def projection_identity_check(lift, start, t_max, alpha=None):
     start = int(start)
     if not 0 <= start < lift.n_states:
         raise AnalysisError(f"start state {start} out of range")
-    g = lift.base
-    a = g.alpha if alpha is None else float(alpha)
-    p0 = transition_matrix(g, alpha=a)
+    p0 = transition_matrix(lift.base, alpha=alpha)
     mu = np.zeros(lift.n_states)
     mu[start] = 1.0
     nxt = np.empty_like(mu)
     base_mu = project_distribution(lift, mu)
     worst = 0.0  # at t = 0 the base distribution is the fiber-sum itself
     for _ in range(t_max):
-        apply_kernel(lift, mu, alpha=a, out=nxt)
+        apply_kernel(lift, mu, alpha=alpha, out=nxt)
         mu, nxt = nxt, mu
         base_mu = base_mu @ p0
         dev = float(np.abs(project_distribution(lift, mu) - base_mu).max())

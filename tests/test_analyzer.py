@@ -23,7 +23,6 @@ from hypothesis import assume, given, settings, strategies as st
 from liftmix import (
     AnalysisError,
     NonConvergenceError,
-    chain_clt_params,
     core,
     entropy,
     is_cover_transient,
@@ -333,48 +332,6 @@ def test_predict_input_validation(theta3, c3b):
         predict_mixing_time(rep, 100, 1.0)
     with pytest.raises(AnalysisError):
         predict_mixing_time(entropy(c3b), 100, 0.25)
-
-
-# ---------------------------------------------------------------------------
-# CLT parameters of additive functionals
-# ---------------------------------------------------------------------------
-
-
-def test_chain_clt_two_state_closed_form():
-    # flip probabilities a = 0.3, b = 0.1: stationary (1/4, 3/4),
-    # autocorrelation rho = 1 - a - b = 0.6,
-    # asymptotic variance = iid variance * (1 + rho) / (1 - rho)
-    kernel = np.array([[0.7, 0.3], [0.1, 0.9]])
-    f = np.array([1.0, 0.0])
-    mean, var_iid, var_asym = chain_clt_params(kernel, f)
-    assert mean == pytest.approx(0.25, abs=1e-12)
-    assert var_iid == pytest.approx(0.1875, abs=1e-12)
-    assert var_asym == pytest.approx(0.75, abs=1e-10)
-
-
-def test_chain_clt_iid_rows():
-    # every row equal to the stationary law: no memory, variances agree
-    pi = np.array([0.2, 0.3, 0.5])
-    kernel = np.tile(pi, (3, 1))
-    f = np.array([1.0, -1.0, 2.0])
-    mean, var_iid, var_asym = chain_clt_params(kernel, f)
-    assert mean == pytest.approx(float(pi @ f), abs=1e-12)
-    assert var_asym == pytest.approx(var_iid, abs=1e-10)
-
-
-def test_chain_clt_constant_functional_on_ray_chain(theta3):
-    # the per-step information of the theta ray is constant log 2, so the
-    # asymptotic variance vanishes
-    fp = solve_first_passage(theta3)
-    rl = ray_law(theta3, fp)
-    x = rl.exit_prob
-    f = np.array(
-        [-(math.log(x[k]) - math.log1p(-x[k ^ 1])) for k in range(6)]
-    )
-    mean, var_iid, var_asym = chain_clt_params(rl.kernel, f, rl.edge_freq)
-    assert mean == pytest.approx(LOG2, abs=1e-9)
-    assert var_iid == pytest.approx(0.0, abs=1e-12)
-    assert var_asym == pytest.approx(0.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
+    CoverVertex,
     GraphError,
     Lift,
     apply_kernel,
@@ -20,18 +21,24 @@ from liftmix import (
     build_graph,
     check_assumptions,
     core,
+    cover_moves,
+    cutoff_sweep,
+    entropy,
     generate_uniform_lift,
-    inverse_oriented,
+    holding_probability,
     is_cover_transient,
     lift_transition_matrix,
     mixing_curve,
+    mixing_curves,
     parse_graph,
+    projection_identity_check,
+    simulate_walk,
+    spectrum_inheritance_check,
     stationary_distribution,
     transition_matrix,
     validate_graph,
 )
 from liftmix.base_graph import (
-    arc_period,
     component_periods,
     strong_components,
     verify_witness_cycle,
@@ -128,13 +135,6 @@ def test_build_graph_validates():
 # ---------------------------------------------------------------------------
 
 
-def test_inverse_oriented_is_the_pair_involution():
-    for k in range(10):
-        assert inverse_oriented(inverse_oriented(k)) == k
-    assert inverse_oriented(0) == 1
-    assert inverse_oriented(5) == 4
-
-
 def test_oriented_name_lookup(theta3):
     idx = theta3.oriented_index_by_name
     assert idx["e2-"] == 3
@@ -151,6 +151,33 @@ def test_transition_matrix_theta3(theta3):
     assert np.allclose(p_half, [[0.5, 0.5], [0.5, 0.5]])
     p0 = transition_matrix(theta3, alpha=0.0)
     assert np.allclose(p0, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.5, math.nan])
+def test_every_entry_point_rejects_a_bad_holding_probability(theta3, alpha):
+    # transition_matrix returned a non-stochastic matrix at 1.5, and
+    # projection_identity_check returned 0.0 without a step
+    lift = Lift(theta3, 2, ((0, 1),) * 3)
+    mu = np.full(lift.n_states, 0.25)
+    calls = [
+        lambda: holding_probability(theta3, alpha),
+        lambda: transition_matrix(theta3, alpha=alpha),
+        lambda: entropy(theta3, alpha=alpha),
+        lambda: simulate_walk(theta3, "u", 10, alpha=alpha),
+        lambda: cover_moves(theta3, CoverVertex("u"), alpha=alpha),
+        lambda: apply_kernel(lift, mu, alpha=alpha),
+        lambda: apply_kernel_to_function(lift, mu, alpha=alpha),
+        lambda: lift_transition_matrix(lift, alpha=alpha),
+        lambda: spectrum_inheritance_check(lift, alpha=alpha),
+        lambda: mixing_curves(lift, [0], alpha=alpha, t_cap=0),
+        lambda: projection_identity_check(lift, 0, 0, alpha=alpha),
+        lambda: cutoff_sweep(theta3, (8, 16), alpha=alpha),
+    ]
+    message = f"holding probability must lie in [0, 1), got {alpha}"
+    for call in calls:
+        with pytest.raises(AnalysisError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_stationary_theta3(theta3):
@@ -372,7 +399,7 @@ def test_random_graph_round_trip(text):
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
     # orientation pairing is consistent
     for k in range(g.n_oriented):
-        assert g.oriented_init[k] == g.oriented_end[inverse_oriented(k)]
+        assert g.oriented_init[k] == g.oriented_end[k ^ 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,10 +457,8 @@ def test_period_matches_return_times(text, n, seed):
     rng = np.random.default_rng(seed)
     lift = generate_uniform_lift(g, n, rng)
     p = lift_transition_matrix(lift, alpha=0.0)
-    tails, heads = np.nonzero(p)
     for s, ref in enumerate(_return_time_gcds(p)):
         assert ref > 0
-        assert arc_period(lift.n_states, tails, heads, s) == ref
         assert lift.period(s) == ref  # memoized per strong component
         assert mixing_curve(lift, s, alpha=0.0, t_cap=0).periodic == (ref > 1)
         assert mixing_curve(lift, s, t_cap=0).periodic == (g.alpha == 0 and ref > 1)

@@ -423,6 +423,25 @@ def test_mix_periodic_writes_averaged_curve(capsys, theta3_file, tmp_path):
     assert summary["averaged_crossings"] is not None
 
 
+def test_mix_periodic_per_start_reads_the_averaged_curves(capsys, theta3_file,
+                                                         tmp_path):
+    # per_start held the raw crossings, null at 0.25 for every start
+    out = tmp_path / "mix-p8"
+    code, _, _ = run_cli(capsys, [
+        "mix", "--graph", theta3_file, "--n", "8", "--alpha", "0", "--out", str(out),
+    ])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    lift = generate_uniform_lift(parse_graph(THETA3_TEXT), 8,
+                                 substream(0, "lift", 8, 0), seed=0)
+    for s in range(lift.n_states):
+        averaged = mixing_curve(lift, s, alpha=0.0, eps_list=(0.25, 0.1, 0.5, 0.9))
+        assert summary["per_start"][str(s)] == {
+            repr(eps): t for eps, t in averaged.averaged.crossings.items()}
+    worst = summary["per_start"][str(summary["worst_start"])]["0.25"]
+    assert worst == max(row["0.25"] for row in summary["per_start"].values()) == 11
+
+
 def test_mix_periodic_stops_and_ranks_on_averaged_curve(capsys, theta3_file, tmp_path):
     out = tmp_path / "mix-p64"
     code, payload, _ = run_cli(capsys, [
@@ -457,19 +476,33 @@ def test_mix_bad_eps_list(capsys, theta3_file, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("alpha", ["1.5", "-0.5"])
+#: The rest of each command line that is given a bad --alpha.
+BAD_ALPHA_ARGS = {
+    "mix": ["--n", "8", "--t-cap", "0"],
+    "cover-sim": ["--steps", "1000"],
+    "sweep": ["--n", "8,16", "--seeds", "1"],
+    "spectrum": ["--n", "8"],
+}
+
+
+@pytest.mark.parametrize("command, alpha", [
+    pytest.param(command, alpha, id=alpha if command == "mix" else f"{command}-{alpha}")
+    for command in BAD_ALPHA_ARGS for alpha in ("1.5", "-0.5")
+])
 def test_mix_rejects_a_bad_holding_probability_without_a_step(capsys, theta3_file,
-                                                              tmp_path, alpha):
-    # at --t-cap 0 no kernel step runs: 1.5 wrote artifacts, and -0.5
-    # reported a periodic lift
-    code, _, cap = run_cli(capsys, [
-        "mix", "--graph", theta3_file, "--n", "8", "--alpha", alpha,
-        "--t-cap", "0", "--out", str(tmp_path / "x"),
-    ])
+                                                              tmp_path, command,
+                                                              alpha):
+    # mix at --t-cap 0 runs no kernel step, which was the only check: 1.5
+    # wrote artifacts, and -0.5 reported a periodic lift
+    out = tmp_path / "x"
+    argv = [command, "--graph", theta3_file, "--alpha", alpha, *BAD_ALPHA_ARGS[command]]
+    if command != "spectrum":  # the one command that writes no artifact
+        argv += ["--out", str(out)]
+    code, _, cap = run_cli(capsys, argv)
     assert code == 1
-    assert cap.err.startswith(
-        f"liftmix: error: holding probability must lie in [0, 1), got {float(alpha)}")
-    assert not (tmp_path / "x" / "summary.json").exists()
+    assert cap.err == (
+        f"liftmix: error: holding probability must lie in [0, 1), got {float(alpha)}\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
+    CoverTrajectory,
     CoverVertex,
     ExcursionStats,
     entropy,
-    entropic_weight,
     estimate_clt_params,
     estimate_speed,
     excursion_decomposition,
@@ -123,34 +123,6 @@ def test_simulate_walk_moves_drift_upward(theta3):
     assert traj.heights[-1] / len(traj) == pytest.approx(1.0 / 6.0, abs=0.02)
 
 
-def test_simulate_walk_stop_at_height(theta3):
-    traj = simulate_walk(
-        theta3, "u", 100_000, rng=substream(3, "walk"), stop_height=40
-    )
-    assert traj.stopped == "height"
-    assert traj.heights[-1] == 40
-    assert traj.max_height == 40
-    assert len(traj) < 100_000
-
-
-def test_simulate_walk_stop_at_root(sym3):
-    traj = simulate_walk(
-        sym3,
-        "a",
-        50_000,
-        rng=substream(4, "walk"),
-        stop_at_root=True,
-        warn_recurrent=False,
-    )
-    assert traj.stopped == "root"
-    assert traj.heights[-1] == 0
-    assert len(traj) >= 1
-    # when both rules fire on the same step, the root rule names the stop
-    both = simulate_walk(sym3, "a", 50_000, rng=substream(4, "walk"),
-                         stop_at_root=True, stop_height=0, warn_recurrent=False)
-    assert both.stopped == "root" and len(both) == len(traj)
-
-
 def test_simulate_walk_warns_on_recurrent_base(sym3):
     with pytest.warns(UserWarning, match="recurrent"):
         simulate_walk(sym3, "a", 10, rng=substream(5, "walk"))
@@ -185,9 +157,11 @@ def test_extract_ray_stops_at_the_final_height(theta3):
     assert final < traj.max_height
     assert extract_ray(traj, margin=0) == traj.final_stack()
     assert len(extract_ray(traj, margin=1)) == final
-    back = simulate_walk(theta3, "u", 50, alpha=0.0, rng=substream(1, "walk"),
-                         stop_at_root=True)
-    assert back.max_height == 1 and back.stopped == "root"
+    # one push and its pop: the walk is back at the root
+    back = CoverTrajectory(root_label="u", alpha=0.0,
+                           moves=np.array([0, MOVE_POP], dtype=np.int32),
+                           heights=np.array([1, 0], dtype=np.int32))
+    assert back.max_height == 1
     with pytest.raises(AnalysisError, match="ended at height 0"):
         extract_ray(back, margin=0)
     with pytest.raises(AnalysisError, match="nonnegative"):
@@ -208,9 +182,10 @@ def test_extract_ray_margin_too_large(theta3):
 def test_entropic_weight_theta3_levels(theta3):
     view = _view(theta3)
     # a depth-1 vertex is on the ray iff the ray exits along that edge: 1/3
-    assert entropic_weight((0,), view) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert math.exp(log_entropic_weight((0,), view)) == pytest.approx(1 / 3, abs=1e-9)
     # depth 2 multiplies by the non-backtracking continuation 1/2
-    assert entropic_weight((0, 3), view) == pytest.approx(1.0 / 6.0, abs=1e-9)
+    assert math.exp(log_entropic_weight((0, 3), view)) == pytest.approx(1 / 6,
+                                                                        abs=1e-9)
     assert log_entropic_weight((0, 3), view) == pytest.approx(
         -math.log(6.0), abs=1e-9
     )
@@ -464,7 +439,7 @@ def test_localization_profile_theta3(theta3):
 # work with one sequential loop over the moving draws and numpy for the rest.
 
 
-def _scalar_walk(g, root_label, steps, alpha, rng, stop_at_root, stop_height):
+def _scalar_walk(g, root_label, steps, alpha, rng):
     thresholds, labels = [], []
     for u in range(g.n_vertices):
         ks = [int(k) for k in g.out_oriented[u] if g.oriented_weight[k] > 0.0]
@@ -478,7 +453,6 @@ def _scalar_walk(g, root_label, steps, alpha, rng, stop_at_root, stop_height):
         labels.append(ks)
     moves, heights, stack = [], [], []
     cur = g.vertex_index[root_label]
-    stopped = None
     block = rng.random(4096)
     bi = 0
     while len(moves) < steps:
@@ -500,13 +474,7 @@ def _scalar_walk(g, root_label, steps, alpha, rng, stop_at_root, stop_height):
                 moves.append(k)
             cur = int(g.oriented_end[k])
         heights.append(len(stack))
-        if stop_at_root and not stack:
-            stopped = "root"
-            break
-        if stop_height is not None and len(stack) == stop_height:
-            stopped = "height"
-            break
-    return moves, heights, stopped
+    return moves, heights
 
 
 def _scalar_confirmed_level(traj, margin):
@@ -672,8 +640,6 @@ def walk_cases(draw):
         "root": draw(st.sampled_from(g.vertices)),
         "alpha": draw(st.sampled_from([0.0, 0.25, 0.5, 0.9])),
         "steps": steps,
-        "stop_at_root": draw(st.sampled_from([False, False, False, True])),
-        "stop_height": draw(st.sampled_from([None, None, None, 0, 1, 40])),
         "seed": draw(st.integers(0, 2**16)),
         "margin": draw(st.sampled_from([0, 0, 1, 5, 25])),
         # the default renewal edge, the edge the walk pushes most, or any
@@ -713,16 +679,14 @@ def _check_against_scalar_loops(traj, view, margin, e_star, min_count, r_max,
 @given(walk_cases())
 def test_walk_and_its_analysis_match_the_scalar_loops(case):
     g = case["g"]
-    stops = {"stop_at_root": case["stop_at_root"], "stop_height": case["stop_height"]}
     rng_ref = substream(case["seed"], "walk")
     rng = substream(case["seed"], "walk")
-    moves, heights, stopped = _scalar_walk(g, case["root"], case["steps"],
-                                           case["alpha"], rng_ref, **stops)
+    moves, heights = _scalar_walk(g, case["root"], case["steps"], case["alpha"],
+                                  rng_ref)
     traj = simulate_walk(g, case["root"], case["steps"], alpha=case["alpha"],
-                         rng=rng, warn_recurrent=False, **stops)
+                         rng=rng, warn_recurrent=False)
     assert traj.moves.tolist() == moves
     assert traj.heights.tolist() == heights
-    assert traj.stopped == stopped
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     e_star = case["e_star"]

@@ -343,9 +343,9 @@ def _allocating_step(lift, mu, alpha):
     return out.reshape(np.shape(mu))
 
 
-def _allocating_curve(lift, start, alpha, eps_min, t_cap, early_stop=True):
+def _allocating_curve(lift, start, alpha, eps_min, t_cap):
     """``(tv, averaged tv or None, mass drift)`` with an early stop at
-    ``eps_min`` unless ``early_stop`` is off."""
+    ``eps_min``."""
     pi = lift_stationary(lift).reshape(-1)
     mu = np.zeros(lift.n_states)
     mu[start] = 1.0
@@ -360,7 +360,7 @@ def _allocating_curve(lift, start, alpha, eps_min, t_cap, early_stop=True):
         if periodic:
             avg_tvs.append(0.5 * float(np.abs(0.5 * (mu + nxt) - pi).sum()))
         mu = nxt
-        if early_stop and (avg_tvs if periodic else tvs)[-1] <= eps_min:
+        if (avg_tvs if periodic else tvs)[-1] <= eps_min:
             break
     return tvs, avg_tvs if periodic else None, abs(float(mu.sum()) - 1.0)
 
@@ -427,20 +427,19 @@ MIXED_PERIODS = (bouquet_text(2), 3, ((0, 2, 1),))
 @settings(max_examples=100, deadline=None)
 @given(lift_cases(), st.sampled_from([0.0, 0.25, 0.5]),
        st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
-       st.sampled_from([0, 1, 7, 60]), st.booleans(), st.integers(1, 4),
+       st.sampled_from([0, 1, 7, 60]), st.integers(1, 4),
        st.sampled_from([DEFAULT_EPS_LIST, (0.5,), (0.3, 0.9)]),
        st.integers(0, 2**16))
-@example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, True, 3, (0.5,), 0)
+@example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, 3, (0.5,), 0)
 @example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6),) * 3), 0.0, [0, 5, 9], 0,
-         True, 2, DEFAULT_EPS_LIST, 0)
+         2, DEFAULT_EPS_LIST, 0)
 # the two rows stop at steps 21 and 15, and start 2's mass drifts on after
 # its stop: 3.3e-16 there, 6.7e-16 at step 21
 @example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6), (1, 2, 3, 4, 5, 6, 7, 0),
-                           tuple(range(8)))), 0.5, [0, 2], 60, True, 2,
+                           tuple(range(8)))), 0.5, [0, 2], 60, 2,
          DEFAULT_EPS_LIST, 0)
 def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_cap,
-                                                       early_stop, rows, eps_list,
-                                                       seed):
+                                                       rows, eps_list, seed):
     text, n, perms = case
     g = parse_graph(text)
     lift = Lift(g, n, perms)
@@ -460,11 +459,11 @@ def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_ca
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
         curves = mixing_curves(lift, starts, alpha=alpha, eps_list=eps_list,
-                               t_cap=t_cap, early_stop=early_stop)
+                               t_cap=t_cap)
     assert len(curves) == len(starts)
     for start, curve in zip(starts, curves):
         tvs, avg_tvs, drift = _allocating_curve(lift, start, alpha, min(eps_list),
-                                                t_cap, early_stop)
+                                                t_cap)
         assert np.array_equal(curve.tv, tvs)
         assert curve.crossings == _first_crossings(tvs, eps_list)
         assert curve.mass_drift == drift

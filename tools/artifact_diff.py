@@ -25,6 +25,10 @@ of CLI calls on that tree and on the working tree's ``src/``:
   0, with ``--per-trial``, with a step count that is not a multiple of the
   walk's 4096-draw blocks, and with an explicit ``--e-star``; and
   ``cover-sim`` from the pendant vertex ``p``, off the pruned core;
+* ``cover-sim``, ``mix``, ``sweep`` and ``spectrum`` on theta3 with
+  ``--alpha 1.5``, which each must refuse with the same error line and no
+  artifact, and ``mix`` and ``sweep`` with both ``--alpha 1.5`` and
+  ``--eps 1.5``, whose error line shows which check comes first;
 * ``validate`` and ``analyze`` on 100 graphs of the kinds the analyze batch
   leaves out or rarely draws: reducible ones, recurrent ones, ones whose
   core is a single cycle, one-way ones (an orientation of the core lies on
@@ -188,6 +192,15 @@ def calls(batch, rejected):
     argvs.append(["cover-sim", "--graph", _graph(DEMO_GRAPHS, "pendant"), "--root", "p",
                   "--steps", "30000", "--trials", "2", "--seed", "1", "--per-trial",
                   *out])
+    bad = ["--graph", _graph(DEMO_GRAPHS, "theta3"), "--alpha", "1.5"]
+    argvs += [
+        ["cover-sim", *bad, *out],
+        ["mix", *bad, "--n", "8", *out],
+        ["sweep", *bad, "--n", "8,16", "--seeds", "1", *out],
+        ["spectrum", *bad, "--n", "8"],
+        ["mix", *bad, "--n", "8", "--eps", "1.5", *out],
+        ["sweep", *bad, "--n", "8,16", "--eps", "1.5", *out],
+    ]
     for g in batch + rejected:
         argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
     return argvs
