@@ -21,14 +21,14 @@ blocks of 4096, finds the holds of a block with numpy, and loops over the
 moving draws alone, keeping the label stack; heights are a cumulative sum
 of the moves.  The rest reads the finished trajectory through two last-exit rules:
 
-* the step after the walk's last visit to height ``j - 1`` is a push that
-  is never undone, and its label is the ray's label at level ``j``; these
-  steps are the renewals of :func:`excursion_decomposition`, whose
-  log-weights are cumulative sums of push increments along the ray;
-* the walk's position at step ``t`` is the last push to its height at or
-  before ``t``, and a push's parent is the last push to the height below
-  before it; :func:`ray_localization_profile` finds both by binary search
-  and the common prefix with the ray by pointer jumping over that tree.
+* the step after the walk's last visit to height ``j - 1`` is the last push
+  to level ``j`` and is never undone; its label is the ray's level-``j``
+  label.  These steps are the renewals of :func:`excursion_decomposition`,
+  whose log-weights are cumulative sums of push increments along the ray;
+* a push to level ``j`` that is not the ray's label keeps the walk off the
+  ray until the first pop back to ``j - 1``; :func:`ray_localization_profile`
+  reads each sampled step's common prefix with the ray from the outermost
+  such off-ray interval covering it.
 
 A level is confirmed when it lies more than ``margin`` below the maximum
 height and below the final height, which the walk has not yet left for
@@ -282,16 +282,16 @@ def _confirmed_ray(traj, margin):
     """Steps at which the walk leaves each confirmed level for the last time,
     and the ray's labels read at those steps.
 
-    The step after the last visit to a level is a push that is never undone,
-    so ``traj.moves`` at these steps are the ray's labels, level by level.
+    The step after the walk's last visit to level ``j - 1`` is a push that is
+    never undone, and no later push reaches level ``j``, so it is the last
+    push to level ``j``; its label is the ray's level-``j`` label.
     """
     limit = _confirmed_level(traj, margin)
-    heights = traj.heights
-    last = np.full(traj.max_height + 1, -2, dtype=np.int64)
-    last[0] = -1  # the initial position, at height zero before any move
-    # With repeated indices the last write wins, giving last-visit times.
-    last[heights] = np.arange(len(heights), dtype=np.int64)
-    times = last[:limit] + 1
+    pushes = np.flatnonzero(traj.moves >= 0)
+    last = np.empty(traj.max_height + 1, dtype=np.int64)
+    # With repeated indices the last write wins, giving last-push times.
+    last[traj.heights[pushes]] = pushes
+    times = last[1:limit + 1]
     return times, traj.moves[times]
 
 
@@ -689,41 +689,39 @@ def _ray_prefix_lengths(traj, ray_labels, times):
     """Length of the common prefix of the walk's path with the ray at each of
     the given steps, whose heights must not exceed ``len(ray_labels)``.
 
-    Every push to a height inside the confirmed region is a node of the push
-    tree: its parent is the last push to the height below, before it, and
-    the walk's position at step ``t`` is the last push to its height at or
-    before ``t`` (the root at height zero).  Both are found by binary search
-    over the pushes keyed by ``(height, time)``.  A node is on the ray when
-    its label and those of all its ancestors match the ray at their levels,
-    so the prefix length is one less than the lowest mismatching height on
-    its ancestor path, or its own height when there is none.  That minimum
-    is taken by pointer jumping, in ``log2(height)`` rounds.
+    A push to a level ``j`` of the confirmed region whose label differs from
+    the ray's level-``j`` label keeps the path off the ray from level ``j`` up
+    until the first pop back to level ``j - 1``; over that interval the
+    common prefix is ``j - 1`` at most.  The closing pops are found by one
+    binary search over the pops keyed by ``(height, time)``.  Off-ray
+    intervals nest like the pushes that open them: an interval that opens
+    inside an earlier one lies inside it, at a higher level.  The outermost
+    intervals, those that open at or after the running maximum of the
+    earlier ends, are disjoint.  A step inside one that opened at level
+    ``j`` has prefix length ``j - 1``, any other step its own height.
     """
     moves, heights = traj.moves, traj.heights
     limit = len(ray_labels)
     pushes = np.flatnonzero((moves >= 0) & (heights <= limit))
-    h = heights[pushes]
-    order = np.argsort(h, kind="stable")
-    pushes, h = pushes[order], h[order]
-    del order  # each index array is freed once used, to keep the peak memory low
+    # Index arrays, not boolean masks, select the off-ray pushes and the
+    # outermost intervals: numpy selects by index faster than by mask.
+    start = pushes[np.flatnonzero(moves[pushes] != ray_labels[heights[pushes] - 1])]
+    level = heights[start]
+    # Every off-ray push is popped again, since the final path follows the
+    # ray up to the limit, so each search finds its closing pop.
+    pops = np.flatnonzero((moves == MOVE_POP) & (heights < limit))
     span = len(moves) + 1
-    key = h.astype(np.int64) * span + pushes
-    root = len(pushes)
-    # The node below a push is the last push to the height below, before
-    # it.  Below height 1 the search finds nothing, and its -1 indexes the
-    # root, which is appended last; so do the searches for height zero.
-    ptr = np.append(np.searchsorted(key, key - span) - 1, root)
-    mismatch = np.append(
-        np.where(moves[pushes] == ray_labels[h - 1], limit + 1, h), limit + 1)
-    del pushes
-    while (ptr != root).any():
-        mismatch = np.minimum(mismatch, mismatch[ptr])
-        ptr = ptr[ptr]
-    del ptr
-    prefix = np.minimum(mismatch - 1, np.append(h, 0))
-    at = heights[times]
-    node = np.searchsorted(key, at.astype(np.int64) * span + times, side="right") - 1
-    return prefix[node]
+    close = np.sort(heights[pops].astype(np.int64) * span + pops)
+    below = (level - 1).astype(np.int64) * span
+    end = close[np.searchsorted(close, below + start)] - below
+    # A sentinel interval [-1, 0) opens before every step, so each step
+    # finds an interval opening at or before it.
+    start, end, level = np.append(-1, start), np.append(0, end), np.append(0, level)
+    reach = np.maximum.accumulate(end)
+    outer = np.append(0, np.flatnonzero(start[1:] >= reach[:-1]) + 1)
+    start, end, level = start[outer], end[outer], level[outer]
+    i = np.searchsorted(start, times, side="right") - 1
+    return np.where(times < end[i], level[i] - 1, heights[times])
 
 
 def _localization_counts(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):

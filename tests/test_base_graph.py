@@ -409,7 +409,6 @@ def test_random_graph_assumption_report_is_consistent(text):
     rep = check_assumptions(g)
     assert rep.period >= 1
     if rep.a2_two_cycles:
-        assert rep.a4_every_edge_on_cycle or True  # a2 says nothing about a4
         assert len(rep.witness_cycles) == 2
         for cyc in rep.witness_cycles:
             assert verify_witness_cycle(g, cyc)

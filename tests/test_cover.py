@@ -29,6 +29,8 @@ from liftmix import (
 from liftmix.cover import (
     MOVE_HOLD,
     MOVE_POP,
+    _confirmed_ray,
+    _ray_prefix_lengths,
     cover_moves,
     cover_vertex_type,
 )
@@ -558,26 +560,36 @@ def _scalar_excursions(traj, ray, e_star, margin, min_count):
     )
 
 
-def _scalar_localization(traj, r_max, margin, max_samples):
-    ray = _scalar_ray(traj, margin)
-    limit = len(ray)
-    eligible = int(np.count_nonzero(traj.heights <= limit))
-    stride = max(1, eligible // max(1, max_samples))
-    counts = [0] * (r_max + 1)
-    n_samples = seen = cpl = 0
+def _scalar_prefix_lengths(traj, ray):
+    """Per step, the height and the length of the common prefix of the
+    walk's path with ``ray``."""
+    out = []
+    cpl = 0
     stack = []
     for mv in traj.moves.tolist():
         if mv == MOVE_POP:
             stack.pop()
             cpl = min(cpl, len(stack))
         elif mv != MOVE_HOLD:
-            if cpl == len(stack) < limit and ray[len(stack)] == mv:
+            if cpl == len(stack) < len(ray) and ray[len(stack)] == mv:
                 cpl += 1
             stack.append(mv)
-        if len(stack) <= limit:
+        out.append((len(stack), cpl))
+    return out
+
+
+def _scalar_localization(traj, r_max, margin, max_samples):
+    ray = _scalar_ray(traj, margin)
+    limit = len(ray)
+    eligible = int(np.count_nonzero(traj.heights <= limit))
+    stride = max(1, eligible // max(1, max_samples))
+    counts = [0] * (r_max + 1)
+    n_samples = seen = 0
+    for height, cpl in _scalar_prefix_lengths(traj, ray):
+        if height <= limit:
             if seen % stride == 0:
                 n_samples += 1
-                for r in range(min(len(stack) - cpl, r_max + 1)):
+                for r in range(min(height - cpl, r_max + 1)):
                     counts[r] += 1
             seen += 1
     return tuple(counts), n_samples
@@ -708,3 +720,59 @@ def test_walks_ending_below_their_peak_match_the_scalar_loops(theta3, margin):
         capped += int(traj.heights[-1]) < traj.max_height - margin
         _check_against_scalar_loops(traj, view, margin, None, 30, 6, 500)
     assert capped >= 3
+
+
+# Hand-built trajectories for the two rules behind the confirmed ray and the
+# localization profile: the ray's level-j label is the last push to level j,
+# and a step's common prefix with the ray is read from the outermost off-ray
+# interval covering it.  Labels are plain integers; neither rule reads the
+# graph.  The ray of each is the final stack: 0, 4, 5.
+
+
+def _hand_built(moves):
+    moves = np.array(moves, dtype=np.int32)
+    heights = np.cumsum(np.where(moves == MOVE_POP, -1, moves != MOVE_HOLD),
+                        dtype=np.int32)
+    return CoverTrajectory(root_label="u", alpha=0.0, moves=moves, heights=heights)
+
+
+P, H = MOVE_POP, MOVE_HOLD
+#: Moves of each case, and the common prefix with the ray after each step.
+HAND_BUILT = {
+    # 2 opens an off-ray interval at level 2, and 3 and 6 open nested ones
+    # at level 3; after they close the prefix stays at the outer level 1
+    "nested": ([0, 2, 3, H, P, 6, P, P, 4, 5],
+               [1, 1, 1, 1, 1, 1, 1, 1, 2, 3]),
+    # 4 at level 2 is the ray's label, but it sits on the off-ray 7 at level 1
+    "opens at level 1": ([7, 4, P, P, 0, 4, 2, P, 5],
+                         [0, 0, 0, 0, 1, 2, 2, 2, 3]),
+    # an off-ray interval closes at the step before the next one opens, and
+    # the walk returns to the root before it leaves for good
+    "adjacent": ([0, 4, 5, P, 3, P, 1, P, 5, P, P, P, 0, 4, 5],
+                 [1, 2, 3, 2, 2, 2, 2, 2, 3, 2, 1, 0, 1, 2, 3]),
+    # every push is the ray's label, some of them pushed twice
+    "no off-ray push": ([0, H, 4, P, 4, 5, P, H, 5],
+                        [1, 1, 2, 1, 2, 3, 2, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_rays_and_prefixes_match_the_scalar_loops(name):
+    moves, prefixes = HAND_BUILT[name]
+    traj = _hand_built(moves)
+    ray = _scalar_ray(traj, 0)
+    assert ray == (0, 4, 5)
+    assert extract_ray(traj, margin=0) == ray
+    last = _scalar_last_times(traj)
+    assert _confirmed_ray(traj, 0)[0].tolist() == [last[j] + 1 for j in range(3)]
+    assert [cpl for _, cpl in _scalar_prefix_lengths(traj, ray)] == prefixes
+    # every step is eligible and sampled, the opening pushes and the
+    # closing pops of the off-ray intervals among them
+    steps = np.arange(len(traj))
+    got = _ray_prefix_lengths(traj, np.array(ray, dtype=np.int32), steps)
+    assert got.tolist() == prefixes
+    r_max = traj.max_height
+    prof = ray_localization_profile([traj], r_max, margin=0,
+                                    max_samples_per_traj=len(traj))
+    assert (prof.counts, prof.n_samples) == \
+        _scalar_localization(traj, r_max, 0, len(traj))

@@ -25,6 +25,10 @@ of CLI calls on that tree and on the working tree's ``src/``:
   0, with ``--per-trial``, with a step count that is not a multiple of the
   walk's 4096-draw blocks, and with an explicit ``--e-star``; and
   ``cover-sim`` from the pendant vertex ``p``, off the pruned core;
+* ``cover-sim`` on theta3 at ``--alpha 0 --margin 0 --r-max 40``, whose
+  localization tail is read out to radius 40 on rays confirmed up to the
+  walk's final height, and on bouquet4 at ``--alpha 0.9`` with 6000 steps, whose confirmed rays
+  are a few hundred levels long;
 * ``cover-sim``, ``mix``, ``sweep`` and ``spectrum`` on theta3 with
   ``--alpha 1.5``, which each must refuse with the same error line and no
   artifact, and ``mix`` and ``sweep`` with both ``--alpha 1.5`` and
@@ -192,6 +196,13 @@ def calls(batch, rejected):
     argvs.append(["cover-sim", "--graph", _graph(DEMO_GRAPHS, "pendant"), "--root", "p",
                   "--steps", "30000", "--trials", "2", "--seed", "1", "--per-trial",
                   *out])
+    cover = ["cover-sim", "--trials", "2", "--seed", "1", "--per-trial"]
+    argvs += [
+        [*cover, "--graph", _graph(DEMO_GRAPHS, "theta3"), "--alpha", "0",
+         "--r-max", "40", "--margin", "0", *out],
+        [*cover, "--graph", _graph(DEMO_GRAPHS, "bouquet4"), "--alpha", "0.9",
+         "--steps", "6000", *out],
+    ]
     bad = ["--graph", _graph(DEMO_GRAPHS, "theta3"), "--alpha", "1.5"]
     argvs += [
         ["cover-sim", *bad, *out],
