@@ -13,7 +13,6 @@ import argparse
 import pathlib
 
 from liftmix import (
-    conductance_proxy,
     entropy,
     generate_uniform_lift,
     mixing_curve,
@@ -52,11 +51,6 @@ def main():
     print(f"\nexact TV curve from the worst sampled start ({wb.argmax}):")
     for eps in sorted(curve.crossings, reverse=True):
         print(f"  TV <= {eps:<4} after {curve.crossings[eps]:>4} steps")
-
-    proxy = conductance_proxy(lift)
-    note = "  (flagged: gap too small to be informative)" if proxy.flagged else ""
-    print(f"\nspectral proxy: second singular value {proxy.sigma2:.6f}, "
-          f"gap {proxy.gap:.6f}{note}")
 
     chk = spectrum_inheritance_check(lift)
     eigs = ", ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in chk.eigenvalues)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -51,7 +50,14 @@ from .lift import (
     lift_to_json,
     spectrum_inheritance_check,
 )
-from .mixing import _pool_map, _pool_size, _select_starts, cutoff_sweep, mixing_curves
+from .mixing import (
+    _pool_map,
+    _pool_size,
+    _select_starts,
+    _worst_start,
+    cutoff_sweep,
+    mixing_curves,
+)
 from .rng import substream
 
 ENV_OUT_DIR = "LIFTMIX_OUT_DIR"
@@ -504,11 +510,8 @@ def _cmd_mix(args):
                                             eps_list=eps_list, t_cap=args.t_cap,
                                             progress=_report)))
 
-    def _rank(state):
-        t = curves[state].mixing_crossings[eps_primary]
-        return (math.inf if t is None else t, -state)
-
-    worst_state = max(states, key=_rank)
+    worst_state, _ = _worst_start({s: curves[s].mixing_crossings[eps_primary]
+                                   for s in states})
     worst_curve = curves[worst_state]
     for name, curve in (("curve.csv", worst_curve),
                         ("curve_averaged.csv", worst_curve.averaged)):

@@ -233,18 +233,29 @@ def apply_kernel(lift, mu, alpha=None, out=None):
     arr = np.asarray(mu)
     m = arr.reshape(-1, lift.base.n_vertices, lift.n)
     if out is None:
-        res = alpha * m
+        res = np.empty(m.shape, dtype=np.result_type(alpha, m))
     else:
         if out.shape != arr.shape:
             raise AnalysisError(f"out has shape {out.shape}, mu has {arr.shape}")
         if np.may_share_memory(out, arr):
             raise AnalysisError("out must not overlap mu")
         res = out if out.shape == m.shape else out.reshape(m.shape, copy=False)
-        np.multiply(alpha, m, out=res)
     if m.dtype != res.dtype:
         m = m.astype(res.dtype)  # an integer mu is gathered in floating point
+    _step(lift, m, alpha, res, np.empty((len(m), lift.n), dtype=res.dtype))
+    return res.reshape(arr.shape) if out is None else out
+
+
+def _step(lift, m, alpha, res, scratch):
+    """The step of :func:`apply_kernel` without its checks: writes ``m``
+    stepped once into ``res``.
+
+    ``m`` and ``res`` are ``(k, n_vertices, n)`` blocks of one dtype that do
+    not overlap, ``scratch`` a C-contiguous ``(k, n)`` array of that dtype,
+    and ``alpha`` a checked holding probability.
+    """
+    np.multiply(alpha, m, out=res)
     lazy = 1.0 - alpha
-    scratch = np.empty((len(m), lift.n), dtype=res.dtype)
     for k, u, v, w in lift.moves:
         # the method, not np.take, whose wrapper costs more than a small
         # gather; "clip" because under "raise" take buffers out, and the
@@ -255,7 +266,6 @@ def apply_kernel(lift, mu, alpha=None, out=None):
         # rows back onto themselves, a second pass over them
         rows = res[:, v]
         rows += scratch
-    return res.reshape(arr.shape) if out is None else out
 
 
 def apply_kernel_to_function(lift, f, alpha=None):

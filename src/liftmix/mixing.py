@@ -5,30 +5,34 @@ distribution vectors, no renormalization; each step is one gather per
 positive-weight oriented edge through the lift's fiber maps, see
 :func:`liftmix.lift.apply_kernel`), so the reported mixing times are
 deterministic given the lift.  :func:`mixing_curves` propagates the starts
-of one lift together, in blocks of ``max(1, _BLOCK_DOUBLES // n_states)``
-rows: a fixed budget of 2**15 doubles (256 KB) per buffer, so a block stays
-in cache and a lift larger than the budget runs one start per block.  The
-block owns its buffers: two distribution blocks that swap roles each step,
-written by ``apply_kernel(..., out=)``, and one in which every TV, the
-averaged one included, is evaluated row by row against the per-vertex
-stationary column.  Each start keeps its own checks, early stop, mass drift
-and crossings, and its curve is the same bit for bit as if it were
-propagated alone; :func:`mixing_curve` is the one-start call.  A step
-allocates nothing larger than the kernel's ``(k, n)`` scratch array.  The
-period of an unlazy lift is found once per strong component
+of one lift together, in blocks that share the starts out over the CPUs the
+process may use, at most ``_BLOCK_DOUBLES // n_states`` rows each: a budget
+of 2**15 doubles (256 KB) per buffer, so a block stays in cache and a lift
+larger than the budget runs one start per block.  Blocks are independent and
+run on one thread per CPU; their curves, progress calls and errors come back
+in block order.  A running block owns its buffers: two distribution blocks
+that swap roles each step, and the step's ``(k, n)`` gather scratch.  After a
+step the old distribution is dead, so the averaged law and every TV are
+evaluated in it, row by row against the per-vertex stationary column.  Each
+start keeps its own checks, early stop, mass drift and crossings, and its
+curve is the same bit for bit as if it were propagated alone, at any CPU
+count; :func:`mixing_curve` is the one-start call.  A step allocates
+nothing.  The period of an unlazy lift is found once per strong component
 (:meth:`liftmix.lift.Lift.period`).  Every mixing time, worst start and
 sweep row is read from :attr:`TVCurve.mixing_crossings`, the two-step
-averaged curve's crossings on a periodic unlazy lift.  The sweep driver
-scales the lift degree over a grid, fits the growth of the worst-start
-mixing time against ``log n``, and compares the slope with the reciprocal
-entropy rate of the base graph.
+averaged curve's crossings on a periodic unlazy lift, and the worst start is
+ranked by one rule (:func:`_worst_start`).  The sweep driver scales the lift
+degree over a grid, fits the growth of the worst-start mixing time against
+``log n``, and compares the slope with the reciprocal entropy rate of the
+base graph.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import queue
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,13 +41,7 @@ import numpy as np
 from .analyzer import entropy
 from .base_graph import holding_probability, parse_graph, transition_matrix
 from .errors import AnalysisError
-from .lift import (
-    apply_kernel,
-    apply_kernel_to_function,
-    generate_uniform_lift,
-    lift_stationary,
-    project_distribution,
-)
+from .lift import _step, apply_kernel, generate_uniform_lift, project_distribution
 from .rng import substream
 
 #: Tolerance for the per-step mass-conservation and TV-monotonicity checks.
@@ -51,30 +49,53 @@ PROPAGATION_TOL = 1e-12
 #: Largest state count enumerated exhaustively by worst-start search.
 EXHAUSTIVE_START_CAP = 20_000
 DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
-#: Doubles in each block buffer of :func:`mixing_curves` (256 KB): a lift
-#: propagates ``max(1, _BLOCK_DOUBLES // n_states)`` starts together, so a
-#: block stays in cache and a lift larger than this runs one start at a time.
+#: Doubles in each block buffer of :func:`mixing_curves` (256 KB): a block
+#: holds at most ``_BLOCK_DOUBLES // n_states`` starts, so it stays in cache
+#: and a lift larger than this runs one start per block.
 _BLOCK_DOUBLES = 1 << 15
 #: Largest relative distance of the fitted slope from ``1 / h`` that
 #: :func:`cutoff_sweep` accepts.
 _SLOPE_TOLERANCE = 0.15
+#: CPUs this process runs on, when it has been given a share of them
+#: (:func:`_pool_map`'s processes); None for every CPU it may use.
+_CPUS = None
+
+
+def _cpus():
+    """CPUs this process may use: :data:`_CPUS` when set, else the size of
+    its CPU affinity, or the machine's CPU count where there is none."""
+    if _CPUS is not None:
+        return _CPUS
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _share_cpus(cpus):
+    """Initializer of :func:`_pool_map`'s processes: this one runs on
+    ``cpus`` CPUs."""
+    global _CPUS
+    _CPUS = cpus
 
 
 def _pool_size(workers, n_items):
     """Processes :func:`_pool_map` runs ``n_items`` items on: ``workers``,
     but never more than items or CPUs, and at least one."""
-    return max(1, min(int(workers), n_items, os.cpu_count() or 1))
+    return max(1, min(int(workers), n_items, _cpus()))
 
 
 def _pool_map(fn, items, workers):
     """``map(fn, items)``, in order, on ``_pool_size(workers, len(items))``
-    processes; with one it runs in this process."""
+    processes; with one it runs in this process.  Each process steps its
+    blocks of starts on an equal share of the CPUs."""
     items = list(items)
     workers = _pool_size(workers, len(items))
     if workers == 1:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
+                             initargs=(max(1, _cpus() // workers),)) as pool:
         yield from pool.map(fn, items)
 
 
@@ -150,10 +171,13 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     averaged sibling whose thresholds are meaningful, and its early stop
     watches the averaged curve instead.
 
-    The starts are propagated together, in blocks of
-    ``max(1, _BLOCK_DOUBLES // n_states)``; every curve is the same, bit for
-    bit, as if its start were propagated alone.  ``progress``, when given,
-    is called with the number of curves done after each block.
+    The starts are propagated together, in blocks of ``max(1,
+    min(ceil(len(starts) / cpus), _BLOCK_DOUBLES // n_states))``, on one
+    thread per CPU the process may use (in the calling thread when that is
+    one CPU or one block); every curve is the same, bit for bit, as if its
+    start were propagated alone.  ``progress``, when given, is called in
+    the calling thread with the number of curves done after each block, in
+    block order.  No thread outlives the call.
     """
     alpha = holding_probability(lift.base, alpha)
     eps_list = tuple(float(e) for e in eps_list)
@@ -170,14 +194,45 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     # lift_stationary puts pi_v / n on every state of fiber v: one column
     # broadcast over the fibers gives the same TV without a state-sized pi
     pi = (lift.base.stationary.as_array() / lift.n)[:, None]
-    size = max(1, min(len(starts), _BLOCK_DOUBLES // lift.n_states))
-    buffers = [np.empty((size, lift.base.n_vertices, lift.n)) for _ in range(3)]
+    cpus = _cpus()
+    size = max(1, min(math.ceil(len(starts) / cpus), _BLOCK_DOUBLES // lift.n_states))
+    blocks = [starts[b:b + size] for b in range(0, len(starts), size)]
+    threads = min(cpus, len(blocks))
+    # one set of buffers per thread, lent to the block it runs
+    free = queue.SimpleQueue()
+    for _ in range(threads):
+        free.put((np.empty((size, lift.base.n_vertices, lift.n)),
+                  np.empty((size, lift.base.n_vertices, lift.n)),
+                  np.empty((size, lift.n))))
+
+    def run(block):
+        buffers = free.get()
+        try:
+            return _block_curves(lift, block, alpha, eps_list, t_cap, pi, buffers)
+        finally:
+            free.put(buffers)
+
     curves = []
-    for b in range(0, len(starts), size):
-        curves += _block_curves(lift, starts[b:b + size], alpha, eps_list,
-                                t_cap, pi, buffers)
-        if progress is not None:
-            progress(len(curves))
+
+    def collect(results):
+        for block_curves in results:
+            curves.extend(block_curves)
+            if progress is not None:
+                progress(len(curves))
+
+    if threads <= 1:
+        collect(map(run, blocks))
+        return curves
+    # the blocks read these caches: fill them before any thread starts,
+    # because cached_property takes no lock from Python 3.12 on
+    lift.moves
+    if alpha <= 0.0:
+        lift._strong_periods
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        collect(pool.map(run, blocks))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return curves
 
 
@@ -185,18 +240,19 @@ def _block_curves(lift, starts, alpha, eps_list, t_cap, pi, buffers):
     """The curves of one block of starts, propagated together.
 
     ``buffers`` holds two distribution blocks that swap roles each step and
-    one difference block.  The rows still stepping occupy the leading slots:
-    when rows stop, the others move up, so a step never works on a row that
-    has stopped.
+    the step's gather scratch.  After a step the old distribution is dead:
+    the averaged law and every TV are computed in it.  The rows still
+    stepping occupy the leading slots: when rows stop, the others move up,
+    so a step never works on a row that has stopped.
     """
-    mu, nxt, diff = buffers
+    mu, nxt, scratch = buffers
     k = len(starts)
     mu[:k] = 0.0
     for r, s in enumerate(starts):
         mu[(r, *lift.split(s))] = 1.0
     # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
     periodic = [alpha <= 0.0 and lift.period(s) > 1 for s in starts]
-    tv0 = _tvs(mu[:k], pi, diff[:k])
+    tv0 = _tvs(mu[:k], pi, nxt[:k])
     tvs = [[tv] for tv in tv0]
     # The average of mu_0 with itself at t=0 is mu_0.
     avg_tvs = [[tv] if p else None for tv, p in zip(tv0, periodic)]
@@ -206,13 +262,13 @@ def _block_curves(lift, starts, alpha, eps_list, t_cap, pi, buffers):
     t = 0
     while live and t < t_cap:
         j = len(live)
-        apply_kernel(lift, mu[:j], alpha=alpha, out=nxt[:j])
+        _step(lift, mu[:j], alpha, nxt[:j], scratch[:j])
         t += 1
-        step_tvs = _tvs(nxt[:j], pi, diff[:j])
         if any(periodic[r] for r in live):
-            np.add(mu[:j], nxt[:j], out=diff[:j])
-            diff[:j] *= 0.5
-            step_avg = _tvs(diff[:j], pi, diff[:j])
+            np.add(mu[:j], nxt[:j], out=mu[:j])
+            mu[:j] *= 0.5
+            step_avg = _tvs(mu[:j], pi, mu[:j])
+        step_tvs = _tvs(nxt[:j], pi, mu[:j])
         mu, nxt = nxt, mu
         stopped = []
         for slot, r in enumerate(live):
@@ -305,6 +361,14 @@ def _select_starts(lift, starts, rng):
     raise AnalysisError(f"bad start policy {starts!r}; use 'all' or 'sample:k'")
 
 
+def _worst_start(times):
+    """``(start, time)`` of the start that mixes last in ``times`` (start ->
+    mixing time, None when unreached): an unreached start outranks every
+    reached one, and of equal times the lower start wins."""
+    worst = max(times, key=lambda s: (math.inf if times[s] is None else times[s], -s))
+    return worst, times[worst]
+
+
 def worst_and_best_case(lift, alpha=None, eps=0.25, starts="all", rng=None,
                         t_cap=10_000):
     """Worst- and best-start mixing times at one TV threshold."""
@@ -312,18 +376,14 @@ def worst_and_best_case(lift, alpha=None, eps=0.25, starts="all", rng=None,
     states, exhaustive = _select_starts(lift, starts, rng)
     curves = mixing_curves(lift, states, alpha=alpha, eps_list=(eps,), t_cap=t_cap)
     per_start = {s: curve.mixing_crossings[eps] for s, curve in zip(states, curves)}
-    reached = {s: t for s, t in per_start.items() if t is not None}
-    exact = exhaustive and len(reached) == len(per_start)
-    if reached:
-        argmin, t_min = min(reached.items(), key=lambda kv: (kv[1], kv[0]))
-        argmax, t_max = max(reached.items(), key=lambda kv: (kv[1], -kv[0]))
-    else:
-        argmin = t_min = argmax = t_max = None
-    if len(reached) != len(per_start):
-        t_max = None
+    argmax, t_max = _worst_start(per_start)
+    if t_max is None:
         argmax = None
+    reached = {s: t for s, t in per_start.items() if t is not None}
+    argmin, t_min = min(reached.items(), key=lambda kv: (kv[1], kv[0]),
+                        default=(None, None))
     return WorstBest(t_max=t_max, t_min=t_min, argmax=argmax, argmin=argmin,
-                     exact=exact, per_start=per_start)
+                     exact=exhaustive and t_max is not None, per_start=per_start)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +487,11 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     rows = tuple(row for chunk in _pool_map(_sweep_cell, cells, workers)
                  for row in chunk)
 
-    # worst start per (n, seed, eps); None (unreached) dominates
-    worst = {}
+    # worst-start mixing time per (n, seed, eps)
+    times = {}
     for row in rows:
-        key = (row.n, row.seed, row.eps)
-        if key not in worst:
-            worst[key] = row.t_mix
-        elif worst[key] is not None:
-            worst[key] = None if row.t_mix is None else max(worst[key], row.t_mix)
+        times.setdefault((row.n, row.seed, row.eps), {})[row.start] = row.t_mix
+    worst = {key: _worst_start(cell)[1] for key, cell in times.items()}
 
     # slope of seed-averaged worst-start time at eps_primary vs log n
     xs, ys = [], []
@@ -492,87 +549,6 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
         verdict_slope=verdict_slope, verdict_window=verdict_window,
         verdict=verdict_slope and verdict_window, t_caps=t_caps,
         alpha=alpha,
-    )
-
-
-# ---------------------------------------------------------------------------
-# conductance proxy via the second singular value
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConductanceProxy:
-    """Spectral lower-bound proxy for the lift's bottleneck conductance.
-
-    ``sigma2`` is the second singular value of the stationarity-symmetrized
-    kernel; ``gap = 1 - sigma2`` and ``bound = gap / 2`` lower-bounds the
-    conductance of every stationarity-weighted cut.  ``flagged`` marks a
-    vanishing gap (disconnected or periodic lift), where the proxy carries
-    no information.
-    """
-
-    sigma2: float
-    gap: float
-    bound: float
-    converged: bool
-    residual: float
-    iterations: int
-    flagged: bool
-
-
-def conductance_proxy(lift, alpha=None, tol=1e-10, max_iter=5000, seed=0):
-    """Estimate the second singular value of the symmetrized lift kernel.
-
-    Matrix-free power iteration on ``M = A^T A`` with ``A = D^{1/2} P
-    D^{-1/2}`` (``D`` the stationary diagonal), deflated against the known
-    top singular vector ``sqrt(pi)``.  Non-convergence is reported in the
-    result rather than raised.
-    """
-    pi = lift_stationary(lift).reshape(-1)
-    if (pi <= 0).any():
-        raise AnalysisError("stationary distribution has nonpositive entries")
-    sqrt_pi = np.sqrt(pi)
-
-    def apply_a(v):
-        return sqrt_pi * apply_kernel_to_function(lift, v / sqrt_pi, alpha=alpha)
-
-    def apply_at(w):
-        return apply_kernel(lift, w * sqrt_pi, alpha=alpha) / sqrt_pi
-
-    def apply_m(v):
-        return apply_at(apply_a(v))
-
-    rng = np.random.default_rng(int(seed))
-    v = rng.standard_normal(lift.n_states)
-    v -= (v @ sqrt_pi) * sqrt_pi
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise AnalysisError("degenerate random start vector")
-    v /= norm
-    lam = 0.0
-    residual = float("inf")
-    converged = False
-    iterations = 0
-    for iterations in range(1, int(max_iter) + 1):
-        w = apply_m(v)
-        w -= (w @ sqrt_pi) * sqrt_pi
-        lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            lam = 0.0
-            residual = 0.0
-            converged = True
-            break
-        v = w / norm
-        if residual <= tol * max(1.0, abs(lam)):
-            converged = True
-            break
-    sigma2 = math.sqrt(max(lam, 0.0))
-    gap = 1.0 - sigma2
-    return ConductanceProxy(
-        sigma2=sigma2, gap=gap, bound=gap / 2.0, converged=converged,
-        residual=residual, iterations=iterations, flagged=gap < 1e-6,
     )
 
 

@@ -556,12 +556,16 @@ def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeyp
     from liftmix import mixing
 
     sizes = []
+    shares = []
 
     class RecordingPool:
-        """Stands in for the process pool: records its size, maps in-process."""
+        """Stands in for the process pool: records its size and each
+        process's share of the CPUs, maps in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
+            assert initializer is mixing._share_cpus
             sizes.append(max_workers)
+            shares.append(*initargs)
 
         def __enter__(self):
             return self
@@ -575,27 +579,28 @@ def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeyp
     monkeypatch.setattr(mixing, "ProcessPoolExecutor", RecordingPool)
     cover = ["cover-sim", "--graph", theta3_file, "--steps", "2000", "--trials", "3",
              "--out", str(tmp_path / "cover")]
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     code, payload, _ = run_cli(capsys, cover + ["--workers", "5000"])
     assert code == 0 and sizes == [3]
     # without --per-trial nothing is written, so there is no manifest
     assert payload["manifest"] is None
     assert os.listdir(tmp_path / "cover") == []
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     assert run_cli(capsys, cover + ["--workers", "5000"])[0] == 0
     assert sizes == [3, 2]
     # one worker runs in-process
     assert run_cli(capsys, cover + ["--workers", "1"])[0] == 0
     assert sizes == [3, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     monkeypatch.setenv("LIFTMIX_WORKERS", "5000")
     sweep = ["sweep", "--graph", theta3_file, "--n", "16,32", "--seeds", "1",
              "--starts", "sample:2", "--out", str(tmp_path / "sweep")]
     code, _, cap = run_cli(capsys, sweep)
     assert code == 0 and sizes == [3, 2, 2]
+    assert shares == [21, 1, 32]
     # the progress line reports the pool that runs, not the request
     assert "1 seeds, 2 worker(s)" in cap.err
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1)))
     code, _, cap = run_cli(capsys, sweep)
     assert code == 0 and sizes == [3, 2, 2]
     assert "1 seeds, 1 worker(s)" in cap.err

@@ -1,6 +1,8 @@
-"""Exact TV propagation, mixing curves, sweeps, and spectral proxies."""
+"""Exact TV propagation, mixing curves, worst starts and sweeps."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from liftmix import (
     Lift,
     apply_kernel,
     check_assumptions,
-    conductance_proxy,
     cutoff_sweep,
     entropy,
     generate_uniform_lift,
@@ -258,46 +259,6 @@ def test_cutoff_sweep_respects_explicit_cap(theta3):
 
 
 # ---------------------------------------------------------------------------
-# conductance proxy
-# ---------------------------------------------------------------------------
-
-
-def test_conductance_proxy_theta3(theta3):
-    lift = _lift8(theta3)
-    cp = conductance_proxy(lift)
-    assert cp.converged
-    assert not cp.flagged
-    assert 0.0 < cp.sigma2 < 1.0
-    assert cp.gap == pytest.approx(1.0 - cp.sigma2, abs=1e-15)
-    assert cp.bound == pytest.approx(cp.gap / 2.0, abs=1e-15)
-    # verify against the dense singular values of the symmetrized kernel
-    from liftmix import lift_transition_matrix
-
-    p = lift_transition_matrix(lift)
-    pi = lift_stationary(lift).reshape(-1)
-    d = np.sqrt(pi)
-    a = d[:, None] * p / d[None, :]
-    svals = np.linalg.svd(a, compute_uv=False)
-    assert cp.sigma2 == pytest.approx(float(svals[1]), abs=1e-8)
-
-
-def test_conductance_proxy_flags_disconnected_lift(theta3):
-    # identity permutations keep the n sheets disconnected: the second
-    # singular value is 1 and the proxy must flag itself useless
-    ident = Lift(theta3, 4, (range(4), range(4), range(4)))
-    cp = conductance_proxy(ident)
-    assert cp.sigma2 == pytest.approx(1.0, abs=1e-9)
-    assert cp.flagged
-
-
-def test_conductance_proxy_reports_nonconvergence(theta3):
-    lift = _lift8(theta3)
-    cp = conductance_proxy(lift, max_iter=2)
-    assert not cp.converged
-    assert cp.iterations == 2
-
-
-# ---------------------------------------------------------------------------
 # projection identity
 # ---------------------------------------------------------------------------
 
@@ -429,17 +390,18 @@ MIXED_PERIODS = (bouquet_text(2), 3, ((0, 2, 1),))
        st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
        st.sampled_from([0, 1, 7, 60]), st.integers(1, 4),
        st.sampled_from([DEFAULT_EPS_LIST, (0.5,), (0.3, 0.9)]),
-       st.integers(0, 2**16))
-@example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, 3, (0.5,), 0)
+       st.integers(0, 2**16), st.integers(1, 3))
+@example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, 3, (0.5,), 0, 1)
+@example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, 3, (0.5,), 0, 3)
 @example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6),) * 3), 0.0, [0, 5, 9], 0,
-         2, DEFAULT_EPS_LIST, 0)
+         2, DEFAULT_EPS_LIST, 0, 2)
 # the two rows stop at steps 21 and 15, and start 2's mass drifts on after
 # its stop: 3.3e-16 there, 6.7e-16 at step 21
 @example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6), (1, 2, 3, 4, 5, 6, 7, 0),
                            tuple(range(8)))), 0.5, [0, 2], 60, 2,
-         DEFAULT_EPS_LIST, 0)
+         DEFAULT_EPS_LIST, 0, 1)
 def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_cap,
-                                                       rows, eps_list, seed):
+                                                       rows, eps_list, seed, cpus):
     text, n, perms = case
     g = parse_graph(text)
     lift = Lift(g, n, perms)
@@ -455,9 +417,11 @@ def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_ca
         assert np.array_equal(out[r], apply_kernel(lift, block[r], alpha=alpha))
         assert np.array_equal(out[r], _allocating_step(lift, block[r], alpha))
 
-    # rows starts per block, so several blocks, whose rows stop at different steps
+    # at most rows starts per block, so several blocks, whose rows stop at
+    # different steps, run on cpus threads
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
+        mp.setattr(mixing, "_CPUS", cpus)
         curves = mixing_curves(lift, starts, alpha=alpha, eps_list=eps_list,
                                t_cap=t_cap)
     assert len(curves) == len(starts)
@@ -502,8 +466,57 @@ def test_blocked_curves_raise_the_first_failing_start_in_order(theta3, monkeypat
             expected = str(exc)
             break
     assert expected is not None
-    for rows in (1, 2, len(starts)):
-        monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
-        with pytest.raises(AnalysisError) as exc:
-            mixing_curves(lift, starts)
-        assert str(exc.value) == expected
+    # on two threads with one start per block, start 1's block fails first
+    # in the -0.02 case, and start 4's error is still the one raised
+    for cpus in (1, 2):
+        monkeypatch.setattr(mixing, "_CPUS", cpus)
+        for rows in (1, 2, len(starts)):
+            monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
+            with pytest.raises(AnalysisError) as exc:
+                mixing_curves(lift, starts)
+            assert str(exc.value) == expected
+
+
+def test_progress_sees_the_same_counts_on_any_number_of_threads(theta3, monkeypatch):
+    lift = _lift8(theta3)
+    monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", 2 * lift.n_states)
+    seen = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(mixing, "_CPUS", cpus)
+        seen[cpus] = []
+        mixing_curves(lift, range(7), progress=lambda done, calls=seen[cpus]:
+                      calls.append((done, threading.get_ident())))
+    # blocks of two starts, reported in block order from the calling thread
+    caller = threading.get_ident()
+    assert seen[1] == seen[2] == [(2, caller), (4, caller), (6, caller), (7, caller)]
+
+
+def test_no_thread_outlives_a_call(theta3, monkeypatch):
+    lift = _lift8(theta3)
+    monkeypatch.setattr(mixing, "_CPUS", 2)
+    monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", lift.n_states)
+    before = threading.active_count()
+    during = []
+    mixing_curves(lift, range(6), progress=lambda done: during.append(
+        threading.active_count()))
+    assert max(during) > before
+    assert threading.active_count() == before
+    monkeypatch.setattr(mixing, "PROPAGATION_TOL", -0.02)
+    with pytest.raises(AnalysisError, match="TV increased"):
+        mixing_curves(lift, range(6))
+    assert threading.active_count() == before
+
+
+def test_pool_size_counts_the_cpus_of_the_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert mixing._pool_size(4, 10) == 1
+    # where there is no affinity, the machine's CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert mixing._pool_size(4, 10) == 4
+
+
+def test_worst_start_puts_unreached_first_and_breaks_ties_by_lower_start():
+    assert mixing._worst_start({5: 7, 8: 9, 2: 9, 3: 4}) == (2, 9)
+    assert mixing._worst_start({5: 7, 6: None, 2: 9, 4: None}) == (4, None)
+    assert mixing._worst_start({3: 0}) == (3, 0)

@@ -39,6 +39,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
   no non-backtracking cycle), and trees.  Their witness cycles and error lines
   depend on the order in which strong components are found.
 
+The working tree's ``mix`` and ``sweep`` calls run a second time in a child
+pinned to one CPU (``os.sched_setaffinity`` in that child only, where the
+platform has it), so that the curves stepped in the calling thread and those
+stepped on one thread per CPU are both compared with ``--rev``.
+
 For each call it compares the exit code, standard output, the error lines
 (``liftmix: ...`` on standard error), every artifact file byte for byte, and
 ``manifest.json`` without its ``timing`` key.  Each difference is printed;
@@ -69,7 +74,8 @@ BENCH_GRAPHS = os.path.join(ROOT, "perfbench", "graphs")
 OUT = "{out}"  # replaced by each call's own artifact directory
 
 #: Runs in a child: reads ``[argv, ...]`` as JSON on stdin, calls the CLI
-#: once per entry with artifacts under ``out/<index>``, prints the results.
+#: once per entry with artifacts under ``out/<index>`` (``null`` entries are
+#: skipped and give ``null``), prints the results.
 CHILD = r"""
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -77,6 +83,9 @@ from liftmix.cli import main
 
 results = []
 for i, argv in enumerate(json.load(sys.stdin)):
+    if argv is None:  # a call this child skips
+        results.append(None)
+        continue
     argv = [f"out/{i}" if a == "{out}" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -223,10 +232,14 @@ def _first_edge(path):
         return next(line.split()[1] for line in fh if line.startswith("edge "))
 
 
-def _run(args, cwd, src, stdin=""):
+def _run(args, cwd, src, stdin="", cpus=None):
+    """The JSON a child prints; ``cpus``, when given, is the child's CPU
+    affinity."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(src))
+    pin = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
     proc = subprocess.run([sys.executable, "-c", *args], cwd=cwd, env=env,
-                          input=stdin, capture_output=True, text=True)
+                          input=stdin, capture_output=True, text=True,
+                          preexec_fn=pin)
     if proc.returncode != 0:
         sys.exit(f"child in {cwd} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -339,7 +352,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         old_dir, new_dir = os.path.join(work, "rev"), os.path.join(work, "tree")
-        for d in (old_dir, new_dir):
+        one_dir = os.path.join(work, "tree-1cpu")
+        for d in (old_dir, new_dir, one_dir):
             os.makedirs(d, exist_ok=True)
         old_src = export_src(args.rev, old_dir)
         new_src = os.path.join(ROOT, "src")
@@ -353,9 +367,18 @@ def main(argv=None):
         new = _run([CHILD], new_dir, [new_src], stdin)
         diffs = [d for i, argv in enumerate(argvs)
                  for d in compare(i, argv, old[i], new[i], old_dir, new_dir)]
+        picked = []
+        if hasattr(os, "sched_setaffinity"):
+            picked = [a if a[0] in ("mix", "sweep") else None for a in argvs]
+            print("running its mix and sweep calls on one CPU ...", file=sys.stderr)
+            one = _run([CHILD], one_dir, [new_src], json.dumps(picked),
+                       cpus={min(os.sched_getaffinity(0))})
+            diffs += [f"one CPU: {d}" for i, argv in enumerate(picked) if argv
+                      for d in compare(i, argv, old[i], one[i], old_dir, one_dir)]
     for line in diffs:
         print(line)
-    print(f"{len(argvs)} calls, {len(diffs)} difference(s) against {args.rev}")
+    print(f"{len(argvs)} calls ({sum(map(bool, picked))} also on one CPU), "
+          f"{len(diffs)} difference(s) against {args.rev}")
     return 1 if diffs else 0
 
 
