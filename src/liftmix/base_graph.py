@@ -17,9 +17,10 @@ Besides parsing and validation this module provides:
 * :func:`strong_components` -- the strong components of a digraph given by
   arcs (an iterative Tarjan search), the one search behind irreducibility,
   the cycle census, the walk's period and the analyzer's ray chain;
-* :func:`component_periods` -- the periods of given strong components, from
-  one breadth-first search over all of them at once; a lift finds its
-  components from the covering argument and its periods here;
+* :func:`component_periods` -- the components and periods of a digraph
+  whose weak components are strongly connected, from one union-find pass
+  with potentials; the vertex chain's period and a lift's components and
+  periods come from here;
 * :func:`check_assumptions` -- irreducibility, positivity, the two-cycle
   branching property of the non-backtracking structure, the
   every-edge-on-a-cycle property, and the walk's period;
@@ -340,7 +341,7 @@ def validate_graph(g):
     for i, v in enumerate(g.vertices):
         if abs(sums[i] - 1.0) > WEIGHT_TOL:
             raise GraphError(
-                f"outgoing weight sum {sums[i]!r} != 1 at vertex {v!r}"
+                f"outgoing weight sum {float(sums[i])!r} != 1 at vertex {v!r}"
             )
 
 
@@ -564,57 +565,48 @@ def strong_components(n_nodes, tails, heads):
     return n_components, np.array(labels, dtype=np.int64)
 
 
-def _bfs_levels(n_nodes, tails, heads, sources):
-    """Breadth-first level of every node from the nearest of ``sources``,
-    -1 where unreached.
+def component_periods(n_nodes, tails, heads):
+    """Weak components of the digraph with arcs ``tails[i] -> heads[i]`` and
+    their periods, as ``(n_components, labels, periods)``.
 
-    Expands the whole frontier at once over the arcs sorted by tail, so it
-    takes one round of array operations per level.
+    Each weak component must be strongly connected.  Components are
+    numbered by their lowest node; ``periods[c]`` is 0 when ``c`` has no
+    arc.  Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms
+    1982): every round hooks the larger root of each arc that joins two
+    trees onto the smaller one, then jumps every node straight to its root.
+    Each node also keeps its potential above its parent, so that one
+    winning hooking arc ``u -> v`` per root sets ``pot[v] = pot[u] + 1``.
+    The period is then the gcd of ``pot[u] + 1 - pot[v]`` over all arcs
+    (Denardo, Math. Oper. Res. 1977).
     """
-    succ = heads[np.argsort(tails)]
-    degree = np.bincount(tails, minlength=n_nodes)
-    first_arc = np.cumsum(degree) - degree
-    level = np.full(n_nodes, -1, dtype=np.int64)
-    slot = np.empty(n_nodes, dtype=np.int64)
-    frontier = np.asarray(sources, dtype=np.int64)
-    level[frontier] = 0
-    depth = 0
-    while frontier.size:
-        depth += 1
-        count = degree[frontier]
-        # the arcs of frontier node i sit at first_arc[i] onwards
-        shift = np.repeat(first_arc[frontier] - (np.cumsum(count) - count), count)
-        reached = succ[shift + np.arange(shift.size)]
-        reached = reached[level[reached] < 0]
-        level[reached] = depth
-        # keep one copy of each node: the one whose position won its slot
-        order = np.arange(reached.size)
-        slot[reached] = order
-        frontier = reached[slot[reached] == order]
-    return level
-
-
-def component_periods(n_components, labels, tails, heads):
-    """Periods of the strong components ``labels`` of a digraph given by arcs.
-
-    ``(n_components, labels)`` is :func:`strong_components` of the digraph,
-    or the same partition found otherwise.  One breadth-first search, kept
-    to the arcs inside components, starts from the lowest node of every
-    component at once; ``periods[c]`` is the gcd of ``level[u] + 1 -
-    level[v]`` over the arcs ``u -> v`` inside ``c``, and 0 when there are
-    none.
-    """
-    labels = np.asarray(labels)
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
-    inside = labels[tails] == labels[heads]
-    tails, heads = tails[inside], heads[inside]
-    lowest = np.full(n_components, len(labels), dtype=np.int64)
-    np.minimum.at(lowest, labels, np.arange(len(labels)))
-    level = _bfs_levels(len(labels), tails, heads, lowest)
-    periods = np.zeros(n_components, dtype=np.int64)
-    np.gcd.at(periods, labels[tails], level[tails] + 1 - level[heads])
-    return periods
+    parent = np.arange(n_nodes)
+    pot = np.zeros(n_nodes, dtype=np.int64)
+    t, h = tails, heads
+    while True:
+        root_t, root_h = parent[t], parent[h]
+        apart = root_t != root_h
+        if not apart.any():
+            break
+        # an arc inside one tree stays inside it
+        t, h, root_t, root_h = t[apart], h[apart], root_t[apart], root_h[apart]
+        low, high = np.minimum(root_t, root_h), np.maximum(root_t, root_h)
+        np.minimum.at(parent, high, low)
+        # the potential of root high above low that makes the arc rise by 1
+        rise = pot[t] + 1 - pot[h]
+        won = parent[high] == low
+        pot[high[won]] = np.where(root_t == low, rise, -rise)[won]
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            pot += pot[parent]
+            parent = up
+    roots, labels = np.unique(parent, return_inverse=True)
+    periods = np.zeros(len(roots), dtype=np.int64)
+    np.gcd.at(periods, labels[tails], pot[tails] + 1 - pot[heads])
+    return len(roots), labels, periods
 
 
 def check_assumptions(g):
@@ -633,8 +625,10 @@ def check_assumptions(g):
     # The vertex chain's period is the gcd of the periods of the strong
     # components that hold an arc.
     pos = weight > 0.0
-    periods = component_periods(*g.vertex_components, g.oriented_init[pos],
-                                g.oriented_end[pos])
+    tails, heads = g.oriented_init[pos], g.oriented_end[pos]
+    _, labels = g.vertex_components
+    inside = labels[tails] == labels[heads]
+    _, _, periods = component_periods(g.n_vertices, tails[inside], heads[inside])
     return AssumptionReport(
         a1_irreducible=g.irreducible,
         a2_two_cycles=a2,

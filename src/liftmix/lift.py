@@ -78,9 +78,8 @@ class Lift:
 
     @cached_property
     def _strong_periods(self):
-        """Strong components of the unlazy walk and their
-        :func:`~liftmix.base_graph.component_periods`, as ``(labels,
-        periods)``.
+        """Strong components of the unlazy walk and their periods, as
+        ``(labels, periods)``.
 
         A finite cover of a strongly connected digraph has strongly
         connected weak components.  A lift arc ``(u, i) -> (v, j)`` over an
@@ -89,8 +88,10 @@ class Lift:
         permutes the finite fiber over ``u``, and repeating it as often as
         the permutation's order leads from ``(v, j)`` back to ``(u, i)``.
         So the walk's strong components are the weak components of the
-        lift arcs over arcs inside one base strong component; states over a
-        base component without such an arc are singletons.
+        lift arcs over arcs inside one base strong component, and
+        :func:`~liftmix.base_graph.component_periods` finds them and their
+        periods in one pass; states over a base component without such an
+        arc are singletons of period 0.
         """
         _, base_labels = self.base.vertex_components
         fibers = np.arange(self.n)
@@ -98,17 +99,17 @@ class Lift:
                  if base_labels[u] == base_labels[v]]
         tails = np.concatenate([u * self.n + fibers for _, u, _ in inner])
         heads = np.concatenate([v * self.n + self.maps[k] for k, _, v in inner])
-        n_components, labels = _weak_components(self.n_states, tails, heads)
-        return labels, component_periods(n_components, labels, tails, heads)
+        _, labels, periods = component_periods(self.n_states, tails, heads)
+        return labels, periods
 
     def period(self, state):
         """Period of the unlazy walk on the strong component of ``state``.
 
         The periods of all components are found on the first call and kept.
         """
-        u, i = self.split(state)
+        self.split(state)
         labels, periods = self._strong_periods
-        return max(int(periods[labels[u * self.n + i]]), 1)
+        return max(int(periods[labels[int(state)]]), 1)
 
     @property
     def n_states(self):
@@ -143,33 +144,6 @@ class Lift:
                 f"vertex {g.vertices[u]!r}"
             )
         return int(g.oriented_end[k]) * self.n + int(self.maps[k][i])
-
-
-def _weak_components(n_nodes, tails, heads):
-    """Weak components of the digraph with arcs ``tails[i] -> heads[i]``, as
-    ``(n_components, labels)`` numbered by their lowest node.
-
-    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982):
-    every round hooks the larger root of each arc that joins two trees onto
-    the smaller one, then jumps every node straight to its root.
-    """
-    parent = np.arange(n_nodes)
-    while True:
-        root_t, root_h = parent[tails], parent[heads]
-        apart = root_t != root_h
-        if not apart.any():
-            break
-        # an arc inside one tree stays inside it
-        tails, heads = tails[apart], heads[apart]
-        root_t, root_h = root_t[apart], root_h[apart]
-        np.minimum.at(parent, np.maximum(root_t, root_h), np.minimum(root_t, root_h))
-        while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            parent = up
-    roots, labels = np.unique(parent, return_inverse=True)
-    return len(roots), labels
 
 
 def generate_uniform_lift(g, n, rng, seed=None):
@@ -364,19 +338,39 @@ def lift_from_json(g, text):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid lift JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise GraphError("lift JSON must be an object")
     for key in ("base_hash", "n", "permutations"):
         if key not in payload:
             raise GraphError(f"lift JSON missing field {key!r}")
-    if payload["base_hash"] != g.digest():
+    stamp = payload["base_hash"]
+    if stamp != g.digest():
         raise GraphError(
             "lift JSON was generated for a different base graph "
-            f"(hash {payload['base_hash'][:12]}... != {g.digest()[:12]}...)"
+            f"(hash {str(stamp)[:12]}... != {g.digest()[:12]}...)"
         )
-    n = int(payload["n"])
-    stored = payload["permutations"]
+    # ``type(x) is int`` also turns away JSON's true and false, which Python
+    # reads as the ints 1 and 0
+    n, seed, stored = payload["n"], payload.get("seed"), payload["permutations"]
+    if type(n) is not int or n < 1:
+        raise GraphError(f"lift JSON field 'n' must be a positive integer, got {n!r}")
+    if seed is not None and type(seed) is not int:
+        raise GraphError(f"lift JSON field 'seed' must be an integer, got {seed!r}")
+    if not isinstance(stored, dict):
+        raise GraphError("lift JSON field 'permutations' must be an object")
+    unknown = sorted(set(stored) - {e.eid for e in g.edges})
+    if unknown:
+        raise GraphError(f"lift JSON has a permutation for unknown edge {unknown[0]!r}")
     perms = []
     for e in g.edges:
         if e.eid not in stored:
             raise GraphError(f"lift JSON missing permutation for edge {e.eid!r}")
-        perms.append(np.asarray(stored[e.eid], dtype=np.int64) - 1)
-    return Lift(base=g, n=n, perms=tuple(perms), seed=payload.get("seed"))
+        p = stored[e.eid]
+        if not (isinstance(p, list) and len(p) == n
+                and all(type(x) is int and 1 <= x <= n for x in p)):
+            raise GraphError(
+                f"lift JSON permutation for edge {e.eid!r} is not a list of "
+                f"{n} integers in 1..{n}"
+            )
+        perms.append(np.array(p, dtype=np.int64) - 1)
+    return Lift(base=g, n=n, perms=tuple(perms), seed=seed)

@@ -90,6 +90,21 @@ edge bc b c 1 0
 edge ca c a 1 0
 """
 
+ONE_WAY_TEXT = """\
+# one-way edges: e0+, e1+ and e5+ carry weight zero, so the walk enters v2
+# only along e3-
+alpha 0
+vertex v0
+vertex v1
+vertex v2
+edge e0 v0 v2 0/9 1/2
+edge e1 v1 v1 0/10 3/10
+edge e2 v1 v0 2/10 4/9
+edge e3 v2 v0 1/2 2/9
+edge e4 v0 v1 3/9 1/10
+edge e5 v1 v1 0/10 4/10
+"""
+
 
 def bouquet_text(d, alpha="0"):
     """One vertex with d/2 loops, every orientation weighted 1/d."""

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve product-level checks, each with an explicit
+"""Acceptance suite: thirteen product-level checks, each with an explicit
 quantitative target and a wall-clock budget.
 
 The four cover Monte Carlo runs and the large mixing sweep are executed
@@ -33,7 +33,14 @@ from liftmix import (
 )
 from liftmix.cli import main as cli_main
 
-from conftest import C3B_TEXT, SYM3_TEXT, THETA3_TEXT, bouquet_text
+from conftest import (
+    ASYM_THETA_TEXT,
+    C3B_TEXT,
+    ONE_WAY_TEXT,
+    SYM3_TEXT,
+    THETA3_TEXT,
+    bouquet_text,
+)
 
 LOG2 = math.log(2.0)
 
@@ -232,14 +239,17 @@ def test_03_transience_classifier_with_simulation_oracle():
 
 def test_04_monte_carlo_matches_analyzer(mc_runs):
     for (name, alpha), run in mc_runs["runs"].items():
-        payload = run["payloads"][1]
-        assert payload["n_excursions"] >= 10_000, (name, alpha)
-        assert not payload["degenerate"]
-        h_gap = abs(payload["h_est"] - payload["h_analytic"])
-        assert h_gap <= 3.0 * payload["se_h"], (name, alpha)
-        s_gap = abs(payload["speed_est"] - payload["speed_analytic"])
-        assert s_gap <= 3.0 * payload["se_speed"], (name, alpha)
+        _assert_matches_analyzer(run["payloads"][1], (name, alpha))
     assert mc_runs["wall_seconds"] < 120.0
+
+
+def _assert_matches_analyzer(payload, what):
+    assert payload["n_excursions"] >= 10_000, what
+    assert not payload["degenerate"], what
+    h_gap = abs(payload["h_est"] - payload["h_analytic"])
+    assert h_gap <= 3.0 * payload["se_h"], what
+    s_gap = abs(payload["speed_est"] - payload["speed_analytic"])
+    assert s_gap <= 3.0 * payload["se_speed"], what
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +443,25 @@ def test_12_artifacts_deterministic_across_workers(mc_runs, sweep_runs):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     assert p1["slope"] == p2["slope"]
+
+
+# ---------------------------------------------------------------------------
+# 13. check 4's gate on walks that are not reversible
+# ---------------------------------------------------------------------------
+
+
+def test_13_monte_carlo_matches_analyzer_off_reversibility(tmp_path):
+    # On the asymmetric theta graph pi(u) w(e1+) = 0.25 but pi(v) w(e1-) =
+    # 0.1; the one-way graph has orientations of weight zero.  The one-way
+    # graph stays out of any window gate: its mixing times are 9-13 steps,
+    # so the window ratio moves in whole steps there.
+    t0 = time.monotonic()
+    for name, text in (("asym_theta", ASYM_THETA_TEXT), ("one_way", ONE_WAY_TEXT)):
+        path = tmp_path / f"{name}.g"
+        path.write_text(text)
+        payload = _run_cli([
+            "cover-sim", "--graph", str(path), "--steps", "100000",
+            "--trials", "4", "--seed", "20",
+        ])
+        _assert_matches_analyzer(payload, name)
+    assert time.monotonic() - t0 < 30.0

@@ -113,7 +113,7 @@ def test_digest_sensitive_to_weights():
         ("alpha 1\nvertex a\nedge e a a 1/2 1/2\n", "alpha must lie in [0, 1)"),
         ("alpha 1/2\nalpha 1/2\nvertex a\nedge e a a 1/2 1/2\n", "duplicate alpha"),
         ("frobnicate a\n", "unknown directive"),
-        ("vertex a\nedge e a a 3/4 3/4\n", "outgoing weight sum"),
+        ("vertex a\nedge e a a 3/4 3/4\n", "outgoing weight sum 1.5 != 1 at vertex 'a'"),
         ("vertex a\nedge e a a 0 0\n", "both orientation weights are zero"),
         ("vertex a\nedge e a a -1/2 3/2\n", "outside [0, 1]"),
         ("", "no vertices"),
@@ -508,6 +508,20 @@ def test_strong_components_match_mutual_reachability(digraph):
     assert sorted(set(labels.tolist())) == list(range(ncomp))
     assert np.array_equal(labels[:, None] == labels[None, :],
                           _mutually_reachable(n, arcs))
+    # the arcs inside strong components have these for weak components
+    inner = [(u, v) for u, v in arcs if labels[u] == labels[v]]
+    got_ncomp, got_labels, periods = component_periods(
+        n, [u for u, _ in inner], [v for _, v in inner])
+    assert got_ncomp == ncomp
+    assert np.array_equal(got_labels[:, None] == got_labels[None, :],
+                          labels[:, None] == labels[None, :])
+    # numbered by lowest node
+    lowest = np.unique(got_labels, return_index=True)[1]
+    assert lowest.tolist() == sorted(lowest.tolist())
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for u, v in arcs:
+        adjacency[u, v] = 1
+    assert periods[got_labels].tolist() == _return_time_gcds(adjacency).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -541,13 +555,24 @@ def random_lift(draw):
 @settings(max_examples=200, deadline=None)
 @given(random_lift())
 def test_lift_components_and_periods_match_the_general_search(lift):
-    tails, heads = np.nonzero(lift_transition_matrix(lift, alpha=0.0))
-    ncomp, labels = strong_components(lift.n_states, tails, heads)
-    periods = component_periods(ncomp, labels, tails, heads)
+    p = lift_transition_matrix(lift, alpha=0.0)
+    _, labels = strong_components(lift.n_states, *np.nonzero(p))
     got_labels, got_periods = lift._strong_periods
     assert np.array_equal(got_labels[:, None] == got_labels[None, :],
                           labels[:, None] == labels[None, :])
-    assert got_periods[got_labels].tolist() == periods[labels].tolist()
+    assert got_periods[got_labels].tolist() == _return_time_gcds(p).tolist()
+
+
+@pytest.mark.parametrize("n, period", [(4096, 2), (4095, 1)])
+def test_lift_period_of_one_long_cycle(c3b, n, period):
+    # shifting one edge's fibers by 1 joins the n copies of the 3-cycle into
+    # one cycle of 3n states, walked both ways
+    shift = np.roll(np.arange(n), -1)
+    lift = Lift(base=c3b, n=n, perms=(range(n), range(n), shift))
+    labels, periods = lift._strong_periods
+    assert labels.tolist() == [0] * (3 * n)
+    assert periods.tolist() == [period]
+    assert lift.period(3 * n - 1) == period
 
 
 def test_validate_searches_the_vertex_chain_once(monkeypatch, tmp_path):

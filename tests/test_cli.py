@@ -355,6 +355,50 @@ def test_lift_verify_rejects_tampered_file(capsys, theta3_file, tmp_path):
     assert code == 1
 
 
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _set_perm(eid, value):
+    def edit(doc):
+        doc["permutations"][eid] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_perm("e1", [1.7, 2.7, 3.7]),
+    _set_perm("e1", ["1", "2", "3"]),
+    _set_perm("e1", [True, 2, 3]),
+    _set_perm("e1", 123),
+    _set_perm("zz", [1, 2, 3]),
+    _set("n", 3.9),
+    _set("n", "3"),
+    _set("n", None),
+    _set("n", True),
+    _set("seed", "2"),
+    _set("base_hash", 7),
+    _set("permutations", [[1, 2, 3]] * 3),
+    lambda doc: 3,
+], ids=["float-entries", "string-entries", "bool-entry", "number-perm",
+        "unknown-edge", "float-n", "string-n", "null-n", "bool-n",
+        "string-seed", "number-hash", "perm-list", "bare-number"])
+def test_lift_verify_rejects_malformed_values(capsys, theta3_file, tmp_path, edit):
+    out = tmp_path / "lift-out"
+    run_cli(capsys, ["lift", "--graph", theta3_file, "--n", "3",
+                     "--out", str(out)])
+    path = out / "lift.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, _, cap = run_cli(capsys, [
+        "lift", "--graph", theta3_file, "--verify", str(path),
+    ])
+    assert code == 1
+    assert cap.err.startswith("liftmix: error: lift JSON")
+
+
 def test_lift_requires_n_or_verify(capsys, theta3_file):
     code, _, cap = run_cli(capsys, ["lift", "--graph", theta3_file])
     assert code == 1

@@ -16,9 +16,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
   rows are the crossings of the averaged curves;
 * ``mix --starts all --alpha 0`` on a lift of the biased cycle with three
   components, some aperiodic and some of period 2, so one block of starts
-  holds periodic and aperiodic curves that stop at different steps; and a
-  small-``n`` ``sweep --starts sample:8`` on theta3, whose sampled starts
-  share a block and stop at different steps;
+  holds periodic and aperiodic curves that stop at different steps; the
+  same at ``n = 4096`` with four sampled starts, whose strong components
+  are cycles of hundreds to thousands of states; and a small-``n`` ``sweep
+  --starts sample:8`` on theta3, whose sampled starts share a block and
+  stop at different steps;
 * ``validate``, ``analyze``, ``spectrum``, ``lift`` and ``mix`` on every
   demo graph, and ``validate`` on the analyze batch;
 * ``cover-sim`` on every demo graph at its own holding probability and at
@@ -181,6 +183,9 @@ def calls(batch, rejected):
         ["mix", "--graph", _graph(DEMO_GRAPHS, "biased_cycle"), "--n", "4",
          "--alpha", "0", "--starts", "all", "--seed", "0", "--eps", "0.75,0.5,0.9",
          "--t-cap", "300", *out],
+        ["mix", "--graph", _graph(DEMO_GRAPHS, "biased_cycle"), "--n", "4096",
+         "--alpha", "0", "--starts", "sample:4", "--seed", "0", "--t-cap", "300",
+         "--eps", "0.75,0.5", *out],
         ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "16,32,64",
          "--seeds", "2", "--starts", "sample:8", "--master-seed", "0",
          "--workers", "1", *out],
