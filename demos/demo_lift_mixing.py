@@ -13,8 +13,8 @@ import argparse
 import pathlib
 
 from liftmix import (
+    draw_lift,
     entropy,
-    generate_uniform_lift,
     mixing_curve,
     parse_graph,
     predict_mixing_time,
@@ -35,8 +35,7 @@ def main():
 
     g = parse_graph(pathlib.Path(args.graph).read_text())
     report = entropy(g)
-    lift = generate_uniform_lift(g, args.n, substream(args.seed, "lift", args.n),
-                                 seed=args.seed)
+    lift = draw_lift(g, args.n, args.seed)  # the lift of `liftmix mix --seed`
     print(f"uniform {args.n}-lift of {args.graph} "
           f"({lift.n_states} states, seed {args.seed})")
 

@@ -31,7 +31,7 @@ from .analyzer import (
     FIRST_PASSAGE_TOL,
     entropy,
 )
-from .base_graph import holding_probability, parse_graph, validate_graph
+from .base_graph import holding_probability, parse_graph
 from .cover import (
     ExcursionStats,
     _confirmed_ray,
@@ -43,17 +43,11 @@ from .cover import (
     simulate_walk,
 )
 from .errors import AnalysisError, GraphError, NonConvergenceError
-from .lift import (
-    generate_sequential_lift,
-    generate_uniform_lift,
-    lift_from_json,
-    lift_to_json,
-    spectrum_inheritance_check,
-)
+from .lift import draw_lift, lift_from_json, lift_to_json, spectrum_inheritance_check
 from .mixing import (
+    _draw_starts,
     _pool_map,
     _pool_size,
-    _select_starts,
     _worst_start,
     cutoff_sweep,
     mixing_curves,
@@ -235,7 +229,6 @@ def _fmt_eps(e):
 
 def _cmd_validate(args):
     g = _load_graph(args.graph)
-    validate_graph(g)
     report = g.assumptions
     transient = None
     reason = None
@@ -451,24 +444,14 @@ def _cmd_lift(args):
         }
     if args.n is None:
         raise AnalysisError("--n is required unless --verify is given")
-    run = _Run("lift", g, {
-        "n": args.n,
-        "seed": args.seed,
-        "sequential": bool(args.sequential),
-    }, _resolve_out_dir(args))
-    if args.sequential:
-        rng = substream(args.seed, "lift-sequential", args.n, 0)
-        lift = generate_sequential_lift(g, args.n, rng, seed=args.seed)
-    else:
-        rng = substream(args.seed, "lift", args.n, 0)
-        lift = generate_uniform_lift(g, args.n, rng, seed=args.seed)
+    run = _Run("lift", g, {"n": args.n, "seed": args.seed}, _resolve_out_dir(args))
+    lift = draw_lift(g, args.n, args.seed)
     payload_file = json.loads(lift_to_json(lift))
     payload_file["meta"] = run.meta
     path = run.write(args.file_name, _canonical_json(payload_file) + "\n")
     return {
         "written": path,
         "n": lift.n,
-        "sequential": bool(args.sequential),
         "base_hash": g.digest(),
         "manifest": run.manifest(),
         "meta": run.meta,
@@ -493,10 +476,8 @@ def _cmd_mix(args):
         "starts": args.starts,
         "t_cap": args.t_cap,
     }, _resolve_out_dir(args))
-    lift = generate_uniform_lift(g, args.n, substream(args.seed, "lift", args.n, 0),
-                                 seed=args.seed)
-    rng = substream(args.seed, "start-sample", args.n, 0)
-    states, exhaustive = _select_starts(lift, args.starts, rng)
+    lift = draw_lift(g, args.n, args.seed)
+    states, exhaustive = _draw_starts(lift, args.starts, args.seed)
     last = 0
 
     def _report(done):
@@ -642,8 +623,7 @@ def _cmd_sweep(args):
 
 def _cmd_spectrum(args):
     g = _load_graph(args.graph)
-    lift = generate_uniform_lift(g, args.n, substream(args.seed, "lift", args.n, 0),
-                                 seed=args.seed)
+    lift = draw_lift(g, args.n, args.seed)
     alpha = holding_probability(g, args.alpha)
     chk = spectrum_inheritance_check(lift, alpha=alpha)
     return {
@@ -717,8 +697,6 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, default=None, help="lift degree")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sequential", action="store_true",
-                   help="use the sequential-matching generator")
     p.add_argument("--verify", default=None, metavar="PATH",
                    help="validate an existing lift file instead of generating")
     p.add_argument("--file-name", default="lift.json",

@@ -22,6 +22,7 @@ import numpy as np
 
 from .base_graph import component_periods, holding_probability, transition_matrix
 from .errors import AnalysisError, GraphError
+from .rng import substream
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,12 +53,15 @@ class Lift:
         maps = []
         ident = np.arange(n, dtype=np.int64)
         for j, p in enumerate(self.perms):
-            arr = np.asarray(p, dtype=np.int64)
-            if arr.shape != (n,) or not np.array_equal(np.sort(arr), ident):
+            # a cast to int64 would truncate floats and read booleans as 0/1
+            arr = np.asarray(p)
+            if (arr.dtype.kind not in "iu" or arr.shape != (n,)
+                    or not np.array_equal(np.sort(arr), ident)):
                 raise GraphError(
                     f"permutation for edge {self.base.edges[j].eid!r} is not "
                     f"a permutation of 0..{n - 1}"
                 )
+            arr = arr.astype(np.int64, copy=False)
             inv = np.empty(n, dtype=np.int64)
             inv[arr] = ident
             maps += [arr, inv]
@@ -152,38 +156,13 @@ def generate_uniform_lift(g, n, rng, seed=None):
     return Lift(base=g, n=int(n), perms=perms, seed=seed)
 
 
-def generate_sequential_lift(g, n, rng, seed=None):
-    """Lift built by sequentially matching fiber endpoints one at a time.
-
-    For each edge, both endpoint fibers start as free pools; repeatedly a
-    free endpoint is chosen uniformly among all remaining free endpoints on
-    either side and matched to a uniform free partner on the opposite side.
-    The resulting matching is exchangeable and uniform over permutations,
-    which the distribution-comparison check exercises empirically.
-    """
-    n = int(n)
-    perms = []
-    for _ in g.edges:
-        perm = np.empty(n, dtype=np.int64)
-        u_pool = list(range(n))
-        v_pool = list(range(n))
-        while u_pool:
-            r = int(rng.integers(len(u_pool) + len(v_pool)))
-            if r < len(u_pool):
-                ui = r
-                vi = int(rng.integers(len(v_pool)))
-            else:
-                vi = r - len(u_pool)
-                ui = int(rng.integers(len(u_pool)))
-            u = u_pool[ui]
-            v = v_pool[vi]
-            u_pool[ui] = u_pool[-1]
-            u_pool.pop()
-            v_pool[vi] = v_pool[-1]
-            v_pool.pop()
-            perm[u] = v
-        perms.append(perm)
-    return Lift(base=g, n=n, perms=tuple(perms), seed=seed)
+def draw_lift(g, n, master_seed, index=0):
+    """The ``index``-th random ``n``-lift of ``g`` drawn from ``master_seed``,
+    which it records.  ``lift``, ``mix``, ``spectrum`` and every sweep cell
+    draw here, so ``mix --seed S`` and sweep cell ``(n, 0)`` at master seed
+    ``S`` walk on the same lift."""
+    return generate_uniform_lift(g, n, substream(master_seed, "lift", n, index),
+                                 seed=master_seed)
 
 
 def apply_kernel(lift, mu, alpha=None, out=None):

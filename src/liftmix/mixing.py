@@ -41,7 +41,7 @@ import numpy as np
 from .analyzer import entropy
 from .base_graph import holding_probability, parse_graph, transition_matrix
 from .errors import AnalysisError
-from .lift import _step, apply_kernel, generate_uniform_lift, project_distribution
+from .lift import _step, apply_kernel, draw_lift, project_distribution
 from .rng import substream
 
 #: Tolerance for the per-step mass-conservation and TV-monotonicity checks.
@@ -361,6 +361,14 @@ def _select_starts(lift, starts, rng):
     raise AnalysisError(f"bad start policy {starts!r}; use 'all' or 'sample:k'")
 
 
+def _draw_starts(lift, starts, master_seed, index=0):
+    """:func:`_select_starts` on the start stream of the ``index``-th lift of
+    degree ``lift.n`` drawn from ``master_seed`` (:func:`~liftmix.lift.draw_lift`);
+    ``mix`` and every sweep cell sample their starts here."""
+    rng = substream(master_seed, "start-sample", lift.n, index)
+    return _select_starts(lift, starts, rng)
+
+
 def _worst_start(times):
     """``(start, time)`` of the start that mixes last in ``times`` (start ->
     mixing time, None when unreached): an unreached start outranks every
@@ -435,10 +443,8 @@ class SweepResult:
 def _sweep_cell(args):
     (text, n, seed, alpha, eps_list, starts, master_seed, t_cap) = args
     g = parse_graph(text)
-    lift = generate_uniform_lift(g, n, substream(master_seed, "lift", n, seed),
-                                 seed=master_seed)
-    rng = substream(master_seed, "start-sample", n, seed)
-    states, _ = _select_starts(lift, starts, rng)
+    lift = draw_lift(g, n, master_seed, seed)
+    states, _ = _draw_starts(lift, starts, master_seed, seed)
     rows = []
     curves = mixing_curves(lift, states, alpha=alpha, eps_list=eps_list, t_cap=t_cap)
     for s, curve in zip(states, curves):

@@ -1,10 +1,11 @@
-"""Acceptance suite: thirteen product-level checks, each with an explicit
+"""Acceptance suite: fourteen product-level checks, each with an explicit
 quantitative target and a wall-clock budget.
 
-The four cover Monte Carlo runs and the large mixing sweep are executed
-once through the command-line interface and shared across tests via
-session fixtures, so the determinism check can compare byte-level
-artifacts produced with different worker counts without recomputing them.
+The cover Monte Carlo runs and the large mixing sweep are executed once
+through the command-line interface and shared across tests via session
+fixtures, so the determinism check can compare byte-level artifacts
+produced with different worker counts without recomputing them, and the
+lower-bound checks read σ̂ from the same runs as the Monte Carlo checks.
 """
 
 import contextlib
@@ -20,7 +21,6 @@ import pytest
 
 from liftmix import (
     entropy,
-    generate_sequential_lift,
     generate_uniform_lift,
     is_cover_transient,
     level_weight_check,
@@ -114,6 +114,23 @@ def sweep_runs(graph_files, tmp_path_factory):
             "--workers", str(workers), "--out", str(out),
         ])
         runs[workers] = (out, payload)
+    return {"runs": runs, "wall_seconds": time.monotonic() - t0}
+
+
+@pytest.fixture(scope="session")
+def off_reversibility_runs(tmp_path_factory):
+    """Cover Monte Carlo through the CLI on two bases whose walks are not
+    reversible: name -> (graph path, payload)."""
+    d = tmp_path_factory.mktemp("off-reversibility")
+    runs = {}
+    t0 = time.monotonic()
+    for name, text in (("asym_theta", ASYM_THETA_TEXT), ("one_way", ONE_WAY_TEXT)):
+        path = d / f"{name}.g"
+        path.write_text(text)
+        runs[name] = (str(path), _run_cli([
+            "cover-sim", "--graph", str(path), "--steps", "100000",
+            "--trials", "4", "--seed", "20",
+        ]))
     return {"runs": runs, "wall_seconds": time.monotonic() - t0}
 
 
@@ -312,33 +329,22 @@ def test_07_spectrum_inheritance():
 
 
 # ---------------------------------------------------------------------------
-# 8. the two lift generators induce the same law
+# 8. the lift generator draws the uniform law
 # ---------------------------------------------------------------------------
 
 
 def test_08_generator_equivalence():
     t0 = time.monotonic()
     theta3 = parse_graph(THETA3_TEXT)
-    outcomes = list(itertools.product(*([[(0, 1), (1, 0)]] * 3)))
     n_samples = 10_000
-
-    def outcome_counts(gen, master):
-        counts = dict.fromkeys(outcomes, 0)
-        for i in range(n_samples):
-            lift = gen(theta3, 2, substream(master, "gen-eq", i))
-            key = tuple(tuple(int(x) for x in p) for p in lift.perms)
-            counts[key] += 1
-        return counts
-
-    uniform = outcome_counts(generate_uniform_lift, 50)
-    sequential = outcome_counts(generate_sequential_lift, 51)
-    # the sequential generator's sampled law is close to exactly uniform
-    tv = 0.5 * sum(abs(c / n_samples - 1 / 8) for c in sequential.values())
-    assert tv <= 0.05
-    # the uniform generator is uniform by construction: every one of the
-    # eight outcomes shows up at its expected frequency (5-sigma band)
+    counts = dict.fromkeys(itertools.product(*([[(0, 1), (1, 0)]] * 3)), 0)
+    for i in range(n_samples):
+        lift = generate_uniform_lift(theta3, 2, substream(50, "gen-eq", i))
+        counts[tuple(tuple(int(x) for x in p) for p in lift.perms)] += 1
+    # every one of the eight 2-lifts shows up at its expected frequency
+    # (5-sigma band)
     band = 5.0 * math.sqrt(n_samples * (1 / 8) * (7 / 8))
-    for count in uniform.values():
+    for count in counts.values():
         assert abs(count - n_samples / 8) <= band
     assert time.monotonic() - t0 < 10.0
 
@@ -350,9 +356,16 @@ def test_08_generator_equivalence():
 
 def test_09_cutoff_sweep_slope_and_window(sweep_runs):
     out_dir, payload = sweep_runs["runs"][1]
+    summary = _assert_sweep_gates(out_dir, payload)
+    assert summary["predicted"] == pytest.approx(6.0 / LOG2, abs=1e-9)
+    assert sweep_runs["wall_seconds"] < 600.0
+
+
+def _assert_sweep_gates(out_dir, payload):
+    """Check 9's gates on a sweep over four degrees with 5 seeds of 5
+    starts; returns its summary."""
     summary = json.loads((out_dir / "summary.json").read_text())
     predicted = summary["predicted"]
-    assert predicted == pytest.approx(6.0 / LOG2, abs=1e-9)
     assert abs(summary["slope"] - predicted) / predicted <= 0.15
     assert payload["verdict_slope"] is True
     assert summary["window"]["nonincreasing_seeds"] >= 4
@@ -363,7 +376,7 @@ def test_09_cutoff_sweep_slope_and_window(sweep_runs):
     assert data[0] == "n,seed,start,eps,t_mix,reached"
     assert len(data) == 1 + 4 * 5 * 5 * 4
     assert all(ln.rsplit(",", 1)[1] == "1" for ln in data[1:])
-    assert sweep_runs["wall_seconds"] < 600.0
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +386,14 @@ def test_09_cutoff_sweep_slope_and_window(sweep_runs):
 
 def test_10_lower_bound_on_mixing_times(mc_runs, sweep_runs):
     out_dir, _ = sweep_runs["runs"][1]
+    h = entropy(parse_graph(THETA3_TEXT)).entropy_rate
+    sigma = mc_runs["runs"][("theta3", 0.5)]["payloads"][1]["sigma_est"]
+    _assert_lower_bound(out_dir, h, sigma)
+
+
+def _assert_lower_bound(out_dir, h, sigma):
+    """Check 10's gate: in >= 90% of a 20-cell sweep's cells the fastest
+    start's mixing time at eps 0.25 respects the entropic lower bound."""
     lines = (out_dir / "results.csv").read_text().splitlines()
     cells = {}
     for ln in lines:
@@ -384,9 +405,6 @@ def test_10_lower_bound_on_mixing_times(mc_runs, sweep_runs):
             key = (int(n), int(seed))
             cells[key] = min(cells.get(key, math.inf), int(t_mix))
     assert len(cells) == 20
-
-    h = entropy(parse_graph(THETA3_TEXT)).entropy_rate
-    sigma = mc_runs["runs"][("theta3", 0.5)]["payloads"][1]["sigma_est"]
     assert sigma > 0.0
     quantile = NormalDist().inv_cdf(0.25)  # negative: the bound sits below the center
     passed = 0
@@ -450,18 +468,31 @@ def test_12_artifacts_deterministic_across_workers(mc_runs, sweep_runs):
 # ---------------------------------------------------------------------------
 
 
-def test_13_monte_carlo_matches_analyzer_off_reversibility(tmp_path):
+def test_13_monte_carlo_matches_analyzer_off_reversibility(off_reversibility_runs):
     # On the asymmetric theta graph pi(u) w(e1+) = 0.25 but pi(v) w(e1-) =
     # 0.1; the one-way graph has orientations of weight zero.  The one-way
     # graph stays out of any window gate: its mixing times are 9-13 steps,
     # so the window ratio moves in whole steps there.
-    t0 = time.monotonic()
-    for name, text in (("asym_theta", ASYM_THETA_TEXT), ("one_way", ONE_WAY_TEXT)):
-        path = tmp_path / f"{name}.g"
-        path.write_text(text)
-        payload = _run_cli([
-            "cover-sim", "--graph", str(path), "--steps", "100000",
-            "--trials", "4", "--seed", "20",
-        ])
+    for name, (_, payload) in off_reversibility_runs["runs"].items():
         _assert_matches_analyzer(payload, name)
-    assert time.monotonic() - t0 < 30.0
+    assert off_reversibility_runs["wall_seconds"] < 30.0
+
+
+# ---------------------------------------------------------------------------
+# 14. checks 9 and 10 on a walk that is not reversible
+# ---------------------------------------------------------------------------
+
+
+def test_14_cutoff_sweep_off_reversibility(off_reversibility_runs, tmp_path):
+    # the asymmetric theta graph of check 13, with its own h and the sigma
+    # of check 13's Monte Carlo run
+    t0 = time.monotonic()
+    path, mc = off_reversibility_runs["runs"]["asym_theta"]
+    payload = _run_cli([
+        "sweep", "--graph", path, "--n", "512,1024,2048,4096", "--seeds", "5",
+        "--starts", "sample:5", "--master-seed", "0", "--out", str(tmp_path),
+    ])
+    _assert_sweep_gates(tmp_path, payload)
+    h = entropy(parse_graph(ASYM_THETA_TEXT)).entropy_rate
+    _assert_lower_bound(tmp_path, h, mc["sigma_est"])
+    assert time.monotonic() - t0 < 60.0

@@ -12,7 +12,7 @@ import pytest
 import liftmix
 from liftmix import (
     __version__,
-    generate_uniform_lift,
+    draw_lift,
     mixing_curve,
     parse_graph,
     simulate_walk,
@@ -405,16 +405,6 @@ def test_lift_requires_n_or_verify(capsys, theta3_file):
     assert "--n" in cap.err
 
 
-def test_lift_sequential_flag(capsys, theta3_file, tmp_path):
-    out = tmp_path / "seq"
-    code, payload, _ = run_cli(capsys, [
-        "lift", "--graph", theta3_file, "--n", "5", "--sequential",
-        "--out", str(out),
-    ])
-    assert code == 0
-    assert payload["sequential"] is True
-
-
 # ---------------------------------------------------------------------------
 # mix
 # ---------------------------------------------------------------------------
@@ -476,8 +466,7 @@ def test_mix_periodic_per_start_reads_the_averaged_curves(capsys, theta3_file,
     ])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
-    lift = generate_uniform_lift(parse_graph(THETA3_TEXT), 8,
-                                 substream(0, "lift", 8, 0), seed=0)
+    lift = draw_lift(parse_graph(THETA3_TEXT), 8, 0)
     for s in range(lift.n_states):
         averaged = mixing_curve(lift, s, alpha=0.0, eps_list=(0.25, 0.1, 0.5, 0.9))
         assert summary["per_start"][str(s)] == {
@@ -500,8 +489,7 @@ def test_mix_periodic_stops_and_ranks_on_averaged_curve(capsys, theta3_file, tmp
     assert summary["worst_start"] == 3
     assert summary["worst_crossings"]["0.25"] is None
     assert summary["averaged_crossings"] == {"0.25": 27, "0.1": 42, "0.5": 15, "0.9": 4}
-    lift = generate_uniform_lift(parse_graph(THETA3_TEXT), 64,
-                                 substream(0, "lift", 64, 0), seed=0)
+    lift = draw_lift(parse_graph(THETA3_TEXT), 64, 0)
     averaged = [mixing_curve(lift, s, alpha=0.0).averaged.crossings[0.25]
                 for s in range(lift.n_states)]
     assert max(averaged) == 27 and averaged.index(27) == 3
@@ -580,6 +568,30 @@ def test_sweep_artifacts_identical_across_workers(capsys, theta3_file, tmp_path)
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "n,seed,start,eps,t_mix,reached"
     assert len(data) == 1 + 2 * 2 * 3 * 4  # (n, seed, start, eps) rows
+
+
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "0"]], ids=["own-alpha", "alpha-0"])
+def test_mix_is_the_sweep_cell_of_its_seed(capsys, theta3_file, tmp_path, alpha):
+    # mix --seed S and sweep cell (n, 0) at master seed S draw one lift and
+    # one start sample, so their crossings agree start by start
+    common = ["--graph", theta3_file, "--starts", "sample:6", "--t-cap", "200", *alpha]
+    mix_out, sweep_out = tmp_path / "mix", tmp_path / "sweep"
+    code, _, _ = run_cli(capsys, ["mix", *common, "--n", "64", "--seed", "3",
+                                  "--out", str(mix_out)])
+    assert code == 0
+    code, _, _ = run_cli(capsys, ["sweep", *common, "--n", "64,128", "--seeds", "1",
+                                  "--master-seed", "3", "--out", str(sweep_out)])
+    assert code == 0
+    per_start = json.loads((mix_out / "summary.json").read_text())["per_start"]
+    rows = [ln.split(",") for ln in (sweep_out / "results.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert rows[0] == ["n", "seed", "start", "eps", "t_mix", "reached"]
+    cell = {}
+    for n, seed, start, eps, t_mix, reached in rows[1:]:
+        if (n, seed) == ("64", "0"):
+            cell.setdefault(start, {})[eps] = int(t_mix) if reached == "1" else None
+    assert len(per_start) == 6
+    assert cell == per_start
 
 
 def test_sweep_env_workers_and_out_dir(capsys, theta3_file, tmp_path, monkeypatch):

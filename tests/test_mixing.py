@@ -14,6 +14,7 @@ from liftmix import (
     apply_kernel,
     check_assumptions,
     cutoff_sweep,
+    draw_lift,
     entropy,
     generate_uniform_lift,
     lift_stationary,
@@ -226,7 +227,7 @@ def test_cutoff_sweep_on_periodic_lifts_reads_the_averaged_curves(theta3):
     assert res.predicted_slope == pytest.approx(6.0 / math.log(2) / 2.0, abs=1e-9)
     assert res.verdict
     row = next(r for r in res.rows if r.eps == res.eps_primary)
-    lift = generate_uniform_lift(theta3, row.n, substream(0, "lift", row.n, row.seed))
+    lift = draw_lift(theta3, row.n, 0, row.seed)
     curve = mixing_curve(lift, row.start, alpha=0.0, eps_list=res.eps_list,
                          t_cap=res.t_caps[row.n])
     assert curve.periodic and curve.crossings[row.eps] is None

@@ -10,7 +10,8 @@ of CLI calls on that tree and on the working tree's ``src/``:
 
 * the four benchmark command lines (``cover-sim``, ``mix --starts all``,
   ``sweep`` and ``analyze`` on the seed-0 analyze batch with its
-  known-defect probe), at seed 0;
+  known-defect probe), at seed 0, and the ``lift`` call that the
+  mix-many-starts check makes to rebuild the lift of its ``mix`` line;
 * ``mix --alpha 0`` on theta3 with ``n = 8`` (a periodic lift, so it also
   writes ``curve_averaged.csv``), and ``sweep --alpha 0`` on theta3, whose
   rows are the crossings of the averaged curves;
@@ -172,6 +173,7 @@ def calls(batch, rejected):
          "--steps", "250000", "--per-trial", "--seed", "0", "--workers", "1", *out],
         ["mix", "--graph", bouquet4, "--n", "1024", "--starts", "all", "--seed", "0",
          *out],
+        ["lift", "--graph", bouquet4, "--n", "1024", "--seed", "0", *out],
         ["sweep", "--graph", theta3, "--alpha", "0.5", "--n", "8192,32768,131072",
          "--seeds", "2", "--starts", "sample:2", "--master-seed", "0",
          "--workers", "1", *out],
