@@ -13,12 +13,14 @@ import argparse
 import pathlib
 
 from liftmix import (
+    confirmed_ray,
     entropy,
     estimate_clt_params,
     estimate_speed,
     excursion_decomposition,
     parse_graph,
     ray_localization_profile,
+    renewal_edge,
     simulate_walk,
     substream,
 )
@@ -43,7 +45,10 @@ def main():
           f"(drift {traj.heights[-1] / len(traj):.4f} levels/step, "
           f"analytic speed {report.speed:.4f})")
 
-    stats = excursion_decomposition(traj, report)
+    # the confirmed ray is read once and feeds both the excursions and the
+    # localization profile
+    times, ray_labels = confirmed_ray(traj)
+    stats = excursion_decomposition(report, renewal_edge(report), times, ray_labels)
     est = estimate_clt_params(stats)
     sp = estimate_speed(stats)
     print(f"\n{stats.n} renewal excursions at edge "
@@ -56,7 +61,7 @@ def main():
           f"z = {(sp.value - report.speed) / sp.se:+.2f})")
     print(f"  CLT spread    {est.sigma_est:.6f} +- {est.sigma_se:.6f}")
 
-    profile = ray_localization_profile([traj], 8)
+    profile = ray_localization_profile(traj, ray_labels, 8)
     print(f"\nlocalization around the limiting ray "
           f"({profile.n_samples} confirmed samples):")
     for r, count in enumerate(profile.counts):

@@ -15,7 +15,7 @@ import pathlib
 from liftmix import (
     draw_lift,
     entropy,
-    mixing_curve,
+    mixing_curves,
     parse_graph,
     predict_mixing_time,
     spectrum_inheritance_check,
@@ -46,7 +46,7 @@ def main():
           f"best {wb.t_min}, worst {wb.t_max} steps "
           f"(predicted center {pred.t_center:.1f})")
 
-    curve = mixing_curve(lift, wb.argmax)
+    curve = mixing_curves(lift, [wb.argmax])[0]
     print(f"\nexact TV curve from the worst sampled start ({wb.argmax}):")
     for eps in sorted(curve.crossings, reverse=True):
         print(f"  TV <= {eps:<4} after {curve.crossings[eps]:>4} steps")

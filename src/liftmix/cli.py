@@ -34,12 +34,12 @@ from .analyzer import (
 from .base_graph import holding_probability, parse_graph
 from .cover import (
     ExcursionStats,
-    _confirmed_ray,
-    _excursions,
-    _localization_counts,
-    default_renewal_edge,
+    confirmed_ray,
     estimate_clt_params,
     estimate_speed,
+    excursion_decomposition,
+    ray_localization_profile,
+    renewal_edge,
     simulate_walk,
 )
 from .errors import AnalysisError, GraphError, NonConvergenceError
@@ -306,9 +306,9 @@ def _cover_trial(packed):
     traj = simulate_walk(report.graph, root, steps, alpha=alpha, rng=rng,
                          warn_recurrent=False)
     # the excursions and the localization profile read one confirmed ray
-    times, ray_labels = _confirmed_ray(traj, margin)
-    stats = _excursions(report, e_star, times, ray_labels)
-    counts, n_samples = _localization_counts(traj, ray_labels, r_max)
+    times, ray_labels = confirmed_ray(traj, margin)
+    stats = excursion_decomposition(report, e_star, times, ray_labels)
+    profile = ray_localization_profile(traj, ray_labels, r_max)
     return {
         "trial": trial,
         "durations": stats.durations,
@@ -316,9 +316,9 @@ def _cover_trial(packed):
         "levels": stats.level_increments,
         "degenerate": stats.degenerate,
         "n_excursions": stats.n,
-        "final_height": int(traj.heights[-1]) if len(traj) else 0,
-        "counts": counts,
-        "n_samples": n_samples,
+        "final_height": int(traj.heights[-1]),
+        "counts": profile.counts,
+        "n_samples": profile.n_samples,
     }
 
 
@@ -333,12 +333,7 @@ def _cmd_cover_sim(args):
     root = args.root if args.root is not None else g.vertices[0]
     if root not in g.vertex_index:
         raise GraphError(f"unknown root vertex {root!r}")
-    if args.e_star is not None:
-        if args.e_star not in g.oriented_index_by_name:
-            raise AnalysisError(f"unknown oriented edge {args.e_star!r}")
-        e_star = g.oriented_index_by_name[args.e_star]
-    else:
-        e_star = default_renewal_edge(report)
+    e_star = renewal_edge(report, args.e_star)
     workers = _resolve_workers(args)
     run = _Run("cover-sim", g, {
         "alpha": alpha,
@@ -448,7 +443,7 @@ def _cmd_lift(args):
     lift = draw_lift(g, args.n, args.seed)
     payload_file = json.loads(lift_to_json(lift))
     payload_file["meta"] = run.meta
-    path = run.write(args.file_name, _canonical_json(payload_file) + "\n")
+    path = run.write("lift.json", _canonical_json(payload_file) + "\n")
     return {
         "written": path,
         "n": lift.n,
@@ -699,8 +694,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", default=None, metavar="PATH",
                    help="validate an existing lift file instead of generating")
-    p.add_argument("--file-name", default="lift.json",
-                   help="artifact file name (default lift.json)")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(handler=_cmd_lift)
 

@@ -6,25 +6,28 @@ root's label plus the stack of oriented-edge labels along its defining
 path; the walk holds, pushes a new label (an "up" move), or pops the last
 label (a "down" move, i.e. traversing the reverse of the previous edge).
 
-This module simulates the lazy walk on the cover, extracts the escape ray
-from a finite trajectory by last-exit decomposition, evaluates the
-log-probability that a given cover vertex lies on the ray (its log
-*entropic weight*), and estimates the entropy rate, speed, and CLT spread from
-excursions between ray renewals.  The functions that need the ray's law
-take it as ``ray``, an object with ``graph``, ``exit_prob`` and
-``edge_freq`` indexed on the oriented edges of ``graph``: for a walk on a
-graph ``g``, the :class:`~liftmix.analyzer.EntropyReport` of ``g``, which
-states the law of its pruned core on ``g``'s own oriented edges.
+This module simulates the lazy walk on the cover, reads the escape ray of a
+finite trajectory by last-exit decomposition, evaluates the log-probability
+that a given cover vertex lies on the ray (its log *entropic weight*), and
+estimates the entropy rate, speed, and CLT spread from excursions between
+ray renewals.  The functions that need the ray's law take it as ``ray``, an
+object with ``graph``, ``exit_prob`` and ``edge_freq`` indexed on the
+oriented edges of ``graph``: for a walk on a graph ``g``, the
+:class:`~liftmix.analyzer.EntropyReport` of ``g``, which states the law of
+its pruned core on ``g``'s own oriented edges.
 
 Only the walk itself is sequential.  :func:`simulate_walk` draws uniforms in
 blocks of 4096, finds the holds of a block with numpy, and loops over the
 moving draws alone, keeping the label stack; heights are a cumulative sum
-of the moves.  The rest reads the finished trajectory through two last-exit rules:
+of the moves.  The rest reads the finished trajectory in three stages, each
+one public function, through two last-exit rules:
 
 * the step after the walk's last visit to height ``j - 1`` is the last push
   to level ``j`` and is never undone; its label is the ray's level-``j``
-  label.  These steps are the renewals of :func:`excursion_decomposition`,
-  whose log-weights are cumulative sums of push increments along the ray;
+  label.  :func:`confirmed_ray` returns these steps and labels;
+* the steps whose label is the renewal edge (:func:`renewal_edge`) are the
+  renewals of :func:`excursion_decomposition`, whose log-weights are
+  cumulative sums of push increments along the ray;
 * a push to level ``j`` that is not the ray's label keeps the walk off the
   ray until the first pop back to ``j - 1``; :func:`ray_localization_profile`
   reads each sampled step's common prefix with the ray from the outermost
@@ -32,8 +35,9 @@ of the moves.  The rest reads the finished trajectory through two last-exit rule
 
 A level is confirmed when it lies more than ``margin`` below the maximum
 height and below the final height, which the walk has not yet left for
-good.  :func:`log_weight_trace` replays the walk step by step; it is the
-reference the excursion log-weights equal bit for bit.
+good.  The confirmed ray is read once per trajectory and handed to the
+other two stages.  :func:`log_weight_trace` replays the walk step by step;
+it is the reference the excursion log-weights equal bit for bit.
 """
 
 from __future__ import annotations
@@ -254,12 +258,17 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None, warn_recurrent=Tru
 # ---------------------------------------------------------------------------
 
 
-def _confirmed_level(traj, margin):
-    """Number of ray levels a trajectory confirms.
+def confirmed_ray(traj, margin=DEFAULT_MARGIN):
+    """Confirmed prefix of the escape ray, by last-exit decomposition: the
+    steps at which the walk leaves each confirmed level for the last time,
+    and the ray's labels read at those steps, as two arrays.
 
-    Levels within ``margin`` of the maximum height, and levels at or above
-    the final height (the walk may still drop back through them), are not
-    confirmed.  Raises :class:`AnalysisError` when no level is.
+    The step after the walk's last visit to level ``j - 1`` is a push that is
+    never undone, and no later push reaches level ``j``, so it is the last
+    push to level ``j``; its label is the ray's level-``j`` label.  Levels
+    within ``margin`` of the maximum height, and levels at or above the final
+    height (the walk may still drop back through them), are not confirmed.
+    Raises :class:`AnalysisError` when no level is.
     """
     margin = int(margin)
     if margin < 0:
@@ -275,37 +284,13 @@ def _confirmed_level(traj, margin):
         raise AnalysisError(
             f"trajectory ended at height {final_h}: no ray level is confirmed"
         )
-    return min(max_h - margin, final_h)
-
-
-def _confirmed_ray(traj, margin):
-    """Steps at which the walk leaves each confirmed level for the last time,
-    and the ray's labels read at those steps.
-
-    The step after the walk's last visit to level ``j - 1`` is a push that is
-    never undone, and no later push reaches level ``j``, so it is the last
-    push to level ``j``; its label is the ray's level-``j`` label.
-    """
-    limit = _confirmed_level(traj, margin)
+    limit = min(max_h - margin, final_h)
     pushes = np.flatnonzero(traj.moves >= 0)
-    last = np.empty(traj.max_height + 1, dtype=np.int64)
+    last = np.empty(max_h + 1, dtype=np.int64)
     # With repeated indices the last write wins, giving last-push times.
     last[traj.heights[pushes]] = pushes
     times = last[1:limit + 1]
     return times, traj.moves[times]
-
-
-def extract_ray(traj, margin=DEFAULT_MARGIN):
-    """Confirmed prefix of the escape ray via last-exit decomposition.
-
-    The ray's level-``i`` label is the push by which the walk left level
-    ``i - 1`` for the last time.  Levels within ``margin`` of the maximum
-    height reached, and levels at or above the final height, are treated as
-    unconfirmed and dropped.  Returns the tuple of oriented-edge labels of
-    the confirmed prefix.  Raises :class:`AnalysisError` when no level is
-    confirmed.
-    """
-    return tuple(_confirmed_ray(traj, margin)[1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +494,22 @@ def _increment_table(exit_prob):
     return table
 
 
-def _resolve_label(g, e_star):
+def renewal_edge(ray, e_star=None):
+    """The oriented edge index of the renewal edge of excursions.
+
+    ``e_star`` is an oriented edge of ``ray.graph``, by name like ``"e1+"``
+    or by index.  By default it is the most frequent ray edge: the lowest
+    oriented edge whose ray frequency lies within the first-passage solver's
+    achieved error of the largest frequency, because edges whose frequencies
+    tie exactly (all six of theta3 carry 1/6) differ only in rounding below
+    that error, which must not pick the edge.
+    """
+    g = ray.graph
+    if e_star is None:
+        freq = ray.edge_freq
+        if not (freq > 0).any():
+            raise AnalysisError("ray law carries no positive edge frequency")
+        return int(np.flatnonzero(freq >= freq.max() - ray.first_passage.error)[0])
     if isinstance(e_star, str):
         if e_star not in g.oriented_index_by_name:
             raise AnalysisError(f"unknown oriented edge {e_star!r}")
@@ -520,40 +520,17 @@ def _resolve_label(g, e_star):
     return k
 
 
-def default_renewal_edge(ray):
-    """The most frequent ray edge, the default renewal edge of excursions.
-
-    Returns the lowest oriented edge whose ray frequency lies within the
-    first-passage solver's achieved error of the largest frequency: edges
-    whose frequencies tie exactly (all six of theta3 carry 1/6) differ only
-    in rounding below that error, which must not pick the edge.
-    """
-    freq = ray.edge_freq
-    if not (freq > 0).any():
-        raise AnalysisError("ray law carries no positive edge frequency")
-    return int(np.flatnonzero(freq >= freq.max() - ray.first_passage.error)[0])
-
-
-def excursion_decomposition(traj, ray, e_star=None, margin=DEFAULT_MARGIN,
+def excursion_decomposition(ray, e_star, times, ray_labels,
                             min_count=_MIN_EXCURSIONS):
     """Cut a trajectory into excursions between ray renewals.
 
-    ``e_star`` is an oriented edge (index or name like ``"e1+"``); by
-    default :func:`default_renewal_edge`.  The segment before the first exit
-    and the censored tail above the confirmed region are discarded.  Raises
+    ``times`` and ``ray_labels`` are the trajectory's :func:`confirmed_ray`,
+    and ``e_star`` the oriented edge index of the renewal edge
+    (:func:`renewal_edge`).  The segment before the first renewal and the
+    censored tail above the confirmed region are discarded.  Raises
     :class:`AnalysisError` when fewer than ``min_count`` complete
     excursions remain.
     """
-    if e_star is None:
-        e_star = default_renewal_edge(ray)
-    else:
-        e_star = _resolve_label(ray.graph, e_star)
-    return _excursions(ray, e_star, *_confirmed_ray(traj, margin), min_count)
-
-
-def _excursions(ray, e_star, times, ray_labels, min_count=_MIN_EXCURSIONS):
-    """:func:`excursion_decomposition` at the oriented edge index ``e_star``,
-    given a trajectory's :func:`_confirmed_ray`."""
     renewals = np.flatnonzero(ray_labels == e_star)
     if len(renewals) < min_count + 1:
         raise AnalysisError(
@@ -724,44 +701,27 @@ def _ray_prefix_lengths(traj, ray_labels, times):
     return np.where(times < end[i], level[i] - 1, heights[times])
 
 
-def _localization_counts(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):
-    """One trajectory's share of :func:`ray_localization_profile`, given the
-    ray's labels at its confirmed levels: how many of its sampled steps lie
-    farther than ``r`` from the ray, for ``r = 0 .. r_max``, and how many
-    steps were sampled."""
-    eligible = traj.heights <= len(ray_labels)
-    stride = max(1, int(np.count_nonzero(eligible)) // max(1, int(max_samples)))
-    times = np.flatnonzero(eligible)[::stride].copy()
-    dist = traj.heights[times] - _ray_prefix_lengths(traj, ray_labels, times)
-    hist = np.bincount(np.minimum(dist, r_max + 1), minlength=r_max + 2)
-    return np.cumsum(hist[::-1])[::-1][1:], len(times)
-
-
-def ray_localization_profile(trajs, r_max, margin=DEFAULT_MARGIN,
-                             max_samples_per_traj=_MAX_SAMPLES):
+def ray_localization_profile(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):
     """Tail frequencies of the distance from the walk to its escape ray.
 
-    For each trajectory the confirmed ray prefix is extracted; at sampled
-    steps whose height lies within the confirmed region, the tree distance
-    from the position to the ray is the height minus the length of the
-    longest common prefix of the position's path with the ray.  Returns
-    ``P(dist > R)`` for ``R = 0 .. r_max``, aggregated over trajectories;
-    the tail is nonincreasing in ``R`` by construction.
+    ``ray_labels`` are the trajectory's :func:`confirmed_ray` labels.  At
+    most about ``max_samples`` steps whose height lies within the confirmed
+    region are sampled, evenly spaced; the tree distance from the position
+    to the ray is the height minus the length of the longest common prefix
+    of the position's path with the ray.  Returns ``P(dist > R)`` for ``R =
+    0 .. r_max``; the tail is nonincreasing in ``R`` by construction.
     """
     r_max = int(r_max)
     if r_max < 0:
         raise AnalysisError("r_max must be nonnegative")
-    if isinstance(trajs, CoverTrajectory):
-        trajs = [trajs]
-    counts = np.zeros(r_max + 1, dtype=np.int64)
-    n_samples = 0
-    for traj in trajs:
-        tally, n = _localization_counts(traj, _confirmed_ray(traj, margin)[1], r_max,
-                                        max_samples_per_traj)
-        counts += tally
-        n_samples += n
-    if n_samples == 0:
+    eligible = traj.heights <= len(ray_labels)
+    stride = max(1, int(np.count_nonzero(eligible)) // max(1, int(max_samples)))
+    times = np.flatnonzero(eligible)[::stride].copy()
+    if len(times) == 0:
         raise AnalysisError("no eligible samples inside the confirmed region")
-    freqs = {r: float(counts[r]) / n_samples for r in range(r_max + 1)}
-    return LocalizationProfile(tail_freq=freqs, n_samples=n_samples,
+    dist = traj.heights[times] - _ray_prefix_lengths(traj, ray_labels, times)
+    hist = np.bincount(np.minimum(dist, r_max + 1), minlength=r_max + 2)
+    counts = np.cumsum(hist[::-1])[::-1][1:]
+    freqs = {r: float(counts[r]) / len(times) for r in range(r_max + 1)}
+    return LocalizationProfile(tail_freq=freqs, n_samples=len(times),
                                counts=tuple(int(c) for c in counts))

@@ -221,18 +221,6 @@ def _step(lift, m, alpha, res, scratch):
         rows += scratch
 
 
-def apply_kernel_to_function(lift, f, alpha=None):
-    """One lazy-walk step applied to a function on the lift (right action)."""
-    alpha = holding_probability(lift.base, alpha)
-    arr = np.asarray(f)
-    m = arr.reshape(lift.base.n_vertices, lift.n)
-    out = alpha * m
-    lazy = 1.0 - alpha
-    for k, u, v, w in lift.moves:
-        out[u] += (lazy * w) * m[v][lift.maps[k]]
-    return out.reshape(arr.shape)
-
-
 def lift_transition_matrix(lift, alpha=None):
     """Dense transition matrix of the lazy walk on the lift."""
     alpha = holding_probability(lift.base, alpha)
@@ -280,14 +268,20 @@ def spectrum_inheritance_check(lift, alpha=None):
     probability, including eigenvalue -1 on bipartite graphs without
     laziness.  Returns eigenvalues sorted by real part, descending.
     """
+    alpha = holding_probability(lift.base, alpha)
     p0 = transition_matrix(lift.base, alpha=alpha)
     eigvals, eigvecs = np.linalg.eig(p0)
+    lazy = 1.0 - alpha
     worst = 0.0
     for idx in range(len(eigvals)):
         lam = eigvals[idx]
         phi = eigvecs[:, idx]
         lifted = np.repeat(phi[:, None], lift.n, axis=1)
-        applied = apply_kernel_to_function(lift, lifted.astype(complex), alpha=alpha)
+        # one step of the kernel's right action on the pulled-back function
+        f = lifted.astype(complex)
+        applied = alpha * f
+        for k, u, v, w in lift.moves:
+            applied[u] += (lazy * w) * f[v][lift.maps[k]]
         resid = float(np.abs(applied - lam * lifted).max())
         worst = max(worst, resid)
     order = np.argsort(-eigvals.real)

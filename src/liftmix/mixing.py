@@ -16,15 +16,14 @@ step the old distribution is dead, so the averaged law and every TV are
 evaluated in it, row by row against the per-vertex stationary column.  Each
 start keeps its own checks, early stop, mass drift and crossings, and its
 curve is the same bit for bit as if it were propagated alone, at any CPU
-count; :func:`mixing_curve` is the one-start call.  A step allocates
-nothing.  The period of an unlazy lift is found once per strong component
-(:meth:`liftmix.lift.Lift.period`).  Every mixing time, worst start and
-sweep row is read from :attr:`TVCurve.mixing_crossings`, the two-step
-averaged curve's crossings on a periodic unlazy lift, and the worst start is
-ranked by one rule (:func:`_worst_start`).  The sweep driver scales the lift
-degree over a grid, fits the growth of the worst-start mixing time against
-``log n``, and compares the slope with the reciprocal entropy rate of the
-base graph.
+count.  A step allocates nothing.  The period of an unlazy lift is found
+once per strong component (:meth:`liftmix.lift.Lift.period`).  Every mixing
+time, worst start and sweep row is read from :attr:`TVCurve.mixing_crossings`,
+the two-step averaged curve's crossings on a periodic unlazy lift, and the
+worst start is ranked by one rule (:func:`_worst_start`).  The sweep driver
+scales the lift degree over a grid, fits the growth of the worst-start mixing
+time against ``log n``, and compares the slope with the reciprocal entropy
+rate of the base graph.
 """
 
 from __future__ import annotations
@@ -148,13 +147,6 @@ def _tvs(mu, pi, diff):
     np.abs(diff, out=diff)
     # one pairwise sum per row, the same one a single row's diff.sum() runs
     return (0.5 * np.add.reduce(diff.reshape(len(diff), -1), axis=1)).tolist()
-
-
-def mixing_curve(lift, start, alpha=None, eps_list=DEFAULT_EPS_LIST, t_cap=10_000):
-    """Exact TV-to-stationarity curve of the lazy walk from one start state:
-    ``mixing_curves(lift, [start], ...)[0]``."""
-    return mixing_curves(lift, [start], alpha=alpha, eps_list=eps_list,
-                         t_cap=t_cap)[0]
 
 
 def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from liftmix import (
+    confirmed_ray,
     entropy,
     generate_uniform_lift,
     is_cover_transient,
@@ -429,11 +430,14 @@ def test_11_ray_localization_tail():
         simulate_walk(g, "u", 100_000, alpha=0.0, rng=substream(41, "loc", i))
         for i in range(20)
     ]
-    profile = ray_localization_profile(trajs, 10)
-    assert profile.n_samples >= 10_000
-    counts = np.asarray(profile.counts, dtype=float)
+    # the trajectories pool by summing their raw counts, as cover-sim's trials do
+    profiles = [ray_localization_profile(traj, confirmed_ray(traj)[1], 10)
+                for traj in trajs]
+    n_samples = sum(profile.n_samples for profile in profiles)
+    assert n_samples >= 10_000
+    counts = np.sum([profile.counts for profile in profiles], axis=0).astype(float)
     assert counts[10] > 0  # the fit uses no empty bins
-    tail = counts / profile.n_samples
+    tail = counts / n_samples
     radii = np.arange(1, 11, dtype=float)
     log_tail = np.log(tail[1:11])
     slope, intercept = np.polyfit(radii, log_tail, 1)

@@ -17,7 +17,6 @@ from liftmix import (
     GraphError,
     Lift,
     apply_kernel,
-    apply_kernel_to_function,
     build_graph,
     check_assumptions,
     core,
@@ -28,7 +27,6 @@ from liftmix import (
     holding_probability,
     is_cover_transient,
     lift_transition_matrix,
-    mixing_curve,
     mixing_curves,
     parse_graph,
     projection_identity_check,
@@ -166,7 +164,6 @@ def test_every_entry_point_rejects_a_bad_holding_probability(theta3, alpha):
         lambda: simulate_walk(theta3, "u", 10, alpha=alpha),
         lambda: cover_moves(theta3, CoverVertex("u"), alpha=alpha),
         lambda: apply_kernel(lift, mu, alpha=alpha),
-        lambda: apply_kernel_to_function(lift, mu, alpha=alpha),
         lambda: lift_transition_matrix(lift, alpha=alpha),
         lambda: spectrum_inheritance_check(lift, alpha=alpha),
         lambda: mixing_curves(lift, [0], alpha=alpha, t_cap=0),
@@ -459,18 +456,16 @@ def test_period_matches_return_times(text, n, seed):
     for s, ref in enumerate(_return_time_gcds(p)):
         assert ref > 0
         assert lift.period(s) == ref  # memoized per strong component
-        assert mixing_curve(lift, s, alpha=0.0, t_cap=0).periodic == (ref > 1)
-        assert mixing_curve(lift, s, t_cap=0).periodic == (g.alpha == 0 and ref > 1)
+        assert mixing_curves(lift, [s], alpha=0.0, t_cap=0)[0].periodic == (ref > 1)
+        assert mixing_curves(lift, [s], t_cap=0)[0].periodic == (g.alpha == 0 and ref > 1)
         # the moves along positive-weight oriented edges are the matrix support
         u = lift.split(s)[0]
         steps = {lift.step(s, k) for k in g.out_oriented[u] if g.oriented_weight[k] > 0}
         assert steps == set(np.nonzero(p[s])[0])
-    # both kernel actions agree with the dense matrix at the graph's alpha
+    # the kernel agrees with the dense matrix at the graph's alpha
     p_alpha = lift_transition_matrix(lift)
     mu = rng.dirichlet(np.ones(lift.n_states))
-    f = rng.standard_normal(lift.n_states)
     assert np.allclose(apply_kernel(lift, mu), mu @ p_alpha, rtol=0, atol=1e-14)
-    assert np.allclose(apply_kernel_to_function(lift, f), p_alpha @ f, rtol=0, atol=1e-14)
 
 
 @st.composite

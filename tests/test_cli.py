@@ -13,7 +13,7 @@ import liftmix
 from liftmix import (
     __version__,
     draw_lift,
-    mixing_curve,
+    mixing_curves,
     parse_graph,
     simulate_walk,
     substream,
@@ -468,7 +468,7 @@ def test_mix_periodic_per_start_reads_the_averaged_curves(capsys, theta3_file,
     summary = json.loads((out / "summary.json").read_text())
     lift = draw_lift(parse_graph(THETA3_TEXT), 8, 0)
     for s in range(lift.n_states):
-        averaged = mixing_curve(lift, s, alpha=0.0, eps_list=(0.25, 0.1, 0.5, 0.9))
+        averaged = mixing_curves(lift, [s], alpha=0.0, eps_list=(0.25, 0.1, 0.5, 0.9))[0]
         assert summary["per_start"][str(s)] == {
             repr(eps): t for eps, t in averaged.averaged.crossings.items()}
     worst = summary["per_start"][str(summary["worst_start"])]["0.25"]
@@ -490,7 +490,7 @@ def test_mix_periodic_stops_and_ranks_on_averaged_curve(capsys, theta3_file, tmp
     assert summary["worst_crossings"]["0.25"] is None
     assert summary["averaged_crossings"] == {"0.25": 27, "0.1": 42, "0.5": 15, "0.9": 4}
     lift = draw_lift(parse_graph(THETA3_TEXT), 64, 0)
-    averaged = [mixing_curve(lift, s, alpha=0.0).averaged.crossings[0.25]
+    averaged = [mixing_curves(lift, [s], alpha=0.0)[0].averaged.crossings[0.25]
                 for s in range(lift.n_states)]
     assert max(averaged) == 27 and averaged.index(27) == 3
     # ... and each curve stops once the averaged curve crosses min(eps)

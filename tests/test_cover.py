@@ -1,6 +1,7 @@
 """Cover-walk simulation, ray extraction, entropic weights, estimators."""
 
 import math
+import re
 from bisect import bisect_left
 from types import SimpleNamespace
 
@@ -13,23 +14,24 @@ from liftmix import (
     CoverTrajectory,
     CoverVertex,
     ExcursionStats,
+    confirmed_ray,
     entropy,
     estimate_clt_params,
     estimate_speed,
     excursion_decomposition,
-    extract_ray,
     level_weight_check,
     log_entropic_weight,
     log_weight_trace,
     parse_graph,
     ray_localization_profile,
+    renewal_edge,
     simulate_walk,
     substream,
 )
 from liftmix.cover import (
+    DEFAULT_MARGIN,
     MOVE_HOLD,
     MOVE_POP,
-    _confirmed_ray,
     _ray_prefix_lengths,
     cover_moves,
     cover_vertex_type,
@@ -41,6 +43,24 @@ LOG2 = math.log(2.0)
 def _view(g, alpha=None):
     """The ray law on ``g``'s own oriented edges: its entropy report."""
     return entropy(g, alpha=alpha)
+
+
+# The three stages chained the way cover-sim chains them: the renewal edge is
+# resolved first, then each stage reads the trajectory's confirmed ray.
+
+
+def _ray(traj, margin=DEFAULT_MARGIN):
+    """The labels of the confirmed ray, as a tuple."""
+    return tuple(confirmed_ray(traj, margin)[1].tolist())
+
+
+def _excursions(traj, view, e_star=None, margin=DEFAULT_MARGIN, **kw):
+    edge = renewal_edge(view, e_star)
+    return excursion_decomposition(view, edge, *confirmed_ray(traj, margin), **kw)
+
+
+def _localization(traj, r_max, margin=DEFAULT_MARGIN, **kw):
+    return ray_localization_profile(traj, confirmed_ray(traj, margin)[1], r_max, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +162,7 @@ def test_simulate_walk_rejects_unknown_root(theta3):
 
 def test_extract_ray_is_final_stack_prefix(theta3):
     traj = simulate_walk(theta3, "u", 20_000, rng=substream(7, "walk"))
-    ray = extract_ray(traj)
+    ray = _ray(traj)
     assert len(ray) == traj.max_height - 25
     assert ray == traj.final_stack()[: len(ray)]
     # composable and non-backtracking
@@ -157,23 +177,23 @@ def test_extract_ray_stops_at_the_final_height(theta3):
     traj = simulate_walk(theta3, "u", 3000, rng=substream(0, "cover-walk", 0))
     final = int(traj.heights[-1])
     assert final < traj.max_height
-    assert extract_ray(traj, margin=0) == traj.final_stack()
-    assert len(extract_ray(traj, margin=1)) == final
+    assert _ray(traj, margin=0) == traj.final_stack()
+    assert len(_ray(traj, margin=1)) == final
     # one push and its pop: the walk is back at the root
     back = CoverTrajectory(root_label="u", alpha=0.0,
                            moves=np.array([0, MOVE_POP], dtype=np.int32),
                            heights=np.array([1, 0], dtype=np.int32))
     assert back.max_height == 1
     with pytest.raises(AnalysisError, match="ended at height 0"):
-        extract_ray(back, margin=0)
+        confirmed_ray(back, margin=0)
     with pytest.raises(AnalysisError, match="nonnegative"):
-        extract_ray(traj, margin=-1)
+        confirmed_ray(traj, margin=-1)
 
 
 def test_extract_ray_margin_too_large(theta3):
     traj = simulate_walk(theta3, "u", 200, rng=substream(8, "walk"))
     with pytest.raises(AnalysisError):
-        extract_ray(traj, margin=traj.max_height + 1)
+        confirmed_ray(traj, margin=traj.max_height + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +310,7 @@ def test_log_weight_trace_handles_zero_weight_detours(pendant):
 def _theta3_stats(theta3, steps=40_000, seed=11, **kw):
     view = _view(theta3)
     traj = simulate_walk(theta3, "u", steps, rng=substream(seed, "walk"))
-    return excursion_decomposition(traj, view, **kw)
+    return _excursions(traj, view, **kw)
 
 
 def test_excursion_decomposition_shapes(theta3):
@@ -340,17 +360,35 @@ def test_excursion_rejects_unknown_renewal_edge(theta3):
         _theta3_stats(theta3, e_star=17)
 
 
+@pytest.mark.parametrize("e_star, want", [
+    ("e2-", 3),
+    (4, 4),
+    # all six edges of theta3 carry 1/6 up to rounding: the lowest one wins
+    (None, 0),
+    ("e9+", "unknown oriented edge 'e9+'"),
+    (6, "oriented edge index 6 out of range"),
+    (-1, "oriented edge index -1 out of range"),
+])
+def test_renewal_edge_takes_a_name_an_index_or_nothing(theta3, e_star, want):
+    view = _view(theta3)
+    if isinstance(want, str):
+        with pytest.raises(AnalysisError, match=re.escape(want)):
+            renewal_edge(view, e_star)
+    else:
+        assert renewal_edge(view, e_star) == want
+
+
 def test_excursion_needs_enough_renewals(theta3):
     view = _view(theta3)
     traj = simulate_walk(theta3, "u", 400, rng=substream(12, "walk"))
     with pytest.raises(AnalysisError, match="excursions"):
-        excursion_decomposition(traj, view)
+        _excursions(traj, view)
 
 
 def test_excursions_degenerate_on_deterministic_ray(c3b):
     view = _view(c3b, alpha=0.0)
     traj = simulate_walk(c3b, "a", 20_000, rng=substream(13, "walk"))
-    st = excursion_decomposition(traj, view)
+    st = _excursions(traj, view)
     assert st.degenerate
     est = estimate_clt_params(st)
     assert est.degenerate
@@ -390,13 +428,13 @@ def test_excursions_reject_pocket_root(pendant):
     view = _view(pendant)
     traj = simulate_walk(pendant, "p", 20_000, rng=substream(14, "walk"))
     with pytest.raises(AnalysisError, match="core"):
-        excursion_decomposition(traj, view)
+        _excursions(traj, view)
 
 
 def test_excursions_work_from_core_root_of_pendant(pendant):
     view = _view(pendant)
     traj = simulate_walk(pendant, "u", 40_000, rng=substream(15, "walk"))
-    st = excursion_decomposition(traj, view)
+    st = _excursions(traj, view)
     est = estimate_clt_params(st)
     target = 0.75 * LOG2 / 6.0
     assert abs(est.h_est - target) <= 3.0 * est.h_se
@@ -414,21 +452,19 @@ def test_localization_profile_theta3(theta3):
         simulate_walk(theta3, "u", 15_000, alpha=0.0, rng=substream(16, "walk", i))
         for i in range(8)
     ]
-    prof = ray_localization_profile(trajs, r_max=6)
-    assert prof.n_samples > 1000
-    tail = [prof.tail_freq[r] for r in range(7)]
+    profiles = [_localization(traj, r_max=6) for traj in trajs]
+    for prof in profiles:
+        assert len(prof.counts) == 7
+        assert prof.tail_freq == {r: c / prof.n_samples for r, c in enumerate(prof.counts)}
+    # raw counts pool exactly across trajectories, as cover-sim pools its trials
+    n_samples = sum(prof.n_samples for prof in profiles)
+    assert n_samples > 1000
+    tail = (np.sum([prof.counts for prof in profiles], axis=0) / n_samples).tolist()
     assert all(0.0 <= x <= 1.0 for x in tail)
     # tails are nonincreasing and genuinely decay
     assert all(a >= b for a, b in zip(tail, tail[1:]))
     assert tail[0] < 0.6
     assert tail[4] < tail[0]
-    # raw counts allow exact pooling across trajectory batches
-    assert len(prof.counts) == 7
-    half = ray_localization_profile(trajs[:4], r_max=6)
-    rest = ray_localization_profile(trajs[4:], r_max=6)
-    pooled = np.array(half.counts) + np.array(rest.counts)
-    assert np.array_equal(pooled, np.array(prof.counts))
-    assert half.n_samples + rest.n_samples == prof.n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +472,9 @@ def test_localization_profile_theta3(theta3):
 # ---------------------------------------------------------------------------
 #
 # The functions below replay a walk one step at a time, the way the walk is
-# defined.  They are the reference for simulate_walk, extract_ray,
-# excursion_decomposition and ray_localization_profile, which do the same
+# defined.  They are the reference for simulate_walk and for the chain
+# cover-sim runs on its trajectory (renewal_edge, confirmed_ray, then
+# excursion_decomposition and ray_localization_profile), which do the same
 # work with one sequential loop over the moving draws and numpy for the rest.
 
 
@@ -665,11 +702,10 @@ def walk_cases(draw):
 
 def _check_against_scalar_loops(traj, view, margin, e_star, min_count, r_max,
                                 max_samples):
-    assert _outcome(extract_ray, traj, margin=margin) == \
-        _outcome(_scalar_ray, traj, margin)
+    assert _outcome(_ray, traj, margin) == _outcome(_scalar_ray, traj, margin)
 
-    got, err = _outcome(excursion_decomposition, traj, view, e_star=e_star,
-                        margin=margin, min_count=min_count)
+    got, err = _outcome(_excursions, traj, view, e_star=e_star, margin=margin,
+                        min_count=min_count)
     want, want_err = _outcome(_scalar_excursions, traj, view, e_star, margin,
                               min_count)
     assert err == want_err
@@ -679,8 +715,8 @@ def _check_against_scalar_loops(traj, view, margin, e_star, min_count, r_max,
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert (got.e_star, got.degenerate) == (want.e_star, want.degenerate)
 
-    prof, err = _outcome(ray_localization_profile, [traj], r_max, margin=margin,
-                         max_samples_per_traj=max_samples)
+    prof, err = _outcome(_localization, traj, r_max, margin=margin,
+                         max_samples=max_samples)
     want, want_err = _outcome(_scalar_localization, traj, r_max, margin, max_samples)
     assert err == want_err
     if want is not None:
@@ -762,17 +798,17 @@ def test_hand_built_rays_and_prefixes_match_the_scalar_loops(name):
     traj = _hand_built(moves)
     ray = _scalar_ray(traj, 0)
     assert ray == (0, 4, 5)
-    assert extract_ray(traj, margin=0) == ray
+    times, labels = confirmed_ray(traj, margin=0)
+    assert tuple(labels.tolist()) == ray
     last = _scalar_last_times(traj)
-    assert _confirmed_ray(traj, 0)[0].tolist() == [last[j] + 1 for j in range(3)]
+    assert times.tolist() == [last[j] + 1 for j in range(3)]
     assert [cpl for _, cpl in _scalar_prefix_lengths(traj, ray)] == prefixes
     # every step is eligible and sampled, the opening pushes and the
     # closing pops of the off-ray intervals among them
     steps = np.arange(len(traj))
-    got = _ray_prefix_lengths(traj, np.array(ray, dtype=np.int32), steps)
+    got = _ray_prefix_lengths(traj, labels, steps)
     assert got.tolist() == prefixes
     r_max = traj.max_height
-    prof = ray_localization_profile([traj], r_max, margin=0,
-                                    max_samples_per_traj=len(traj))
+    prof = ray_localization_profile(traj, labels, r_max, max_samples=len(traj))
     assert (prof.counts, prof.n_samples) == \
         _scalar_localization(traj, r_max, 0, len(traj))

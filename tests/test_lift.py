@@ -10,7 +10,6 @@ from liftmix import (
     GraphError,
     Lift,
     apply_kernel,
-    apply_kernel_to_function,
     generate_uniform_lift,
     lift_from_json,
     lift_stationary,
@@ -124,20 +123,6 @@ def test_apply_kernel_rejects_an_out_that_overlaps_mu(asym_theta):
     out = buf[size:]
     assert apply_kernel(lift, mu, out=out) is out
     assert np.array_equal(out, apply_kernel(lift, mu))
-
-
-def test_apply_kernel_to_function_is_the_adjoint(asym_theta):
-    lift = _uniform(asym_theta, 5, seed=5)
-    p = lift_transition_matrix(lift)
-    rng = substream(6, "f")
-    f = rng.random(lift.n_states)
-    assert np.allclose(apply_kernel_to_function(lift, f), p @ f, atol=1e-14)
-    # duality: <mu P, f> = <mu, P f>
-    mu = rng.random(lift.n_states)
-    mu /= mu.sum()
-    assert np.dot(apply_kernel(lift, mu), f) == pytest.approx(
-        np.dot(mu, apply_kernel_to_function(lift, f)), abs=1e-12
-    )
 
 
 def test_transition_matrix_rows_sum_to_one(theta3, c3b, pendant):

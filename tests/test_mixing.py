@@ -18,7 +18,6 @@ from liftmix import (
     entropy,
     generate_uniform_lift,
     lift_stationary,
-    mixing_curve,
     mixing_curves,
     parse_graph,
     projection_identity_check,
@@ -43,7 +42,7 @@ def _lift8(theta3):
 
 def test_mixing_curve_theta3_n8(theta3):
     lift = _lift8(theta3)
-    curve = mixing_curve(lift, 0)
+    curve = mixing_curves(lift, [0])[0]
     # from a point mass the initial TV is 1 - 1/16
     assert curve.tv[0] == pytest.approx(1.0 - 1.0 / 16.0, abs=1e-12)
     assert curve.crossings == {0.1: 12, 0.25: 7, 0.5: 3, 0.9: 1}
@@ -58,7 +57,7 @@ def test_mixing_curve_theta3_n8(theta3):
 
 def test_mixing_curve_thresholds_are_ordered(theta3):
     lift = _lift8(theta3)
-    curve = mixing_curve(lift, 5)
+    curve = mixing_curves(lift, [5])[0]
     assert curve.crossings[0.9] <= curve.crossings[0.5]
     assert curve.crossings[0.5] <= curve.crossings[0.25]
     assert curve.crossings[0.25] <= curve.crossings[0.1]
@@ -66,7 +65,7 @@ def test_mixing_curve_thresholds_are_ordered(theta3):
 
 def test_mixing_curve_cap_and_unreached(theta3):
     lift = _lift8(theta3)
-    curve = mixing_curve(lift, 0, t_cap=3, eps_list=(0.1, 0.5))
+    curve = mixing_curves(lift, [0], t_cap=3, eps_list=(0.1, 0.5))[0]
     assert curve.t_cap == 3
     assert curve.crossings[0.5] == 3
     assert curve.crossings[0.1] is None
@@ -77,7 +76,7 @@ def test_mixing_curve_periodic_lift_uses_averaging(theta3):
     # without holding the theta lift is bipartite: plain TV plateaus at 1/2
     # while the two-step averaged curve still mixes
     lift = _lift8(theta3)
-    curve = mixing_curve(lift, 0, alpha=0.0)
+    curve = mixing_curves(lift, [0], alpha=0.0)[0]
     assert curve.periodic
     assert curve.tv[-1] == pytest.approx(0.5, abs=1e-9)
     assert curve.averaged is not None
@@ -87,26 +86,26 @@ def test_mixing_curve_periodic_lift_uses_averaging(theta3):
 
 def test_mixing_curve_aperiodic_has_no_averaged_sibling(theta3):
     lift = _lift8(theta3)
-    assert mixing_curve(lift, 0).averaged is None
+    assert mixing_curves(lift, [0])[0].averaged is None
 
 
 def test_mixing_curve_input_validation(theta3):
     lift = _lift8(theta3)
     with pytest.raises(AnalysisError):
-        mixing_curve(lift, -1)
+        mixing_curves(lift, [-1])
     with pytest.raises(AnalysisError):
-        mixing_curve(lift, 0, eps_list=())
+        mixing_curves(lift, [0], eps_list=())
     with pytest.raises(AnalysisError):
-        mixing_curve(lift, 0, eps_list=(0.0,))
+        mixing_curves(lift, [0], eps_list=(0.0,))
     with pytest.raises(AnalysisError):
-        mixing_curve(lift, 0, t_cap=-1)
+        mixing_curves(lift, [0], t_cap=-1)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.0, -0.5])
 def test_mixing_curve_checks_alpha_without_a_step(theta3, alpha):
     # at t_cap = 0 no kernel step runs, and the kernel was the only check
     with pytest.raises(AnalysisError, match=r"holding probability must lie in \[0, 1\)"):
-        mixing_curve(_lift8(theta3), 0, alpha=alpha, t_cap=0)
+        mixing_curves(_lift8(theta3), [0], alpha=alpha, t_cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ def test_worst_best_reads_the_averaged_curves_of_periodic_lifts(theta3):
     # 1/2, so reading the raw crossings left every start unreached
     lift = _lift8(theta3)
     wb = worst_and_best_case(lift, alpha=0.0, eps=0.25, t_cap=200)
-    averaged = {s: mixing_curve(lift, s, alpha=0.0, eps_list=(0.25,), t_cap=200)
+    averaged = {s: mixing_curves(lift, [s], alpha=0.0, eps_list=(0.25,), t_cap=200)[0]
                 .averaged.crossings[0.25] for s in range(lift.n_states)}
     assert wb.per_start == averaged
     assert wb.per_start[0] == 4
@@ -228,8 +227,8 @@ def test_cutoff_sweep_on_periodic_lifts_reads_the_averaged_curves(theta3):
     assert res.verdict
     row = next(r for r in res.rows if r.eps == res.eps_primary)
     lift = draw_lift(theta3, row.n, 0, row.seed)
-    curve = mixing_curve(lift, row.start, alpha=0.0, eps_list=res.eps_list,
-                         t_cap=res.t_caps[row.n])
+    curve = mixing_curves(lift, [row.start], alpha=0.0, eps_list=res.eps_list,
+                          t_cap=res.t_caps[row.n])[0]
     assert curve.periodic and curve.crossings[row.eps] is None
     assert row.t_mix == curve.averaged.crossings[row.eps]
 
@@ -292,7 +291,7 @@ def test_projected_step_equals_base_step(theta3):
 # The two functions below step and measure the way the walk is written down:
 # every step allocates its result, every TV its difference, against the
 # state-sized stationary law.  They are the reference for apply_kernel's
-# out= and for mixing_curve, which keeps two swapped distributions and one
+# out= and for mixing_curves, which keeps two swapped distributions and one
 # difference buffer and must reproduce them bit for bit.
 
 
@@ -355,7 +354,7 @@ def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, al
         assert np.array_equal(out, _allocating_step(lift, m, alpha))
 
     t_cap = 60
-    curve = mixing_curve(lift, start, alpha=alpha, t_cap=t_cap)
+    curve = mixing_curves(lift, [start], alpha=alpha, t_cap=t_cap)[0]
     tvs, avg_tvs, drift = _allocating_curve(lift, start, alpha,
                                             min(DEFAULT_EPS_LIST), t_cap)
     assert np.array_equal(curve.tv, tvs)
@@ -462,7 +461,7 @@ def test_blocked_curves_raise_the_first_failing_start_in_order(theta3, monkeypat
     expected = None
     for s in starts:
         try:
-            mixing_curve(lift, s)
+            mixing_curves(lift, [s])
         except AnalysisError as exc:
             expected = str(exc)
             break
