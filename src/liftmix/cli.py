@@ -496,10 +496,9 @@ def _cmd_mix(args):
                           [(t, repr(float(v))) for t, v in enumerate(curve.tv)],
                           start=worst_state)
 
+    keys = [(_fmt_eps(e), e) for e in eps_list]
     per_start = {
-        str(s): {
-            _fmt_eps(e): curves[s].mixing_crossings[e] for e in eps_list
-        }
+        str(s): {key: curves[s].mixing_crossings[e] for key, e in keys}
         for s in states
     }
     summary = {
@@ -511,12 +510,10 @@ def _cmd_mix(args):
         "starts_policy": args.starts,
         "exhaustive": exhaustive,
         "worst_start": worst_state,
-        "worst_crossings": {
-            _fmt_eps(e): worst_curve.crossings[e] for e in eps_list
-        },
+        "worst_crossings": {key: worst_curve.crossings[e] for key, e in keys},
         "periodic": worst_curve.periodic,
         "averaged_crossings": (
-            {_fmt_eps(e): worst_curve.averaged.crossings[e] for e in eps_list}
+            {key: worst_curve.averaged.crossings[e] for key, e in keys}
             if worst_curve.averaged is not None else None
         ),
         "per_start": per_start,

@@ -177,10 +177,14 @@ def apply_kernel(lift, mu, alpha=None, out=None):
 
     ``out``, when given, receives the step and is returned.  It has the
     shape of ``mu`` and must not overlap it, because the gathers read ``mu``
-    while ``out`` is written.  The result is the same with or without it:
-    each gather lands in one ``(k, n)`` scratch array and is scaled and
-    added in place, in the order of the allocating expression
-    ``out[v] += (lazy * w) * m[u][maps[k ^ 1]]``.
+    while ``out`` is written.  The result is the same with or without it,
+    and the same bit for bit as the allocating expression ``out = alpha *
+    m``, then ``out[v] += ((1 - alpha) * w) * m[u][maps[k ^ 1]]`` for each
+    move in index order; at holding 0 that holds for finite ``mu``, because
+    the step skips ``0 * m``, so a NaN or infinite entry reaches only the
+    states its mass moves to.  The step runs on the state-major layout of
+    :func:`_step`: a block of ``k > 1`` rows is copied into it and back, and
+    a single distribution is only reshaped.
     """
     alpha = holding_probability(lift.base, alpha)
     arr = np.asarray(mu)
@@ -195,30 +199,64 @@ def apply_kernel(lift, mu, alpha=None, out=None):
         res = out if out.shape == m.shape else out.reshape(m.shape, copy=False)
     if m.dtype != res.dtype:
         m = m.astype(res.dtype)  # an integer mu is gathered in floating point
-    _step(lift, m, alpha, res, np.empty((len(m), lift.n), dtype=res.dtype))
+    k = len(m)
+    work = np.empty(2 * lift.n * k, dtype=res.dtype)
+    if k == 1:
+        _step(lift, m.reshape(*m.shape[1:], 1), alpha,
+              res.reshape(*res.shape[1:], 1, copy=False), work)
+    else:
+        stepped = np.empty((*m.shape[1:], k), dtype=res.dtype)
+        _step(lift, np.ascontiguousarray(m.transpose(1, 2, 0)), alpha, stepped, work)
+        res[...] = stepped.transpose(2, 0, 1)
     return res.reshape(arr.shape) if out is None else out
 
 
-def _step(lift, m, alpha, res, scratch):
+def _step(lift, m, alpha, res, work):
     """The step of :func:`apply_kernel` without its checks: writes ``m``
     stepped once into ``res``.
 
-    ``m`` and ``res`` are ``(k, n_vertices, n)`` blocks of one dtype that do
-    not overlap, ``scratch`` a C-contiguous ``(k, n)`` array of that dtype,
-    and ``alpha`` a checked holding probability.
+    ``m`` and ``res`` are state-major blocks of one dtype that do not
+    overlap: shape ``(n_vertices, n, j)``, with state ``(v, i)`` of row
+    ``r`` at ``[v, i, r]``, so every gather moves whole rows of ``j``
+    values.  ``work`` is a C-contiguous buffer of at least ``2 * n * j``
+    elements of that dtype, and ``alpha`` a checked holding probability.
+
+    The moves are taken target by target, in index order within a target,
+    so each ``res[v]`` is summed in the order of the allocating expression.
+    A move's source ``m[u]`` is scaled by its coefficient into ``work``
+    once for a run of moves that share both, and each gather reads the
+    scaled rows: scaling commutes with a gather, so this is exact.  At
+    holding 0 the first move into a target gathers straight into it.
     """
-    np.multiply(alpha, m, out=res)
+    n, j = m.shape[1:]
+    scaled = work[:n * j].reshape(n, j)
+    scratch = work[n * j:2 * n * j].reshape(n, j)
+    moves = sorted(lift.moves, key=lambda move: move[2])
+    if alpha == 0.0:
+        # 0 * m + x == x for finite x: the first move into each target
+        # gathers straight into it, and a target that no move reaches is 0
+        for v in set(range(len(res))) - {v for _, _, v, _ in moves}:
+            res[v] = 0.0
+    else:
+        np.multiply(alpha, m, out=res)
     lazy = 1.0 - alpha
-    for k, u, v, w in lift.moves:
+    source = target = None
+    for k, u, v, w in moves:
+        if source != (u, lazy * w):
+            source = (u, lazy * w)
+            np.multiply(m[u], lazy * w, out=scaled)
         # the method, not np.take, whose wrapper costs more than a small
         # gather; "clip" because under "raise" take buffers out, and the
         # maps are permutations, so nothing is ever clipped
-        m[:, u].take(lift.maps[k ^ 1], axis=-1, out=scratch, mode="clip")
-        scratch *= lazy * w
-        # add through a view: ``res[:, v] += scratch`` also assigns the
-        # rows back onto themselves, a second pass over them
-        rows = res[:, v]
-        rows += scratch
+        if alpha == 0.0 and v != target:
+            scaled.take(lift.maps[k ^ 1], axis=0, out=res[v], mode="clip")
+        else:
+            scaled.take(lift.maps[k ^ 1], axis=0, out=scratch, mode="clip")
+            # add through a view: ``res[v] += scratch`` also assigns the
+            # rows back onto themselves, a second pass over them
+            rows = res[v]
+            rows += scratch
+        target = v
 
 
 def lift_transition_matrix(lift, alpha=None):

@@ -7,23 +7,28 @@ positive-weight oriented edge through the lift's fiber maps, see
 deterministic given the lift.  :func:`mixing_curves` propagates the starts
 of one lift together, in blocks that share the starts out over the CPUs the
 process may use, at most ``_BLOCK_DOUBLES // n_states`` rows each: a budget
-of 2**15 doubles (256 KB) per buffer, so a block stays in cache and a lift
-larger than the budget runs one start per block.  Blocks are independent and
-run on one thread per CPU; their curves, progress calls and errors come back
-in block order.  A running block owns its buffers: two distribution blocks
-that swap roles each step, and the step's ``(k, n)`` gather scratch.  After a
-step the old distribution is dead, so the averaged law and every TV are
-evaluated in it, row by row against the per-vertex stationary column.  Each
-start keeps its own checks, early stop, mass drift and crossings, and its
-curve is the same bit for bit as if it were propagated alone, at any CPU
-count.  A step allocates nothing.  The period of an unlazy lift is found
-once per strong component (:meth:`liftmix.lift.Lift.period`).  Every mixing
-time, worst start and sweep row is read from :attr:`TVCurve.mixing_crossings`,
-the two-step averaged curve's crossings on a periodic unlazy lift, and the
-worst start is ranked by one rule (:func:`_worst_start`).  The sweep driver
-scales the lift degree over a grid, fits the growth of the worst-start mixing
-time against ``log n``, and compares the slope with the reciprocal entropy
-rate of the base graph.
+of 2**16 doubles (512 KB) per buffer, so a lift larger than the budget runs
+one start per block.  Blocks are independent and run on one thread per CPU;
+their curves, progress calls and errors come back in block order.  A block
+is stored state-major, ``(n_vertices, n, rows)``, so that each gather of the
+step moves whole rows of doubles; with one row this is the layout of a
+single distribution.  A running block owns its buffers: two distribution
+blocks that swap roles each step, and one work buffer that holds the step's
+scaled source and gather scratch and then the TVs' transposed difference,
+each start's a contiguous row summed as if the start ran alone.  After a
+step the old distribution is dead: the averaged law is evaluated in it, and
+the rows still stepping are compacted into it when others stop.  The
+monotonicity checks, early stops, mass drifts and crossings of a block are
+vector operations over its rows, and every curve is the same bit for bit as
+if its start were propagated alone, at any CPU count.  A step allocates no
+state-sized array.  The period of an unlazy lift is found once per strong
+component (:attr:`liftmix.lift.Lift._strong_periods`) and read for a whole
+call at once.  Every mixing time, worst start and sweep row is read from
+:attr:`TVCurve.mixing_crossings`, the two-step averaged curve's crossings on
+a periodic unlazy lift, and the worst start is ranked by one rule
+(:func:`_worst_start`).  The sweep driver scales the lift degree over a
+grid, fits the growth of the worst-start mixing time against ``log n``, and
+compares the slope with the reciprocal entropy rate of the base graph.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 import queue
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,10 +53,12 @@ PROPAGATION_TOL = 1e-12
 #: Largest state count enumerated exhaustively by worst-start search.
 EXHAUSTIVE_START_CAP = 20_000
 DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
-#: Doubles in each block buffer of :func:`mixing_curves` (256 KB): a block
-#: holds at most ``_BLOCK_DOUBLES // n_states`` starts, so it stays in cache
-#: and a lift larger than this runs one start per block.
-_BLOCK_DOUBLES = 1 << 15
+#: Doubles in each distribution buffer of :func:`mixing_curves` (512 KB): a
+#: block holds at most ``_BLOCK_DOUBLES // n_states`` starts, and a lift
+#: larger than this runs one start per block.  On two threads 2**16 beat
+#: 2**15 on 1,024 starts of a 1,024-state lift, whose gathers then move rows
+#: of 64 doubles.
+_BLOCK_DOUBLES = 1 << 16
 #: Largest relative distance of the fitted slope from ``1 / h`` that
 #: :func:`cutoff_sweep` accepts.
 _SLOPE_TOLERANCE = 0.15
@@ -93,6 +100,9 @@ def _pool_map(fn, items, workers):
     if workers == 1:
         yield from map(fn, items)
         return
+    # imported here: multiprocessing costs every CLI call about 14 ms to import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
                              initargs=(max(1, _cpus() // workers),)) as pool:
         yield from pool.map(fn, items)
@@ -125,28 +135,56 @@ class TVCurve:
         return (self.averaged or self).crossings
 
 
-def _crossings_of(tvs, eps_list):
-    arr = np.asarray(tvs)
-    crossings = {}
-    reached = {}
+def _histories(values, owners, n_rows):
+    """Each row's TVs in step order, from the TVs of every step (the list
+    ``values``) and the rows they belong to (``owners``): ``(tvs,
+    bounds)``, row ``r``'s history being ``tvs[bounds[r]:bounds[r + 1]]``,
+    never empty."""
+    owners = np.array(owners, dtype=np.int64)
+    tvs = np.array(values)[np.argsort(owners, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n_rows))))
+    return tvs, bounds
+
+
+def _crossings_of(tvs, bounds, eps_list):
+    """Per row of the histories of :func:`_histories`, its first step at or
+    below each threshold, or None, one pass over the histories per
+    threshold."""
+    positions = np.arange(len(tvs))
+    starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
+    firsts = []
     for eps in eps_list:
-        hits = np.nonzero(arr <= eps)[0]
-        if len(hits):
-            crossings[eps] = int(hits[0])
-            reached[eps] = True
-        else:
-            crossings[eps] = None
-            reached[eps] = False
-    return crossings, reached
+        first = np.minimum.reduceat(np.where(tvs <= eps, positions, len(tvs)), bounds[:-1])
+        firsts.append([f - b if f < e else None
+                       for f, b, e in zip(first.tolist(), starts, ends)])
+    return [dict(zip(eps_list, col)) for col in zip(*firsts)]
 
 
 def _tvs(mu, pi, diff):
-    """Total variation between each row of the block ``mu`` and ``pi``, as a
-    list, computed in ``diff`` (which may be ``mu`` itself)."""
-    np.subtract(mu, pi, out=diff)
-    np.abs(diff, out=diff)
-    # one pairwise sum per row, the same one a single row's diff.sum() runs
-    return (0.5 * np.add.reduce(diff.reshape(len(diff), -1), axis=1)).tolist()
+    """Total variation between each row of the state-major block ``mu``
+    (``(n_vertices, n, j)``) and ``pi``, computed in ``diff``, a buffer of
+    at least ``mu.size`` doubles that does not overlap ``mu``."""
+    j = mu.shape[2]
+    rows = diff[:mu.size].reshape(j, *mu.shape[:2])
+    np.subtract(mu.transpose(2, 0, 1), pi, out=rows)
+    np.abs(rows, out=rows)
+    # each row is contiguous: one pairwise sum per row, the same one a
+    # single row's diff.sum() runs
+    return 0.5 * np.add.reduce(rows.reshape(j, -1), axis=1)
+
+
+def _drifts(mu, slots, work, spare):
+    """Mass drift of the rows ``slots`` of the state-major block ``mu``,
+    each summed as a contiguous copy of its column: the columns are taken
+    in ``work`` and transposed into ``spare``, buffers that overlap neither
+    ``mu`` nor each other."""
+    n_vertices, n, _ = mu.shape
+    size = n_vertices * n * len(slots)
+    picked = work[:size].reshape(n_vertices, n, len(slots))
+    np.take(mu, slots, axis=2, out=picked, mode="clip")
+    cols = spare[:size].reshape(len(slots), n_vertices, n)
+    np.copyto(cols, picked.transpose(2, 0, 1))
+    return np.abs(np.add.reduce(cols.reshape(len(slots), -1), axis=1) - 1.0)
 
 
 def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
@@ -182,25 +220,32 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     for s in starts:
         if not 0 <= s < lift.n_states:
             raise AnalysisError(f"start state {s} out of range")
+    starts = np.array(starts, dtype=np.int64)
+    # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
+    if alpha <= 0.0:
+        labels, periods = lift._strong_periods
+        periodic = periods[labels[starts]] > 1
+    else:
+        periodic = np.zeros(len(starts), dtype=bool)
 
     # lift_stationary puts pi_v / n on every state of fiber v: one column
     # broadcast over the fibers gives the same TV without a state-sized pi
     pi = (lift.base.stationary.as_array() / lift.n)[:, None]
     cpus = _cpus()
     size = max(1, min(math.ceil(len(starts) / cpus), _BLOCK_DOUBLES // lift.n_states))
-    blocks = [starts[b:b + size] for b in range(0, len(starts), size)]
+    blocks = [(starts[b:b + size], periodic[b:b + size])
+              for b in range(0, len(starts), size)]
     threads = min(cpus, len(blocks))
     # one set of buffers per thread, lent to the block it runs
     free = queue.SimpleQueue()
     for _ in range(threads):
-        free.put((np.empty((size, lift.base.n_vertices, lift.n)),
-                  np.empty((size, lift.base.n_vertices, lift.n)),
-                  np.empty((size, lift.n))))
+        free.put((np.empty(size * lift.n_states), np.empty(size * lift.n_states),
+                  np.empty(size * max(lift.n_states, 2 * lift.n))))
 
     def run(block):
         buffers = free.get()
         try:
-            return _block_curves(lift, block, alpha, eps_list, t_cap, pi, buffers)
+            return _block_curves(lift, *block, alpha, eps_list, t_cap, pi, buffers)
         finally:
             free.put(buffers)
 
@@ -215,11 +260,9 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     if threads <= 1:
         collect(map(run, blocks))
         return curves
-    # the blocks read these caches: fill them before any thread starts,
-    # because cached_property takes no lock from Python 3.12 on
+    # the blocks read this cache: fill it before any thread starts, because
+    # cached_property takes no lock from Python 3.12 on
     lift.moves
-    if alpha <= 0.0:
-        lift._strong_periods
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         collect(pool.map(run, blocks))
@@ -228,81 +271,108 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     return curves
 
 
-def _block_curves(lift, starts, alpha, eps_list, t_cap, pi, buffers):
+def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
     """The curves of one block of starts, propagated together.
 
-    ``buffers`` holds two distribution blocks that swap roles each step and
-    the step's gather scratch.  After a step the old distribution is dead:
-    the averaged law and every TV are computed in it.  The rows still
-    stepping occupy the leading slots: when rows stop, the others move up,
-    so a step never works on a row that has stopped.
+    The block is state-major, ``(n_vertices, n, j)`` for ``j`` rows still
+    stepping, in one of the two distribution buffers of ``buffers``; each
+    step writes the other, and the third, the work buffer, holds the step's
+    scaled source and gather scratch and then each TV's transposed
+    difference.  After a step the old distribution is dead, and the
+    averaged law is computed in it.  The per-row checks and the early stop
+    run on the step's TV vector; when rows stop, the others are compacted
+    into the dead buffer, so a step never works on a row that has stopped.
+    Each step records the TVs of the rows it stepped, with their owners.
     """
-    mu, nxt, scratch = buffers
+    n_vertices, n = lift.base.n_vertices, lift.n
+    cur, spare, work = buffers
     k = len(starts)
-    mu[:k] = 0.0
-    for r, s in enumerate(starts):
-        mu[(r, *lift.split(s))] = 1.0
-    # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
-    periodic = [alpha <= 0.0 and lift.period(s) > 1 for s in starts]
-    tv0 = _tvs(mu[:k], pi, nxt[:k])
-    tvs = [[tv] for tv in tv0]
-    # The average of mu_0 with itself at t=0 is mu_0.
-    avg_tvs = [[tv] if p else None for tv, p in zip(tv0, periodic)]
-    eps_min = min(eps_list)
-    ends = [None] * k  # per row: (stop step, mass drift), or its error
-    live = list(range(k))  # the rows still stepping, by slot
-    t = 0
-    while live and t < t_cap:
-        j = len(live)
-        _step(lift, mu[:j], alpha, nxt[:j], scratch[:j])
-        t += 1
-        if any(periodic[r] for r in live):
-            np.add(mu[:j], nxt[:j], out=mu[:j])
-            mu[:j] *= 0.5
-            step_avg = _tvs(mu[:j], pi, mu[:j])
-        step_tvs = _tvs(nxt[:j], pi, mu[:j])
-        mu, nxt = nxt, mu
-        stopped = []
-        for slot, r in enumerate(live):
-            tv = step_tvs[slot]
-            if tv > tvs[r][-1] + PROPAGATION_TOL:
-                ends[r] = AnalysisError(
-                    f"TV increased at step {t}: {tvs[r][-1]!r} -> {tv!r}"
-                )
-                stopped.append(slot)
-                continue
-            tvs[r].append(tv)
-            if periodic[r]:
-                avg_tvs[r].append(step_avg[slot])
-            if (avg_tvs[r] or tvs[r])[-1] <= eps_min:
-                ends[r] = (t, abs(float(mu[slot].sum()) - 1.0))
-                stopped.append(slot)
-        if stopped:
-            kept = [slot for slot in range(j) if slot not in stopped]
-            mu[:len(kept)] = mu[kept]
-            live = [live[slot] for slot in kept]
-    for slot, r in enumerate(live):
-        ends[r] = (t, abs(float(mu[slot].sum()) - 1.0))
 
+    def block(buffer, j):
+        return buffer[:n_vertices * n * j].reshape(n_vertices, n, j)
+
+    mu = block(cur, k)
+    mu[...] = 0.0
+    mu[starts // n, starts % n, np.arange(k)] = 1.0
+    last = _tvs(mu, pi, work)  # by slot: the TV of the latest step
+    # every TV recorded and the row it belongs to, as lists: 32 bytes a TV
+    values, owners = last.tolist(), list(range(k))
+    # The average of mu_0 with itself at t=0 is mu_0.  The averaged
+    # histories are numbered among the periodic rows.
+    among_periodic = np.cumsum(periodic) - 1
+    avg_values = last[periodic].tolist()
+    avg_owners = among_periodic[periodic].tolist()
+    eps_min = min(eps_list)
+    stops = np.full(k, t_cap)  # per row: the step it stopped at
+    drifts = np.zeros(k)
+    failures = {}  # per row that failed its monotonicity check: the error
+    live = np.arange(k)  # the rows still stepping, by slot
+    averaging = periodic.copy()  # by slot: the rows that watch the average
+    t = 0
+    while len(live) and t < t_cap:
+        nxt = block(spare, len(live))
+        _step(lift, mu, alpha, nxt, work)
+        t += 1
+        if averaging.any():
+            np.add(mu, nxt, out=mu)
+            mu *= 0.5
+            avg = _tvs(mu, pi, work)
+        tvs = _tvs(nxt, pi, work)
+        cur, spare, mu = spare, cur, nxt
+        failed = tvs > last + PROPAGATION_TOL
+        for slot in np.flatnonzero(failed).tolist():
+            failures[int(live[slot])] = AnalysisError(
+                f"TV increased at step {t}: {float(last[slot])!r} -> "
+                f"{float(tvs[slot])!r}"
+            )
+        values += tvs[~failed].tolist()
+        owners += live[~failed].tolist()
+        watched = tvs
+        if averaging.any():
+            recorded = averaging & ~failed
+            avg_values += avg[recorded].tolist()
+            avg_owners += among_periodic[live[recorded]].tolist()
+            watched = np.where(averaging, avg, tvs)
+        last = tvs
+        stopped = failed | (watched <= eps_min)
+        if stopped.any():
+            slots = np.flatnonzero(stopped)
+            stops[live[slots]] = t
+            drifts[live[slots]] = _drifts(mu, slots, work, spare)
+            kept = np.flatnonzero(~stopped)
+            live, averaging, last = live[kept], averaging[kept], last[kept]
+            # the dead buffer holds the average: move the rows kept into it
+            mu = np.take(mu, kept, axis=2, out=block(spare, len(kept)), mode="clip")
+            cur, spare = spare, cur
+    if len(live):
+        drifts[live] = _drifts(mu, np.arange(len(live)), work, spare)
+
+    bad = drifts > PROPAGATION_TOL * np.maximum(stops, 1)
+    bad[list(failures)] = True
+    if bad.any():
+        r = int(bad.argmax())
+        raise failures.get(r) or AnalysisError(
+            f"propagation lost mass: drift {float(drifts[r]):g}")
+    tvs, bounds = _histories(values, owners, k)
+    crossings = _crossings_of(tvs, bounds, eps_list)
+    if periodic.any():
+        avg_tvs, avg_bounds = _histories(avg_values, avg_owners, int(periodic.sum()))
+        avg_crossings = _crossings_of(avg_tvs, avg_bounds, eps_list)
     curves = []
-    for r, end in enumerate(ends):
-        if isinstance(end, AnalysisError):
-            raise end
-        t_stop, mass_drift = end
-        if mass_drift > PROPAGATION_TOL * max(1, t_stop):
-            raise AnalysisError(f"propagation lost mass: drift {mass_drift:g}")
-        crossings, reached = _crossings_of(tvs[r], eps_list)
+    for r in range(k):
+        mass_drift = float(drifts[r])
         averaged = None
         if periodic[r]:
-            avg_cross, avg_reached = _crossings_of(avg_tvs[r], eps_list)
+            p = among_periodic[r]
             averaged = TVCurve(
-                tv=np.asarray(avg_tvs[r]), crossings=avg_cross,
-                reached=avg_reached, mass_drift=mass_drift, t_cap=t_cap,
-                periodic=False, averaged=None,
+                tv=avg_tvs[avg_bounds[p]:avg_bounds[p + 1]], crossings=avg_crossings[p],
+                reached={e: c is not None for e, c in avg_crossings[p].items()},
+                mass_drift=mass_drift, t_cap=t_cap, periodic=False, averaged=None,
             )
         curves.append(TVCurve(
-            tv=np.asarray(tvs[r]), crossings=crossings, reached=reached,
-            mass_drift=mass_drift, t_cap=t_cap, periodic=periodic[r],
+            tv=tvs[bounds[r]:bounds[r + 1]], crossings=crossings[r],
+            reached={e: c is not None for e, c in crossings[r].items()},
+            mass_drift=mass_drift, t_cap=t_cap, periodic=bool(periodic[r]),
             averaged=averaged,
         ))
     return curves

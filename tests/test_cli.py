@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, payloads, artifacts, reproducibility."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -632,7 +633,7 @@ def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeyp
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(mixing, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cover = ["cover-sim", "--graph", theta3_file, "--steps", "2000", "--trials", "3",
              "--out", str(tmp_path / "cover")]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))

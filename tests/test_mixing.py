@@ -339,12 +339,12 @@ def _first_crossings(tvs, eps_list):
 def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, alpha,
                                                                start):
     g = parse_graph(text)
-    if not check_assumptions(g).a1_irreducible:
-        return  # the stationary law, and so the TV, needs one closed class
     rng = np.random.default_rng(seed)
     lift = generate_uniform_lift(g, n, rng)
     start %= lift.n_states
 
+    # the step needs no closed class: on a reducible graph some vertex may
+    # receive no positive-weight move at all
     mu = rng.dirichlet(np.ones(lift.n_states))
     for shape in (mu.shape, (g.n_vertices, n)):
         m = mu.reshape(shape)
@@ -353,6 +353,8 @@ def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, al
         assert np.array_equal(out, apply_kernel(lift, m, alpha=alpha))
         assert np.array_equal(out, _allocating_step(lift, m, alpha))
 
+    if not check_assumptions(g).a1_irreducible:
+        return  # the stationary law, and so the TV, needs one closed class
     t_cap = 60
     curve = mixing_curves(lift, [start], alpha=alpha, t_cap=t_cap)[0]
     tvs, avg_tvs, drift = _allocating_curve(lift, start, alpha,
@@ -383,6 +385,18 @@ def lift_cases(draw):
 # holding 0 start 0 is aperiodic and starts 1 and 2 have period 2, and with
 # eps 0.5 the periodic rows stop at step 1 while the aperiodic one runs on
 MIXED_PERIODS = (bouquet_text(2), 3, ((0, 2, 1),))
+# the same loop at u and two identity edges from u to v: the lift has two
+# components, {(u, 0), (v, 0)} aperiodic and the other four states of period
+# 2, so at holding 0 and eps 0.5 the periodic rows of starts 1 and 4 stop at
+# steps 1 and 2 and the aperiodic ones, whose TV never falls below 2/3, run on
+TWO_VERTEX_MIXED_PERIODS = ("""\
+alpha 0
+vertex u
+vertex v
+edge l u u 1/4 1/4
+edge a u v 1/4 1/2
+edge b u v 1/4 1/2
+""", 3, ((0, 2, 1), (0, 1, 2), (0, 1, 2)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,6 +407,7 @@ MIXED_PERIODS = (bouquet_text(2), 3, ((0, 2, 1),))
        st.integers(0, 2**16), st.integers(1, 3))
 @example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, 3, (0.5,), 0, 1)
 @example(MIXED_PERIODS, 0.0, [0, 1, 2, 2, 0], 60, 3, (0.5,), 0, 3)
+@example(TWO_VERTEX_MIXED_PERIODS, 0.0, [0, 1, 4, 3], 60, 4, (0.5,), 0, 1)
 @example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6),) * 3), 0.0, [0, 5, 9], 0,
          2, DEFAULT_EPS_LIST, 0, 2)
 # the two rows stop at steps 21 and 15, and start 2's mass drifts on after
@@ -440,12 +455,17 @@ def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_ca
 
 
 def test_the_mixed_period_lift_puts_different_stops_in_one_block():
-    # the pinned example above exercises what it claims
-    text, n, perms = MIXED_PERIODS
-    lift = Lift(parse_graph(text), n, perms)
-    curves = mixing_curves(lift, [0, 1, 2], alpha=0.0, eps_list=(0.5,), t_cap=60)
-    assert [c.periodic for c in curves] == [False, True, True]
-    assert [len(c.tv) for c in curves] == [61, 2, 2]
+    # the pinned examples above exercise what they claim
+    for case, starts, periodic, lengths in (
+        (MIXED_PERIODS, [0, 1, 2], [False, True, True], [61, 2, 2]),
+        (TWO_VERTEX_MIXED_PERIODS, [0, 1, 4, 3], [False, True, True, False],
+         [61, 2, 3, 61]),
+    ):
+        text, n, perms = case
+        lift = Lift(parse_graph(text), n, perms)
+        curves = mixing_curves(lift, starts, alpha=0.0, eps_list=(0.5,), t_cap=60)
+        assert [c.periodic for c in curves] == periodic
+        assert [len(c.tv) for c in curves] == lengths
 
 
 @pytest.mark.parametrize("tol, starts", [
