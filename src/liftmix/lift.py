@@ -81,6 +81,12 @@ class Lift:
         )
 
     @cached_property
+    def _moves_by_target(self):
+        """:attr:`moves` ordered by target vertex, in index order within a
+        target: the order in which a kernel step sums them."""
+        return tuple(sorted(self.moves, key=lambda move: move[2]))
+
+    @cached_property
     def _strong_periods(self):
         """Strong components of the unlazy walk and their periods, as
         ``(labels, periods)``.
@@ -106,14 +112,19 @@ class Lift:
         _, labels, periods = component_periods(self.n_states, tails, heads)
         return labels, periods
 
-    def period(self, state):
-        """Period of the unlazy walk on the strong component of ``state``.
+    def period(self, states):
+        """Period of the unlazy walk on the strong component of each of
+        ``states`` (one state index or an array of them): 1 for a state on
+        no cycle, which is its own component.
 
         The periods of all components are found on the first call and kept.
         """
-        self.split(state)
+        states = np.asarray(states)
+        if states.dtype.kind not in "iu" or not np.all(
+                (states >= 0) & (states < self.n_states)):
+            raise GraphError(f"states out of range 0..{self.n_states - 1}")
         labels, periods = self._strong_periods
-        return max(int(periods[labels[int(state)]]), 1)
+        return np.maximum(periods[labels[states]], 1)
 
     @property
     def n_states(self):
@@ -180,9 +191,7 @@ def apply_kernel(lift, mu, alpha=None, out=None):
     while ``out`` is written.  The result is the same with or without it,
     and the same bit for bit as the allocating expression ``out = alpha *
     m``, then ``out[v] += ((1 - alpha) * w) * m[u][maps[k ^ 1]]`` for each
-    move in index order; at holding 0 that holds for finite ``mu``, because
-    the step skips ``0 * m``, so a NaN or infinite entry reaches only the
-    states its mass moves to.  The step runs on the state-major layout of
+    move in index order.  The step runs on the state-major layout of
     :func:`_step`: a block of ``k > 1`` rows is copied into it and back, and
     a single distribution is only reshaped.
     """
@@ -221,42 +230,31 @@ def _step(lift, m, alpha, res, work):
     values.  ``work`` is a C-contiguous buffer of at least ``2 * n * j``
     elements of that dtype, and ``alpha`` a checked holding probability.
 
-    The moves are taken target by target, in index order within a target,
-    so each ``res[v]`` is summed in the order of the allocating expression.
-    A move's source ``m[u]`` is scaled by its coefficient into ``work``
-    once for a run of moves that share both, and each gather reads the
-    scaled rows: scaling commutes with a gather, so this is exact.  At
-    holding 0 the first move into a target gathers straight into it.
+    The moves are taken target by target, in index order within a target
+    (:attr:`Lift._moves_by_target`), so each ``res[v]`` is summed in the
+    order of the allocating expression.  A move's source ``m[u]`` is
+    scaled by its coefficient into ``work`` once for a run of moves that
+    share both, and each gather reads the scaled rows: scaling commutes
+    with a gather, so this is exact.
     """
     n, j = m.shape[1:]
     scaled = work[:n * j].reshape(n, j)
     scratch = work[n * j:2 * n * j].reshape(n, j)
-    moves = sorted(lift.moves, key=lambda move: move[2])
-    if alpha == 0.0:
-        # 0 * m + x == x for finite x: the first move into each target
-        # gathers straight into it, and a target that no move reaches is 0
-        for v in set(range(len(res))) - {v for _, _, v, _ in moves}:
-            res[v] = 0.0
-    else:
-        np.multiply(alpha, m, out=res)
+    np.multiply(alpha, m, out=res)
     lazy = 1.0 - alpha
-    source = target = None
-    for k, u, v, w in moves:
+    source = None
+    for k, u, v, w in lift._moves_by_target:
         if source != (u, lazy * w):
             source = (u, lazy * w)
             np.multiply(m[u], lazy * w, out=scaled)
         # the method, not np.take, whose wrapper costs more than a small
         # gather; "clip" because under "raise" take buffers out, and the
         # maps are permutations, so nothing is ever clipped
-        if alpha == 0.0 and v != target:
-            scaled.take(lift.maps[k ^ 1], axis=0, out=res[v], mode="clip")
-        else:
-            scaled.take(lift.maps[k ^ 1], axis=0, out=scratch, mode="clip")
-            # add through a view: ``res[v] += scratch`` also assigns the
-            # rows back onto themselves, a second pass over them
-            rows = res[v]
-            rows += scratch
-        target = v
+        scaled.take(lift.maps[k ^ 1], axis=0, out=scratch, mode="clip")
+        # add through a view: ``res[v] += scratch`` also assigns the rows
+        # back onto themselves, a second pass over them
+        rows = res[v]
+        rows += scratch
 
 
 def lift_transition_matrix(lift, alpha=None):

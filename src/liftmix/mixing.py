@@ -22,8 +22,8 @@ monotonicity checks, early stops, mass drifts and crossings of a block are
 vector operations over its rows, and every curve is the same bit for bit as
 if its start were propagated alone, at any CPU count.  A step allocates no
 state-sized array.  The period of an unlazy lift is found once per strong
-component (:attr:`liftmix.lift.Lift._strong_periods`) and read for a whole
-call at once.  Every mixing time, worst start and sweep row is read from
+component (:meth:`liftmix.lift.Lift.period`) and read for a whole call at
+once.  Every mixing time, worst start and sweep row is read from
 :attr:`TVCurve.mixing_crossings`, the two-step averaged curve's crossings on
 a periodic unlazy lift, and the worst start is ranked by one rule
 (:func:`_worst_start`).  The sweep driver scales the lift degree over a
@@ -223,8 +223,7 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     starts = np.array(starts, dtype=np.int64)
     # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
     if alpha <= 0.0:
-        labels, periods = lift._strong_periods
-        periodic = periods[labels[starts]] > 1
+        periodic = lift.period(starts) > 1
     else:
         periodic = np.zeros(len(starts), dtype=bool)
 
@@ -262,7 +261,7 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
         return curves
     # the blocks read this cache: fill it before any thread starts, because
     # cached_property takes no lock from Python 3.12 on
-    lift.moves
+    lift._moves_by_target
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         collect(pool.map(run, blocks))

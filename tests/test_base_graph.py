@@ -556,6 +556,9 @@ def test_lift_components_and_periods_match_the_general_search(lift):
     assert np.array_equal(got_labels[:, None] == got_labels[None, :],
                           labels[:, None] == labels[None, :])
     assert got_periods[got_labels].tolist() == _return_time_gcds(p).tolist()
+    # a state on no cycle is its own component, of period 1
+    assert (lift.period(np.arange(lift.n_states)).tolist()
+            == np.maximum(_return_time_gcds(p), 1).tolist())
 
 
 @pytest.mark.parametrize("n, period", [(4096, 2), (4095, 1)])

@@ -3,11 +3,12 @@
 
 Usage, from anywhere in the repository::
 
-    python3 tools/bench_record.py --out BENCH_<PR>.json [--runs 3] [--seconds 15] [--seed 0]
+    python3 tools/bench_record.py --out BENCH_<PR>.json [--runs 3]
 
 For each workload of ``perfbench/run.py``, one after another, it runs
-``--workload <w> --trace 0`` ``--runs`` times and ``--trace 1`` once, all at
-``--seed``.  Then it runs the tier-1 tests once.  The file it writes holds:
+``--workload <w> --trace 0`` ``--runs`` times and ``--trace 1`` once, each
+for ``SECONDS`` at seed ``SEED``, so that one ``BENCH_<PR>.json`` compares
+with the next.  Then it runs the tier-1 tests once.  The file it writes holds:
 
 * ``git_sha``, ``src_lines`` and ``machine``, read from the ``info:`` line
   that every benchmark run prints;
@@ -36,14 +37,16 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("cover-mc", "mix-many-starts", "sweep-large-n", "analyze-batch")
 END_TO_END = ("throughput", "setup_s", "peak_rss_mb")
+SECONDS = 15
+SEED = 0
 
 
-def bench(workload, seed, seconds, trace):
+def bench(workload, trace):
     """``(result, info)``: the last JSON line and the ``info:`` line of one
     ``perfbench/run.py`` run."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--workload", workload, "--seed", str(SEED), "--seconds", str(SECONDS),
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -83,20 +86,18 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="the BENCH_<PR>.json to write")
     parser.add_argument("--runs", type=int, default=3,
                         help="untraced runs per workload (at least 2)")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
 
-    record = {"config": {"runs": args.runs, "seconds": args.seconds, "seed": args.seed},
+    record = {"config": {"runs": args.runs, "seconds": SECONDS, "seed": SEED},
               "workloads": {}}
     for workload in WORKLOADS:
         results = []
         for _ in range(args.runs):
-            result, info = bench(workload, args.seed, args.seconds, 0)
+            result, info = bench(workload, 0)
             results.append(result)
-        traced, _ = bench(workload, args.seed, args.seconds, 1)
+        traced, _ = bench(workload, 1)
         entry = {name: spread([r["metrics"][name]["value"] for r in results])
                  for name in END_TO_END}
         entry["throughput"]["unit"] = results[0]["metrics"]["throughput"]["unit"]
