@@ -179,25 +179,25 @@ def draw_lift(g, n, master_seed, index=0):
 def apply_kernel(lift, mu, alpha=None, out=None):
     """One lazy-walk step applied to a distribution on the lift.
 
-    ``mu`` has shape ``(n_vertices, n)`` (or flat ``n_states``), or ``(k,
-    n_vertices, n)`` for a block of ``k`` distributions stepped together;
+    ``mu`` has shape ``(n_vertices, n)`` or is flat, of ``n_states``
+    entries (anything else raises :class:`~liftmix.errors.AnalysisError`);
     the result has the same shape.  Pure gathers, no renormalization: mass
     moving along ``k`` lands on ``(v, maps[k][i])``, so fiber ``v`` reads
-    ``maps[k ^ 1]``.  Each row of a block comes out exactly as if it were
-    stepped alone.
+    ``maps[k ^ 1]``.
 
     ``out``, when given, receives the step and is returned.  It has the
     shape of ``mu`` and must not overlap it, because the gathers read ``mu``
     while ``out`` is written.  The result is the same with or without it,
     and the same bit for bit as the allocating expression ``out = alpha *
     m``, then ``out[v] += ((1 - alpha) * w) * m[u][maps[k ^ 1]]`` for each
-    move in index order.  The step runs on the state-major layout of
-    :func:`_step`: a block of ``k > 1`` rows is copied into it and back, and
-    a single distribution is only reshaped.
+    move in index order.  The step is :func:`_step` on a block of one row,
+    which is ``mu`` reshaped.
     """
     alpha = holding_probability(lift.base, alpha)
     arr = np.asarray(mu)
-    m = arr.reshape(-1, lift.base.n_vertices, lift.n)
+    if arr.size != lift.n_states:
+        raise AnalysisError(f"mu has {arr.size} entries, not {lift.n_states}")
+    m = arr.reshape(lift.base.n_vertices, lift.n, 1)
     if out is None:
         res = np.empty(m.shape, dtype=np.result_type(alpha, m))
     else:
@@ -205,18 +205,10 @@ def apply_kernel(lift, mu, alpha=None, out=None):
             raise AnalysisError(f"out has shape {out.shape}, mu has {arr.shape}")
         if np.may_share_memory(out, arr):
             raise AnalysisError("out must not overlap mu")
-        res = out if out.shape == m.shape else out.reshape(m.shape, copy=False)
+        res = out.reshape(m.shape, copy=False)
     if m.dtype != res.dtype:
         m = m.astype(res.dtype)  # an integer mu is gathered in floating point
-    k = len(m)
-    work = np.empty(2 * lift.n * k, dtype=res.dtype)
-    if k == 1:
-        _step(lift, m.reshape(*m.shape[1:], 1), alpha,
-              res.reshape(*res.shape[1:], 1, copy=False), work)
-    else:
-        stepped = np.empty((*m.shape[1:], k), dtype=res.dtype)
-        _step(lift, np.ascontiguousarray(m.transpose(1, 2, 0)), alpha, stepped, work)
-        res[...] = stepped.transpose(2, 0, 1)
+    _step(lift, m, alpha, res, np.empty(2 * lift.n, dtype=res.dtype))
     return res.reshape(arr.shape) if out is None else out
 
 

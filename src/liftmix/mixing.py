@@ -2,32 +2,33 @@
 
 Total-variation distance to stationarity is propagated exactly (dense
 distribution vectors, no renormalization; each step is one gather per
-positive-weight oriented edge through the lift's fiber maps, see
+positive-weight oriented edge through the lift's fiber maps, the step of
 :func:`liftmix.lift.apply_kernel`), so the reported mixing times are
 deterministic given the lift.  :func:`mixing_curves` propagates the starts
 of one lift together, in blocks that share the starts out over the CPUs the
 process may use, at most ``_BLOCK_DOUBLES // n_states`` rows each: a budget
 of 2**16 doubles (512 KB) per buffer, so a lift larger than the budget runs
-one start per block.  Blocks are independent and run on one thread per CPU;
-their curves, progress calls and errors come back in block order.  A block
-is stored state-major, ``(n_vertices, n, rows)``, so that each gather of the
-step moves whole rows of doubles; with one row this is the layout of a
-single distribution.  A running block owns its buffers: two distribution
-blocks that swap roles each step, and one work buffer that holds the step's
-scaled source and gather scratch and then the TVs' transposed difference,
-each start's a contiguous row summed as if the start ran alone.  After a
-step the old distribution is dead: the averaged law is evaluated in it, and
-the rows still stepping are compacted into it when others stop.  The
-monotonicity checks, early stops, mass drifts and crossings of a block are
-vector operations over its rows, and every curve is the same bit for bit as
-if its start were propagated alone, at any CPU count.  A step allocates no
-state-sized array.  The period of an unlazy lift is found once per strong
-component (:meth:`liftmix.lift.Lift.period`) and read for a whole call at
-once.  Every mixing time, worst start and sweep row is read from
+one start per block.  Blocks are independent and always run on a thread
+pool, one thread per CPU but no more than blocks; their curves, progress
+calls and errors come back in block order.  A block is stored state-major,
+``(n_vertices, n, rows)``, so that each gather of the step moves whole rows
+of doubles; with one row this is the layout of a single distribution.  A
+running block owns its buffers: two distribution blocks that swap roles each
+step, and one work buffer that holds the step's scaled source and gather
+scratch and then the TVs' transposed difference, each start's a contiguous
+row summed as if the start ran alone.  After a step the old distribution is
+dead: the averaged law is evaluated in it, and the rows still stepping are
+compacted into it when others stop.  Raw and averaged TVs share one list of
+histories.  The monotonicity checks, early stops, mass drifts and crossings
+of a block are vector operations over its rows, and every curve is the same
+bit for bit as if its start were propagated alone, at any CPU count.  A step
+allocates no state-sized array.  The period of an unlazy lift is found once
+per strong component (:meth:`liftmix.lift.Lift.period`) and read for a whole
+call at once.  Every mixing time, worst start and sweep row is read from
 :attr:`TVCurve.mixing_crossings`, the two-step averaged curve's crossings on
 a periodic unlazy lift, and the worst start is ranked by one rule
-(:func:`_worst_start`).  The sweep driver scales the lift degree over a
-grid, fits the growth of the worst-start mixing time against ``log n``, and
+(:func:`_worst_start`).  The sweep driver scales the lift degree over a grid,
+fits the growth of the worst-start mixing time against ``log n``, and
 compares the slope with the reciprocal entropy rate of the base graph.
 """
 
@@ -43,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .analyzer import entropy
-from .base_graph import holding_probability, parse_graph, transition_matrix
+from .base_graph import holding_probability, transition_matrix
 from .errors import AnalysisError
 from .lift import _step, apply_kernel, draw_lift, project_distribution
 from .rng import substream
@@ -113,19 +114,26 @@ class TVCurve:
     """Exact total-variation distance to stationarity, per step.
 
     ``tv[t]`` is the distance after ``t`` steps; ``crossings[eps]`` the
-    first step at or below ``eps`` (None when the cap was hit first), with
-    ``reached[eps]`` the corresponding flag.  For a periodic chain without
+    first step at or below ``eps`` (None when the cap was hit first), and
+    :attr:`reached` says which were crossed.  For a periodic chain without
     holding, ``averaged`` carries the same analysis for the two-step
-    averaged distribution, which does converge.
+    averaged distribution, which does converge, and :attr:`periodic` is
+    True.
     """
 
     tv: np.ndarray
     crossings: dict
-    reached: dict
     mass_drift: float
     t_cap: int
-    periodic: bool = False
     averaged: Optional["TVCurve"] = None
+
+    @property
+    def reached(self):
+        return {eps: t is not None for eps, t in self.crossings.items()}
+
+    @property
+    def periodic(self):
+        return self.averaged is not None
 
     @property
     def mixing_crossings(self):
@@ -135,21 +143,15 @@ class TVCurve:
         return (self.averaged or self).crossings
 
 
-def _histories(values, owners, n_rows):
-    """Each row's TVs in step order, from the TVs of every step (the list
-    ``values``) and the rows they belong to (``owners``): ``(tvs,
-    bounds)``, row ``r``'s history being ``tvs[bounds[r]:bounds[r + 1]]``,
-    never empty."""
+def _histories(values, owners, n_histories, eps_list):
+    """Each history's TVs in step order and first step at or below each
+    threshold (or None), from every step's TVs (the list ``values``) and
+    their histories (``owners``): ``(tvs, bounds, crossings)``, history ``h``
+    being ``tvs[bounds[h]:bounds[h + 1]]``, never empty, with crossings
+    ``crossings[h]``, found in one pass over the histories per threshold."""
     owners = np.array(owners, dtype=np.int64)
     tvs = np.array(values)[np.argsort(owners, kind="stable")]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n_rows))))
-    return tvs, bounds
-
-
-def _crossings_of(tvs, bounds, eps_list):
-    """Per row of the histories of :func:`_histories`, its first step at or
-    below each threshold, or None, one pass over the histories per
-    threshold."""
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n_histories))))
     positions = np.arange(len(tvs))
     starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
     firsts = []
@@ -157,7 +159,7 @@ def _crossings_of(tvs, bounds, eps_list):
         first = np.minimum.reduceat(np.where(tvs <= eps, positions, len(tvs)), bounds[:-1])
         firsts.append([f - b if f < e else None
                        for f, b, e in zip(first.tolist(), starts, ends)])
-    return [dict(zip(eps_list, col)) for col in zip(*firsts)]
+    return tvs, bounds, [dict(zip(eps_list, col)) for col in zip(*firsts)]
 
 
 def _tvs(mu, pi, diff):
@@ -202,12 +204,12 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     watches the averaged curve instead.
 
     The starts are propagated together, in blocks of ``max(1,
-    min(ceil(len(starts) / cpus), _BLOCK_DOUBLES // n_states))``, on one
-    thread per CPU the process may use (in the calling thread when that is
-    one CPU or one block); every curve is the same, bit for bit, as if its
-    start were propagated alone.  ``progress``, when given, is called in
-    the calling thread with the number of curves done after each block, in
-    block order.  No thread outlives the call.
+    min(ceil(len(starts) / cpus), _BLOCK_DOUBLES // n_states))``, on a pool
+    of one thread per CPU the process may use, but no more threads than
+    blocks; every curve is the same, bit for bit, as if its start were
+    propagated alone.  ``progress``, when given, is called in the calling
+    thread with the number of curves done after each block, in block order,
+    and never when ``starts`` is empty.  No thread outlives the call.
     """
     alpha = holding_probability(lift.base, alpha)
     eps_list = tuple(float(e) for e in eps_list)
@@ -234,7 +236,7 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     size = max(1, min(math.ceil(len(starts) / cpus), _BLOCK_DOUBLES // lift.n_states))
     blocks = [(starts[b:b + size], periodic[b:b + size])
               for b in range(0, len(starts), size)]
-    threads = min(cpus, len(blocks))
+    threads = max(1, min(cpus, len(blocks)))
     # one set of buffers per thread, lent to the block it runs
     free = queue.SimpleQueue()
     for _ in range(threads):
@@ -248,23 +250,16 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
         finally:
             free.put(buffers)
 
-    curves = []
-
-    def collect(results):
-        for block_curves in results:
-            curves.extend(block_curves)
-            if progress is not None:
-                progress(len(curves))
-
-    if threads <= 1:
-        collect(map(run, blocks))
-        return curves
     # the blocks read this cache: fill it before any thread starts, because
     # cached_property takes no lock from Python 3.12 on
     lift._moves_by_target
+    curves = []
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        collect(pool.map(run, blocks))
+        for block_curves in pool.map(run, blocks):
+            curves.extend(block_curves)
+            if progress is not None:
+                progress(len(curves))
     finally:
         pool.shutdown(cancel_futures=True)
     return curves
@@ -281,7 +276,9 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
     averaged law is computed in it.  The per-row checks and the early stop
     run on the step's TV vector; when rows stop, the others are compacted
     into the dead buffer, so a step never works on a row that has stopped.
-    Each step records the TVs of the rows it stepped, with their owners.
+    Each step records the TVs of the rows it stepped with their histories:
+    row ``r``'s raw TVs are history ``r`` and, on a periodic row, its
+    averaged ones history ``k + p(r)``, ``p(r)`` periodic rows before it.
     """
     n_vertices, n = lift.base.n_vertices, lift.n
     cur, spare, work = buffers
@@ -294,13 +291,12 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
     mu[...] = 0.0
     mu[starts // n, starts % n, np.arange(k)] = 1.0
     last = _tvs(mu, pi, work)  # by slot: the TV of the latest step
-    # every TV recorded and the row it belongs to, as lists: 32 bytes a TV
-    values, owners = last.tolist(), list(range(k))
-    # The average of mu_0 with itself at t=0 is mu_0.  The averaged
-    # histories are numbered among the periodic rows.
-    among_periodic = np.cumsum(periodic) - 1
-    avg_values = last[periodic].tolist()
-    avg_owners = among_periodic[periodic].tolist()
+    # by row: k + p(r), the history of its averaged TVs (periodic rows only)
+    averaged_history = k + np.cumsum(periodic) - 1
+    # every TV recorded and the history it belongs to, as lists: 32 bytes a
+    # TV.  The average of mu_0 with itself at t=0 is mu_0.
+    values = last.tolist() + last[periodic].tolist()
+    owners = list(range(k)) + averaged_history[periodic].tolist()
     eps_min = min(eps_list)
     stops = np.full(k, t_cap)  # per row: the step it stopped at
     drifts = np.zeros(k)
@@ -329,8 +325,8 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
         watched = tvs
         if averaging.any():
             recorded = averaging & ~failed
-            avg_values += avg[recorded].tolist()
-            avg_owners += among_periodic[live[recorded]].tolist()
+            values += avg[recorded].tolist()
+            owners += averaged_history[live[recorded]].tolist()
             watched = np.where(averaging, avg, tvs)
         last = tvs
         stopped = failed | (watched <= eps_min)
@@ -352,29 +348,15 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
         r = int(bad.argmax())
         raise failures.get(r) or AnalysisError(
             f"propagation lost mass: drift {float(drifts[r]):g}")
-    tvs, bounds = _histories(values, owners, k)
-    crossings = _crossings_of(tvs, bounds, eps_list)
-    if periodic.any():
-        avg_tvs, avg_bounds = _histories(avg_values, avg_owners, int(periodic.sum()))
-        avg_crossings = _crossings_of(avg_tvs, avg_bounds, eps_list)
-    curves = []
-    for r in range(k):
-        mass_drift = float(drifts[r])
-        averaged = None
-        if periodic[r]:
-            p = among_periodic[r]
-            averaged = TVCurve(
-                tv=avg_tvs[avg_bounds[p]:avg_bounds[p + 1]], crossings=avg_crossings[p],
-                reached={e: c is not None for e, c in avg_crossings[p].items()},
-                mass_drift=mass_drift, t_cap=t_cap, periodic=False, averaged=None,
-            )
-        curves.append(TVCurve(
-            tv=tvs[bounds[r]:bounds[r + 1]], crossings=crossings[r],
-            reached={e: c is not None for e, c in crossings[r].items()},
-            mass_drift=mass_drift, t_cap=t_cap, periodic=bool(periodic[r]),
-            averaged=averaged,
-        ))
-    return curves
+    tvs, bounds, crossings = _histories(values, owners, k + int(periodic.sum()),
+                                        eps_list)
+
+    def curve(h, r, averaged=None):
+        return TVCurve(tv=tvs[bounds[h]:bounds[h + 1]], crossings=crossings[h],
+                       mass_drift=float(drifts[r]), t_cap=t_cap, averaged=averaged)
+
+    return [curve(r, r, curve(averaged_history[r], r) if periodic[r] else None)
+            for r in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +449,10 @@ class SweepRow:
     start: int
     eps: float
     t_mix: Optional[int]
-    reached: bool
+
+    @property
+    def reached(self):
+        return self.t_mix is not None
 
 
 @dataclass(frozen=True)
@@ -502,17 +487,15 @@ class SweepResult:
 
 
 def _sweep_cell(args):
-    (text, n, seed, alpha, eps_list, starts, master_seed, t_cap) = args
-    g = parse_graph(text)
+    (g, n, seed, alpha, eps_list, starts, master_seed, t_cap) = args
     lift = draw_lift(g, n, master_seed, seed)
     states, _ = _draw_starts(lift, starts, master_seed, seed)
     rows = []
     curves = mixing_curves(lift, states, alpha=alpha, eps_list=eps_list, t_cap=t_cap)
     for s, curve in zip(states, curves):
         for eps in eps_list:
-            t_mix = curve.mixing_crossings[eps]
             rows.append(SweepRow(n=n, seed=seed, start=s, eps=eps,
-                                 t_mix=t_mix, reached=t_mix is not None))
+                                 t_mix=curve.mixing_crossings[eps]))
     return rows
 
 
@@ -548,8 +531,7 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     for n in n_grid:
         t_caps[n] = (int(t_cap) if t_cap is not None
                      else int(math.ceil(2.2 * math.log(n) / h)) + 30)
-    text = g.to_text()
-    cells = [(text, n, seed, alpha, eps_list, starts, int(master_seed),
+    cells = [(g, n, seed, alpha, eps_list, starts, int(master_seed),
               t_caps[n]) for n in n_grid for seed in range(n_seeds)]
     rows = tuple(row for chunk in _pool_map(_sweep_cell, cells, workers)
                  for row in chunk)

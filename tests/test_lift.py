@@ -120,6 +120,11 @@ def test_apply_kernel_rejects_an_out_that_overlaps_mu(asym_theta):
             apply_kernel(lift, mu, out=out)
     with pytest.raises(AnalysisError, match="shape"):
         apply_kernel(lift, mu, out=np.empty((2, size)))
+    # a distribution of the wrong size, or a block of two, is not one
+    # distribution on the lift
+    for bad in (mu[:-1], np.full((2, lift.base.n_vertices, lift.n), 1.0 / size)):
+        with pytest.raises(AnalysisError, match="entries"):
+            apply_kernel(lift, bad)
     out = buf[size:]
     assert apply_kernel(lift, mu, out=out) is out
     assert np.array_equal(out, apply_kernel(lift, mu))

@@ -26,6 +26,7 @@ from liftmix import (
     worst_and_best_case,
 )
 from liftmix import mixing
+from liftmix.lift import _step
 from liftmix.mixing import DEFAULT_EPS_LIST
 
 from conftest import THETA3_TEXT, bouquet_text, random_graph_with_dead_orientations
@@ -422,15 +423,20 @@ def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_ca
     lift = Lift(g, n, perms)
     starts = [s % lift.n_states for s in starts]
 
-    # a block of distributions steps row by row as each one would alone
+    # a state-major block of distributions, the operator mixing_curves runs,
+    # steps row by row as each one would alone
     block = np.random.default_rng(seed).dirichlet(np.ones(lift.n_states), size=rows)
     block = block.reshape(rows, g.n_vertices, n)
-    out = np.empty_like(block)
-    assert apply_kernel(lift, block, alpha=alpha, out=out) is out
-    assert np.array_equal(out, apply_kernel(lift, block, alpha=alpha))
+    m = np.ascontiguousarray(block.transpose(1, 2, 0))
+    work = np.full(2 * n * rows, np.nan)  # a step must not read what work held
+    out = np.empty_like(m)
+    assert _step(lift, m, alpha, out, work) is None
+    again = np.empty_like(m)
+    _step(lift, m, alpha, again, work)
+    assert np.array_equal(out, again)
     for r in range(rows):
-        assert np.array_equal(out[r], apply_kernel(lift, block[r], alpha=alpha))
-        assert np.array_equal(out[r], _allocating_step(lift, block[r], alpha))
+        assert np.array_equal(out[..., r], apply_kernel(lift, block[r], alpha=alpha))
+        assert np.array_equal(out[..., r], _allocating_step(lift, block[r], alpha))
 
     # at most rows starts per block, so several blocks, whose rows stop at
     # different steps, run on cpus threads
@@ -509,6 +515,12 @@ def test_progress_sees_the_same_counts_on_any_number_of_threads(theta3, monkeypa
     # blocks of two starts, reported in block order from the calling thread
     caller = threading.get_ident()
     assert seen[1] == seen[2] == [(2, caller), (4, caller), (6, caller), (7, caller)]
+
+
+def test_no_starts_give_no_curves_and_no_progress(theta3):
+    calls = []
+    assert mixing_curves(_lift8(theta3), [], progress=calls.append) == []
+    assert calls == []
 
 
 def test_no_thread_outlives_a_call(theta3, monkeypatch):

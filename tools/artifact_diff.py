@@ -44,8 +44,9 @@ of CLI calls on that tree and on the working tree's ``src/``:
 
 The working tree's ``mix`` and ``sweep`` calls run a second time in a child
 pinned to one CPU (``os.sched_setaffinity`` in that child only, where the
-platform has it), so that the curves stepped in the calling thread and those
-stepped on one thread per CPU are both compared with ``--rev``.
+platform has it), so that the curves stepped in the blocks sized for one CPU
+and those stepped in the blocks sized for every CPU are both compared with
+``--rev``.
 
 For each call it compares the exit code, standard output, the error lines
 (``liftmix: ...`` on standard error), every artifact file byte for byte, and
