@@ -12,8 +12,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(liftmix.__file__)))
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 
-#: theta3 without holding, written where a test puts it: a periodic lift,
-#: whose worst start's raw TV plateaus above some thresholds
+#: Stands for theta3 without holding, which the test writes to its tmp_path:
+#: a periodic lift, whose worst start's raw TV plateaus above some thresholds
 UNLAZY_THETA3 = "{theta3 at alpha 0}"
 
 

@@ -430,7 +430,7 @@ def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_ca
     m = np.ascontiguousarray(block.transpose(1, 2, 0))
     work = np.full(2 * n * rows, np.nan)  # a step must not read what work held
     out = np.empty_like(m)
-    assert _step(lift, m, alpha, out, work) is None
+    _step(lift, m, alpha, out, work)
     again = np.empty_like(m)
     _step(lift, m, alpha, again, work)
     assert np.array_equal(out, again)
