@@ -45,12 +45,11 @@ from .cover import (
 from .errors import AnalysisError, GraphError, NonConvergenceError
 from .lift import draw_lift, lift_from_json, lift_to_json, spectrum_inheritance_check
 from .mixing import (
-    _draw_starts,
+    _cell_curves,
     _pool_map,
     _pool_size,
     _worst_start,
     cutoff_sweep,
-    mixing_curves,
 )
 from .rng import substream
 
@@ -471,20 +470,19 @@ def _cmd_mix(args):
         "starts": args.starts,
         "t_cap": args.t_cap,
     }, _resolve_out_dir(args))
-    lift = draw_lift(g, args.n, args.seed)
-    states, exhaustive = _draw_starts(lift, args.starts, args.seed)
     last = 0
 
-    def _report(done):
+    def _report(done, total):
         # a line per 50 starts, at the end of the block that passes them
         nonlocal last
-        if done // 50 > last // 50 or done == len(states):
-            _progress(f"start {done}/{len(states)} done")
+        if done // 50 > last // 50 or done == total:
+            _progress(f"start {done}/{total} done")
         last = done
 
-    curves = dict(zip(states, mixing_curves(lift, states, alpha=alpha,
-                                            eps_list=eps_list, t_cap=args.t_cap,
-                                            progress=_report)))
+    states, exhaustive, curves = _cell_curves(g, args.n, args.seed, 0, args.starts,
+                                              alpha, eps_list, args.t_cap,
+                                              progress=_report)
+    curves = dict(zip(states, curves))
 
     worst_state, _ = _worst_start({s: curves[s].mixing_crossings[eps_primary]
                                    for s in states})

@@ -114,14 +114,15 @@ class Lift:
 
     def period(self, states):
         """Period of the unlazy walk on the strong component of each of
-        ``states`` (one state index or an array of them): 1 for a state on
-        no cycle, which is its own component.
+        ``states`` (one integer state index or an array of them): 1 for a
+        state on no cycle, which is its own component.
 
         The periods of all components are found on the first call and kept.
         """
         states = np.asarray(states)
-        if states.dtype.kind not in "iu" or not np.all(
-                (states >= 0) & (states < self.n_states)):
+        if states.dtype.kind not in "iu":
+            raise GraphError(f"states must be integers, not {states.dtype}")
+        if not np.all((states >= 0) & (states < self.n_states)):
             raise GraphError(f"states out of range 0..{self.n_states - 1}")
         labels, periods = self._strong_periods
         return np.maximum(periods[labels[states]], 1)

@@ -13,10 +13,11 @@ pool, one thread per CPU but no more than blocks; their curves, progress
 calls and errors come back in block order.  A block is stored state-major,
 ``(n_vertices, n, rows)``, so that each gather of the step moves whole rows
 of doubles; with one row this is the layout of a single distribution.  A
-running block owns its buffers: two distribution blocks that swap roles each
-step, and one work buffer that holds the step's scaled source and gather
-scratch and then the TVs' transposed difference, each start's a contiguous
-row summed as if the start ran alone.  After a step the old distribution is
+running block allocates and owns its buffers, in one anonymous map: two
+distribution blocks that swap roles each step, and one work buffer that
+holds the step's scaled source and gather scratch and then the TVs'
+transposed difference, each start's a contiguous row summed as if the start
+ran alone.  After a step the old distribution is
 dead: the averaged law is evaluated in it, and the rows still stepping are
 compacted into it when others stop.  Raw and averaged TVs share one list of
 histories.  The monotonicity checks, early stops, mass drifts and crossings
@@ -24,19 +25,23 @@ of a block are vector operations over its rows, and every curve is the same
 bit for bit as if its start were propagated alone, at any CPU count.  A step
 allocates no state-sized array.  The period of an unlazy lift is found once
 per strong component (:meth:`liftmix.lift.Lift.period`) and read for a whole
-call at once.  Every mixing time, worst start and sweep row is read from
+call at once.  ``mix`` and every sweep cell run one function,
+:func:`_cell_curves`: it draws the lift, picks its starts by the one
+seed-to-starts rule (:func:`_draw_starts`) and runs their curves.  Every
+mixing time, worst start and sweep row is read from
 :attr:`TVCurve.mixing_crossings`, the two-step averaged curve's crossings on
 a periodic unlazy lift, and the worst start is ranked by one rule
-(:func:`_worst_start`).  The sweep driver scales the lift degree over a grid,
-fits the growth of the worst-start mixing time against ``log n``, and
-compares the slope with the reciprocal entropy rate of the base graph.
+(:func:`_worst_start`), an unreached start first.  The sweep driver scales
+the lift degree over a grid, fits the growth of the worst-start mixing time
+against ``log n``, and compares the slope with the reciprocal entropy rate
+of the base graph.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -193,23 +198,25 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
                   t_cap=10_000, progress=None):
     """Exact TV-to-stationarity curves of the lazy walk, one per start.
 
-    ``starts`` are flat state indices; the curves come back in their order.
-    Each curve's propagation stops once every threshold in ``eps_list`` has
-    been crossed or at ``t_cap`` steps.  TV monotonicity is asserted at
-    every step and mass conservation at the stop; a violation would indicate
-    a propagation bug, and raises the error of the first start, in start
-    order, whose curve fails.  When the chain is periodic and unlazy from a
-    start, the raw TV never settles; that curve then carries a two-step
-    averaged sibling whose thresholds are meaningful, and its early stop
-    watches the averaged curve instead.
+    ``starts`` are flat state indices, integers that are not bools; the
+    curves come back in their order.  Each curve's propagation stops once
+    every threshold in ``eps_list`` has been crossed or at ``t_cap`` steps.
+    TV monotonicity is asserted at every step and mass conservation at the
+    stop; a violation would indicate a propagation bug, and raises the error
+    of the first start, in start order, whose curve fails.  When the chain
+    is periodic and unlazy from a start, the raw TV never settles; that
+    curve then carries a two-step averaged sibling whose thresholds are
+    meaningful, and its early stop watches the averaged curve instead.
 
     The starts are propagated together, in blocks of ``max(1,
     min(ceil(len(starts) / cpus), _BLOCK_DOUBLES // n_states))``, on a pool
     of one thread per CPU the process may use, but no more threads than
     blocks; every curve is the same, bit for bit, as if its start were
-    propagated alone.  ``progress``, when given, is called in the calling
-    thread with the number of curves done after each block, in block order,
-    and never when ``starts`` is empty.  No thread outlives the call.
+    propagated alone.  Each running block allocates its own buffers, so at
+    most one set per thread is alive at once.  ``progress``, when given, is
+    called in the calling thread with the number of curves done after each
+    block, in block order, and never when ``starts`` is empty.  No thread
+    outlives the call.
     """
     alpha = holding_probability(lift.base, alpha)
     eps_list = tuple(float(e) for e in eps_list)
@@ -218,8 +225,10 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     t_cap = int(t_cap)
     if t_cap < 0:
         raise AnalysisError("t_cap must be nonnegative")
-    starts = [int(s) for s in starts]
+    starts = list(starts)
     for s in starts:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise AnalysisError(f"start state {s!r} is not an integer")
         if not 0 <= s < lift.n_states:
             raise AnalysisError(f"start state {s} out of range")
     starts = np.array(starts, dtype=np.int64)
@@ -236,27 +245,15 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     size = max(1, min(math.ceil(len(starts) / cpus), _BLOCK_DOUBLES // lift.n_states))
     blocks = [(starts[b:b + size], periodic[b:b + size])
               for b in range(0, len(starts), size)]
-    threads = max(1, min(cpus, len(blocks)))
-    # one set of buffers per thread, lent to the block it runs
-    free = queue.SimpleQueue()
-    for _ in range(threads):
-        free.put((np.empty(size * lift.n_states), np.empty(size * lift.n_states),
-                  np.empty(size * max(lift.n_states, 2 * lift.n))))
-
-    def run(block):
-        buffers = free.get()
-        try:
-            return _block_curves(lift, *block, alpha, eps_list, t_cap, pi, buffers)
-        finally:
-            free.put(buffers)
-
     # the blocks read this cache: fill it before any thread starts, because
     # cached_property takes no lock from Python 3.12 on
     lift._moves_by_target
     curves = []
-    pool = ThreadPoolExecutor(max_workers=threads)
+    pool = ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks))))
     try:
-        for block_curves in pool.map(run, blocks):
+        for block_curves in pool.map(
+                lambda block: _block_curves(lift, *block, alpha, eps_list, t_cap, pi),
+                blocks):
             curves.extend(block_curves)
             if progress is not None:
                 progress(len(curves))
@@ -265,14 +262,15 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     return curves
 
 
-def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
+def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi):
     """The curves of one block of starts, propagated together.
 
-    The block is state-major, ``(n_vertices, n, j)`` for ``j`` rows still
-    stepping, in one of the two distribution buffers of ``buffers``; each
-    step writes the other, and the third, the work buffer, holds the step's
-    scaled source and gather scratch and then each TV's transposed
-    difference.  After a step the old distribution is dead, and the
+    The block owns its three buffers, sized for its ``k`` rows and given
+    back to the system when it returns.  It is state-major, ``(n_vertices,
+    n, j)`` for ``j`` rows still stepping, in one of the two distribution
+    buffers; each step writes the other, and the third, the work buffer,
+    holds the step's scaled source and gather scratch and then each TV's
+    transposed difference.  After a step the old distribution is dead, and the
     averaged law is computed in it.  The per-row checks and the early stop
     run on the step's TV vector; when rows stop, the others are compacted
     into the dead buffer, so a step never works on a row that has stopped.
@@ -281,8 +279,13 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
     averaged ones history ``k + p(r)``, ``p(r)`` periodic rows before it.
     """
     n_vertices, n = lift.base.n_vertices, lift.n
-    cur, spare, work = buffers
     k = len(starts)
+    # one anonymous map, which the system takes back when the block returns;
+    # malloc would keep np.empty's buffers in the pool thread's arena, and
+    # mix --starts all on a 1,024-state lift then peaked 4.5 MB higher
+    size = k * lift.n_states
+    buf = np.frombuffer(mmap.mmap(-1, 8 * (2 * size + k * max(lift.n_states, 2 * n))))
+    cur, spare, work = buf[:size], buf[size:2 * size], buf[2 * size:]
 
     def block(buffer, j):
         return buffer[:n_vertices * n * j].reshape(n_vertices, n, j)
@@ -360,28 +363,17 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buffers):
 
 
 # ---------------------------------------------------------------------------
-# worst / best starts
+# starts of a lift, and the curves of one cell
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WorstBest:
-    """Extremes of the mixing time over start states.
-
-    ``exact`` is True when every enumerated start crossed the threshold
-    within the cap AND the enumeration covered all states.  Unreached
-    starts have ``None`` in ``per_start`` and make ``t_max`` equal None.
-    """
-
-    t_max: Optional[int]
-    t_min: Optional[int]
-    argmax: Optional[int]
-    argmin: Optional[int]
-    exact: bool
-    per_start: dict
-
-
-def _select_starts(lift, starts, rng):
+def _draw_starts(lift, starts, master_seed, index=0):
+    """The start states of the ``index``-th lift of degree ``lift.n`` drawn
+    from ``master_seed`` (:func:`~liftmix.lift.draw_lift`), and whether they
+    are all of its states, under the policy ``starts``: ``'all'``, at most
+    :data:`EXHAUSTIVE_START_CAP` states, or ``'sample:k'``, ``k`` distinct
+    states (all of them when there are fewer) from that lift's start
+    stream."""
     if starts == "all":
         if lift.n_states > EXHAUSTIVE_START_CAP:
             raise AnalysisError(
@@ -396,20 +388,10 @@ def _select_starts(lift, starts, rng):
             raise AnalysisError(f"bad start policy {starts!r}") from None
         if k < 1:
             raise AnalysisError("sample size must be >= 1")
-        if rng is None:
-            raise AnalysisError("sampling start states requires an rng")
-        k = min(k, lift.n_states)
-        picks = rng.choice(lift.n_states, size=k, replace=False)
+        rng = substream(master_seed, "start-sample", lift.n, index)
+        picks = rng.choice(lift.n_states, size=min(k, lift.n_states), replace=False)
         return [int(x) for x in picks], False
     raise AnalysisError(f"bad start policy {starts!r}; use 'all' or 'sample:k'")
-
-
-def _draw_starts(lift, starts, master_seed, index=0):
-    """:func:`_select_starts` on the start stream of the ``index``-th lift of
-    degree ``lift.n`` drawn from ``master_seed`` (:func:`~liftmix.lift.draw_lift`);
-    ``mix`` and every sweep cell sample their starts here."""
-    rng = substream(master_seed, "start-sample", lift.n, index)
-    return _select_starts(lift, starts, rng)
 
 
 def _worst_start(times):
@@ -420,21 +402,20 @@ def _worst_start(times):
     return worst, times[worst]
 
 
-def worst_and_best_case(lift, alpha=None, eps=0.25, starts="all", rng=None,
-                        t_cap=10_000):
-    """Worst- and best-start mixing times at one TV threshold."""
-    eps = float(eps)
-    states, exhaustive = _select_starts(lift, starts, rng)
-    curves = mixing_curves(lift, states, alpha=alpha, eps_list=(eps,), t_cap=t_cap)
-    per_start = {s: curve.mixing_crossings[eps] for s, curve in zip(states, curves)}
-    argmax, t_max = _worst_start(per_start)
-    if t_max is None:
-        argmax = None
-    reached = {s: t for s, t in per_start.items() if t is not None}
-    argmin, t_min = min(reached.items(), key=lambda kv: (kv[1], kv[0]),
-                        default=(None, None))
-    return WorstBest(t_max=t_max, t_min=t_min, argmax=argmax, argmin=argmin,
-                     exact=exhaustive and t_max is not None, per_start=per_start)
+def _cell_curves(g, n, master_seed, index, starts, alpha, eps_list, t_cap,
+                 progress=None):
+    """``(states, exhaustive, curves)`` of one cell: the ``index``-th
+    ``n``-lift of ``g`` drawn from ``master_seed``, its starts under the
+    policy ``starts`` (:func:`_draw_starts`) and their curves
+    (:func:`mixing_curves`).  ``mix --seed S`` is sweep cell ``(n, 0)`` at
+    master seed ``S``: both run here.  ``progress``, when given, is called
+    as ``progress(done, len(states))`` after each block of starts."""
+    lift = draw_lift(g, n, master_seed, index)
+    states, exhaustive = _draw_starts(lift, starts, master_seed, index)
+    report = None if progress is None else (lambda done: progress(done, len(states)))
+    curves = mixing_curves(lift, states, alpha=alpha, eps_list=eps_list, t_cap=t_cap,
+                           progress=report)
+    return states, exhaustive, curves
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +469,9 @@ class SweepResult:
 
 def _sweep_cell(args):
     (g, n, seed, alpha, eps_list, starts, master_seed, t_cap) = args
-    lift = draw_lift(g, n, master_seed, seed)
-    states, _ = _draw_starts(lift, starts, master_seed, seed)
+    states, _, curves = _cell_curves(g, n, master_seed, seed, starts, alpha, eps_list,
+                                     t_cap)
     rows = []
-    curves = mixing_curves(lift, states, alpha=alpha, eps_list=eps_list, t_cap=t_cap)
     for s, curve in zip(states, curves):
         for eps in eps_list:
             rows.append(SweepRow(n=n, seed=seed, start=s, eps=eps,

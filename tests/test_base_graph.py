@@ -573,6 +573,14 @@ def test_lift_period_of_one_long_cycle(c3b, n, period):
     assert lift.period(3 * n - 1) == period
 
 
+def test_lift_period_rejects_states_that_are_not_integers(theta3):
+    lift = Lift(base=theta3, n=8, perms=(range(8),) * 3)
+    with pytest.raises(GraphError, match="states must be integers, not float64"):
+        lift.period([0.7])
+    with pytest.raises(GraphError, match=r"states out of range 0\.\.15"):
+        lift.period([16])
+
+
 def test_validate_searches_the_vertex_chain_once(monkeypatch, tmp_path):
     from liftmix import base_graph
 

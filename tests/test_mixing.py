@@ -23,7 +23,6 @@ from liftmix import (
     projection_identity_check,
     substream,
     transition_matrix,
-    worst_and_best_case,
 )
 from liftmix import mixing
 from liftmix.lift import _step
@@ -116,62 +115,39 @@ def test_mixing_curve_checks_alpha_without_a_step(theta3, alpha):
 
 def test_worst_best_exhaustive(theta3):
     lift = _lift8(theta3)
-    wb = worst_and_best_case(lift, eps=0.25, starts="all")
-    assert wb.exact
-    assert (wb.t_max, wb.t_min) == (13, 7)
-    assert wb.per_start[wb.argmax] == 13
-    assert wb.per_start[wb.argmin] == 7
-    assert len(wb.per_start) == 16
-    assert all(t is not None for t in wb.per_start.values())
-
-
-def test_worst_best_sampled_is_nested(theta3):
-    lift = _lift8(theta3)
-    exact = worst_and_best_case(lift, eps=0.25, starts="all")
-    sampled = worst_and_best_case(
-        lift, eps=0.25, starts="sample:4", rng=substream(1, "starts")
-    )
-    assert not sampled.exact
-    assert len(sampled.per_start) == 4
-    assert exact.t_min <= sampled.t_min
-    assert sampled.t_max <= exact.t_max
-
-
-def test_worst_best_unreached_cap(theta3):
-    lift = _lift8(theta3)
-    wb = worst_and_best_case(lift, eps=0.01, starts="all", t_cap=2)
-    assert wb.t_max is None
-    assert wb.argmax is None
+    curves = mixing_curves(lift, range(16), eps_list=(0.25,))
+    times = [curve.mixing_crossings[0.25] for curve in curves]
+    assert None not in times
+    assert (max(times), min(times)) == (13, 7)
 
 
 def test_worst_best_reads_the_averaged_curves_of_periodic_lifts(theta3):
     # the unlazy walk on a theta3 lift is bipartite: the raw TV plateaus at
     # 1/2, so reading the raw crossings left every start unreached
     lift = _lift8(theta3)
-    wb = worst_and_best_case(lift, alpha=0.0, eps=0.25, t_cap=200)
+    curves = mixing_curves(lift, range(16), alpha=0.0, eps_list=(0.25,), t_cap=200)
+    times = {s: curve.mixing_crossings[0.25] for s, curve in enumerate(curves)}
     averaged = {s: mixing_curves(lift, [s], alpha=0.0, eps_list=(0.25,), t_cap=200)[0]
                 .averaged.crossings[0.25] for s in range(lift.n_states)}
-    assert wb.per_start == averaged
-    assert wb.per_start[0] == 4
-    assert wb.exact
-    assert (wb.t_max, wb.t_min) == (7, 4)
-    assert (wb.argmax, wb.argmin) == (4, 0)
+    assert times == averaged
+    assert times[0] == 4
+    assert mixing._worst_start(times) == (4, 7)
+    assert min(times.values()) == 4
 
 
 def test_worst_best_policy_validation(theta3):
     lift = _lift8(theta3)
-    with pytest.raises(AnalysisError):
-        worst_and_best_case(lift, starts="sample:3")  # rng required
-    with pytest.raises(AnalysisError):
-        worst_and_best_case(lift, starts="sample:0", rng=substream(0, "s"))
-    with pytest.raises(AnalysisError):
-        worst_and_best_case(lift, starts="everything")
+    assert mixing._draw_starts(lift, "all", 0) == (list(range(16)), True)
+    with pytest.raises(AnalysisError, match="sample size"):
+        mixing._draw_starts(lift, "sample:0", 0)
+    with pytest.raises(AnalysisError, match="bad start policy"):
+        mixing._draw_starts(lift, "everything", 0)
 
 
 def test_worst_best_exhaustive_cap(theta3):
     big = Lift(theta3, 15_000, tuple(np.arange(15_000) for _ in range(3)))
     with pytest.raises(AnalysisError, match="exhaustive"):
-        worst_and_best_case(big, starts="all")
+        mixing._draw_starts(big, "all", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +491,14 @@ def test_progress_sees_the_same_counts_on_any_number_of_threads(theta3, monkeypa
     # blocks of two starts, reported in block order from the calling thread
     caller = threading.get_ident()
     assert seen[1] == seen[2] == [(2, caller), (4, caller), (6, caller), (7, caller)]
+
+
+def test_mixing_curves_reject_starts_that_are_not_integers(theta3):
+    # int() would run start 0 for 0.7 and start 1 for True
+    lift = _lift8(theta3)
+    for starts in ([0.7], [True], np.array([1.0])):
+        with pytest.raises(AnalysisError, match="is not an integer"):
+            mixing_curves(lift, starts)
 
 
 def test_no_starts_give_no_curves_and_no_progress(theta3):

@@ -15,6 +15,9 @@ of CLI calls on that tree and on the working tree's ``src/``:
 * ``mix --alpha 0`` on theta3 with ``n = 8`` (a periodic lift, so it also
   writes ``curve_averaged.csv``), and ``sweep --alpha 0`` on theta3, whose
   rows are the crossings of the averaged curves;
+* ``mix --t-cap 2`` on theta3 with ``n = 8``, where no start reaches its
+  primary threshold, so the unreached worst start and the ``null``
+  crossings of ``per_start`` are compared;
 * ``mix --starts all --alpha 0`` on a lift of the biased cycle with three
   components, some aperiodic and some of period 2, so one block of starts
   holds periodic and aperiodic curves that stop at different steps; the
@@ -179,6 +182,8 @@ def calls(batch, rejected):
          "--seeds", "2", "--starts", "sample:2", "--master-seed", "0",
          "--workers", "1", *out],
         ["mix", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "8", "--alpha", "0",
+         *out],
+        ["mix", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "8", "--t-cap", "2",
          *out],
         ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--alpha", "0",
          "--n", "64,256,1024", "--seeds", "2", "--starts", "sample:2",
