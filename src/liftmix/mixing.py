@@ -280,9 +280,9 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi):
     """
     n_vertices, n = lift.base.n_vertices, lift.n
     k = len(starts)
-    # one anonymous map, which the system takes back when the block returns;
-    # malloc would keep np.empty's buffers in the pool thread's arena, and
-    # mix --starts all on a 1,024-state lift then peaked 4.5 MB higher
+    # one anonymous map, handed back to the system when the block returns:
+    # glibc kept np.empty's freed buffers in each pool thread's arena, and
+    # mix --starts all on a 1,024-state lift peaked 4.5 MB higher (2 CPUs)
     size = k * lift.n_states
     buf = np.frombuffer(mmap.mmap(-1, 8 * (2 * size + k * max(lift.n_states, 2 * n))))
     cur, spare, work = buf[:size], buf[size:2 * size], buf[2 * size:]
