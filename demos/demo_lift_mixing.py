@@ -21,6 +21,7 @@ from liftmix import (
     spectrum_inheritance_check,
     substream,
 )
+from liftmix.mixing import _worst_start
 
 HERE = pathlib.Path(__file__).parent
 
@@ -43,24 +44,24 @@ def main():
         lift.n_states, size=min(8, lift.n_states), replace=False)
     # on a periodic lift the raw TV plateaus: mixing times are read from the
     # two-step averaged curve
-    crossings = [curve.mixing_crossings for curve in mixing_curves(lift, starts)]
-    times = [c[0.25] for c in crossings]
-    best = min((t for t in times if t is not None), default=None)
-    worst = None if None in times else max(times)
-    print(f"\nmixing to TV 0.25 over 8 sampled starts: "
-          f"best {best}, worst {worst} steps "
-          f"(predicted center {pred.t_center:.1f})")
-
-    if worst is None:
+    curves = mixing_curves(lift, starts)
+    crossings = {s: c.mixing_crossings for s, c in zip(starts.tolist(), curves)}
+    times = {s: c[0.25] for s, c in crossings.items()}
+    best = min((t for t in times.values() if t is not None), default=None)
+    # mix's ranking: an unreached start is the worst, and of equal times the
+    # lower start
+    w, worst = _worst_start(times)
+    worst_text = "not reached" if worst is None else f"{worst} steps"
+    print(f"\nmixing to TV 0.25 over {len(starts)} sampled starts: "
+          f"best {best}, worst {worst_text} (predicted center {pred.t_center:.1f})")
+    if best is None:
         print("\nno sampled start reached TV 0.25 within the step cap")
-    else:
-        # of equal times the lower start is the worst
-        w = max(range(len(starts)), key=lambda j: (times[j], -starts[j]))
-        print(f"\nexact TV curve from the worst sampled start ({starts[w]}):")
-        for eps in sorted(crossings[w], reverse=True):
-            t = crossings[w][eps]
-            print(f"  TV <= {eps:<4} " + ("not reached" if t is None
-                                          else f"after {t:>4} steps"))
+
+    print(f"\nexact TV curve from the worst sampled start ({w}):")
+    for eps in sorted(crossings[w], reverse=True):
+        t = crossings[w][eps]
+        print(f"  TV <= {eps:<4} " + ("not reached" if t is None
+                                      else f"after {t:>4} steps"))
 
     chk = spectrum_inheritance_check(lift)
     eigs = ", ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in chk.eigenvalues)

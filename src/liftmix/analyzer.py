@@ -205,12 +205,12 @@ class RayLaw:
     recurrent_class: np.ndarray
     stationarity_residual: float
 
-    def exit_dict(self, g=None):
-        g = g or self.graph
+    def exit_dict(self):
+        g = self.graph
         return {g.oriented_name(k): float(self.exit_prob[k]) for k in range(g.n_oriented)}
 
-    def freq_dict(self, g=None):
-        g = g or self.graph
+    def freq_dict(self):
+        g = self.graph
         return {g.oriented_name(k): float(self.edge_freq[k]) for k in range(g.n_oriented)}
 
 

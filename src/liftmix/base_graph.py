@@ -80,8 +80,8 @@ class Edge:
 class WeightedMultigraph:
     """A validated weighted multigraph.
 
-    Construct via :func:`parse_graph` or :func:`build_graph`; both enforce
-    the per-vertex outgoing weight sums.
+    Construct via :func:`build_graph`, directly or through
+    :func:`parse_graph`; it enforces the per-vertex outgoing weight sums.
     """
 
     vertices: tuple
@@ -115,13 +115,8 @@ class WeightedMultigraph:
 
     @cached_property
     def oriented_end(self):
-        """Head vertex index of each oriented edge."""
-        out = np.empty(self.n_oriented, dtype=np.int64)
-        vi = self.vertex_index
-        for j, e in enumerate(self.edges):
-            out[2 * j] = vi[e.head]
-            out[2 * j + 1] = vi[e.tail]
-        return out
+        """Head vertex index of each oriented edge: the tail of its inverse."""
+        return self.oriented_init[np.arange(self.n_oriented) ^ 1]
 
     @cached_property
     def oriented_weight(self):
@@ -225,10 +220,12 @@ def _parse_number(token, lineno, what):
 
 
 def build_graph(vertices, edges, alpha=0.5, alpha_literal=None):
-    """Build and validate a graph from plain data.
+    """Build and validate a graph from plain data: the one constructor of
+    :class:`WeightedMultigraph`, which :func:`parse_graph` also ends in.
 
-    ``edges`` is an iterable of ``(eid, tail, head, w_fwd, w_bwd)`` tuples;
-    weight literals default to ``repr`` of the float values.
+    ``edges`` is an iterable of ``(eid, tail, head, w_fwd, w_bwd)`` tuples,
+    whose weight literals are ``repr`` of the float values, or of
+    ``(eid, tail, head, w_fwd, w_bwd, literal_fwd, literal_bwd)`` tuples.
     """
     recs = []
     for item in edges:
@@ -308,18 +305,10 @@ def parse_graph(text):
                     )
             wf = _parse_number(tf, lineno, "weight")
             wb = _parse_number(tb, lineno, "weight")
-            edges.append(Edge(eid, tail, head, wf, wb, tf, tb))
+            edges.append((eid, tail, head, wf, wb, tf, tb))
         else:
             raise GraphError(f"line {lineno}: unknown directive {kind!r}")
-
-    g = WeightedMultigraph(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        alpha=alpha,
-        alpha_literal=alpha_literal,
-    )
-    validate_graph(g)
-    return g
+    return build_graph(vertices, edges, alpha=alpha, alpha_literal=alpha_literal)
 
 
 def validate_graph(g):

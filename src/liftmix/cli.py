@@ -58,7 +58,12 @@ ENV_WORKERS = "LIFTMIX_WORKERS"
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with status 3."""
+    """Argument parser whose usage errors exit with status 3, and which
+    takes no prefix of an option for the option: ``sweep --seed`` would
+    otherwise run ``--seeds``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -302,8 +307,7 @@ def _cmd_analyze(args):
 def _cover_trial(packed):
     report, root, steps, alpha, master_seed, trial, margin, e_star, r_max = packed
     rng = substream(master_seed, "cover-walk", trial)
-    traj = simulate_walk(report.graph, root, steps, alpha=alpha, rng=rng,
-                         warn_recurrent=False)
+    traj = simulate_walk(report.graph, root, steps, alpha=alpha, rng=rng)
     # the excursions and the localization profile read one confirmed ray
     times, ray_labels = confirmed_ray(traj, margin)
     stats = excursion_decomposition(report, e_star, times, ray_labels)

@@ -180,7 +180,7 @@ def _build_sampler(g, alpha):
     return thresholds, labels
 
 
-def simulate_walk(g, root_label, steps, alpha=None, rng=None, warn_recurrent=True):
+def simulate_walk(g, root_label, steps, alpha=None, rng=None):
     """Simulate the lazy cover walk for ``steps`` steps from a root vertex.
 
     All randomness comes from ``rng`` (a ``numpy.random.Generator``), so
@@ -196,16 +196,14 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None, warn_recurrent=Tru
         raise AnalysisError("step count must be nonnegative")
     if rng is None:
         rng = np.random.default_rng(0)
-    if warn_recurrent:
-        try:
-            verdict = g.transience
-            if not verdict.transient:
-                warnings.warn(
-                    "cover walk is recurrent; escape statistics will not "
-                    "converge", stacklevel=2,
-                )
-        except AnalysisError:
-            pass
+    try:
+        if not g.transience.transient:
+            warnings.warn(
+                "cover walk is recurrent; escape statistics will not "
+                "converge", stacklevel=2,
+            )
+    except AnalysisError:
+        pass
 
     thresholds, labels = _build_sampler(g, alpha)
     # After a move along label k the walk sits at the head of k; its sampler

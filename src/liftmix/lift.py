@@ -114,18 +114,43 @@ class Lift:
 
     def period(self, states):
         """Period of the unlazy walk on the strong component of each of
-        ``states`` (one integer state index or an array of them): 1 for a
-        state on no cycle, which is its own component.
+        ``states`` (one state or an array of them, checked by
+        :meth:`_indices`): 1 for a state on no cycle, which is its own
+        component.
 
         The periods of all components are found on the first call and kept.
         """
-        states = np.asarray(states)
-        if states.dtype.kind not in "iu":
-            raise GraphError(f"states must be integers, not {states.dtype}")
-        if not np.all((states >= 0) & (states < self.n_states)):
-            raise GraphError(f"states out of range 0..{self.n_states - 1}")
+        states = self._indices(states)
         labels, periods = self._strong_periods
         return np.maximum(periods[labels[states]], 1)
+
+    def _indices(self, values, size=None):
+        """``values`` (one index or an array of them) as an int64 array of
+        their shape, each checked to be an integer in ``0..size - 1``,
+        ``size`` being :attr:`n_states` unless given.
+
+        Every method and function that takes a state, a fiber or an oriented
+        label checks it here, on the array numpy makes of ``values`` (and,
+        for a list, on the types of its items).  Floats and bools are
+        refused even where a cast would read them as integers, and so is an
+        index out of range; each raises the same :class:`GraphError`, naming
+        the first value refused.  An empty input gives an empty array.
+        """
+        size = self.n_states if size is None else size
+        arr = np.asarray(values)
+        if arr.size == 0:
+            return np.zeros(arr.shape, dtype=np.int64)
+        if isinstance(values, (list, tuple)) and bool in map(type, values):
+            arr = np.array(values, dtype=object)  # numpy reads [0, True] as ints
+        if arr.dtype.kind in "iu":
+            bad = (arr < 0) | (arr >= size)
+        else:  # item by item, to name the first one refused
+            bad = np.array([isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                            or not 0 <= v < size for v in arr.flat]).reshape(arr.shape)
+        if bad.any():
+            raise GraphError(f"index {arr[bad].tolist()[0]!r} is not an integer "
+                             f"in 0..{size - 1}")
+        return arr.astype(np.int64, copy=False)
 
     @property
     def n_states(self):
@@ -133,27 +158,20 @@ class Lift:
 
     def state(self, vertex_label, fiber):
         """Flat state index of ``(vertex_label, fiber)``."""
-        fiber = int(fiber)
+        fiber = self._indices(fiber, self.n).item()
         if vertex_label not in self.base.vertex_index:
             raise GraphError(f"unknown vertex {vertex_label!r}")
-        if not 0 <= fiber < self.n:
-            raise GraphError(f"fiber index {fiber} out of range")
         return self.base.vertex_index[vertex_label] * self.n + fiber
 
     def split(self, state):
         """Inverse of :meth:`state`: ``(base_vertex_index, fiber)``."""
-        state = int(state)
-        if not 0 <= state < self.n_states:
-            raise GraphError(f"state {state} out of range")
-        return divmod(state, self.n)
+        return divmod(self._indices(state).item(), self.n)
 
     def step(self, state, oriented_label):
         """State reached from ``state`` along one oriented edge copy."""
         u, i = self.split(state)
-        k = int(oriented_label)
         g = self.base
-        if not 0 <= k < g.n_oriented:
-            raise GraphError(f"oriented label {k} out of range")
+        k = self._indices(oriented_label, g.n_oriented).item()
         if g.oriented_init[k] != u:
             raise GraphError(
                 f"oriented edge {g.oriented_name(k)} does not start at "
@@ -274,10 +292,13 @@ def lift_stationary(lift):
 
     Shape ``(n_vertices, n)``.  Every lift of the base chain preserves this
     measure because each edge contributes the same weight between matched
-    fiber copies.  The base law is solved once per base graph.
+    fiber copies.  The base law is solved once per base graph.  The result
+    is a read-only broadcast of the column ``pi_v / n`` over the fibers, so
+    no state-sized array is allocated; ``mixing_curves`` measures TV against
+    it.
     """
     pi = lift.base.stationary.as_array()
-    return np.repeat(pi[:, None], lift.n, axis=1) / lift.n
+    return np.broadcast_to((pi / lift.n)[:, None], (lift.base.n_vertices, lift.n))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ import numpy as np
 from .analyzer import entropy
 from .base_graph import holding_probability, transition_matrix
 from .errors import AnalysisError
-from .lift import _step, apply_kernel, draw_lift, project_distribution
+from .lift import _step, apply_kernel, draw_lift, lift_stationary, project_distribution
 from .rng import substream
 
 #: Tolerance for the per-step mass-conservation and TV-monotonicity checks.
@@ -198,9 +198,10 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
                   t_cap=10_000, progress=None):
     """Exact TV-to-stationarity curves of the lazy walk, one per start.
 
-    ``starts`` are flat state indices, integers that are not bools; the
-    curves come back in their order.  Each curve's propagation stops once
-    every threshold in ``eps_list`` has been crossed or at ``t_cap`` steps.
+    ``starts`` are flat state indices, checked by the lift's one rule
+    (:meth:`~liftmix.lift.Lift._indices`); the curves come back in their
+    order.  Each curve's propagation stops once every threshold in
+    ``eps_list`` has been crossed or at ``t_cap`` steps.
     TV monotonicity is asserted at every step and mass conservation at the
     stop; a violation would indicate a propagation bug, and raises the error
     of the first start, in start order, whose curve fails.  When the chain
@@ -225,22 +226,14 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     t_cap = int(t_cap)
     if t_cap < 0:
         raise AnalysisError("t_cap must be nonnegative")
-    starts = list(starts)
-    for s in starts:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise AnalysisError(f"start state {s!r} is not an integer")
-        if not 0 <= s < lift.n_states:
-            raise AnalysisError(f"start state {s} out of range")
-    starts = np.array(starts, dtype=np.int64)
+    starts = lift._indices(list(starts))
     # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
     if alpha <= 0.0:
         periodic = lift.period(starts) > 1
     else:
         periodic = np.zeros(len(starts), dtype=bool)
 
-    # lift_stationary puts pi_v / n on every state of fiber v: one column
-    # broadcast over the fibers gives the same TV without a state-sized pi
-    pi = (lift.base.stationary.as_array() / lift.n)[:, None]
+    pi = lift_stationary(lift)
     cpus = _cpus()
     size = max(1, min(math.ceil(len(starts) / cpus), _BLOCK_DOUBLES // lift.n_states))
     blocks = [(starts[b:b + size], periodic[b:b + size])
@@ -597,9 +590,7 @@ def projection_identity_check(lift, start, t_max, alpha=None):
     t_max = int(t_max)
     if t_max < 0:
         raise AnalysisError("t_max must be nonnegative")
-    start = int(start)
-    if not 0 <= start < lift.n_states:
-        raise AnalysisError(f"start state {start} out of range")
+    start = lift._indices(start)
     p0 = transition_matrix(lift.base, alpha=alpha)
     mu = np.zeros(lift.n_states)
     mu[start] = 1.0

@@ -99,6 +99,45 @@ def test_exit_3_on_usage_errors(capsys, theta3_file):
     assert exc.value.code == 3
 
 
+def test_no_option_is_taken_by_a_prefix(capsys, theta3_file):
+    # sweep has --seeds and --master-seed; --seed ran --seeds 1 at master seed 0
+    for prefix, argv in (
+            ("--seed", ["sweep", "--graph", theta3_file, "--n", "8,16", "--seed", "1"]),
+            ("--max", ["analyze", "--graph", theta3_file, "--max", "9"]),
+            ("--vers", ["--vers"])):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+
+
+def test_public_names_are_the_imports_of_the_package():
+    assert liftmix.__all__ == [
+        "AnalysisError", "GraphError", "NonConvergenceError",
+        "AssumptionReport", "CoreDecomposition", "Edge", "StationaryDistribution",
+        "TransienceVerdict", "WeightedMultigraph", "build_graph",
+        "check_assumptions", "core", "holding_probability", "is_cover_transient",
+        "parse_graph", "stationary_distribution", "transition_matrix",
+        "validate_graph",
+        "EntropyReport", "FirstPassageSolution", "MixingPrediction", "RayLaw",
+        "WeightEntropy", "entropy", "predict_mixing_time", "ray_law",
+        "solve_first_passage", "speed", "weight_entropy",
+        "CoverTrajectory", "CoverVertex", "ExcursionStats", "LevelWeightCheck",
+        "LocalizationProfile", "confirmed_ray", "cover_moves",
+        "estimate_clt_params", "estimate_speed", "excursion_decomposition",
+        "level_weight_check", "log_entropic_weight", "log_weight_trace",
+        "ray_localization_profile", "renewal_edge", "simulate_walk",
+        "Lift", "apply_kernel", "draw_lift", "generate_uniform_lift",
+        "lift_from_json", "lift_stationary", "lift_to_json",
+        "lift_transition_matrix", "project_distribution",
+        "spectrum_inheritance_check",
+        "SweepResult", "TVCurve", "cutoff_sweep", "mixing_curves",
+        "projection_identity_check",
+        "substream", "__version__",
+    ]
+    assert all(hasattr(liftmix, name) for name in liftmix.__all__)
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only dependency; scipy would add most of the start-up
     src = os.path.dirname(os.path.dirname(os.path.abspath(liftmix.__file__)))
@@ -271,8 +310,7 @@ def test_cover_sim_margin_zero_confirms_up_to_the_final_height(capsys, theta3_fi
     # margin the ray ends at the final height, which for trial 0 of seed 0
     # lies below the maximum height.
     g = parse_graph(THETA3_TEXT)
-    traj = simulate_walk(g, "u", 3000, rng=substream(0, "cover-walk", 0),
-                         warn_recurrent=False)
+    traj = simulate_walk(g, "u", 3000, rng=substream(0, "cover-walk", 0))
     assert traj.heights[-1] < traj.max_height
     args = ["cover-sim", "--graph", theta3_file, "--steps", "3000", "--trials", "2",
             "--seed", "0", "--per-trial", "--out", str(tmp_path / "m0")]

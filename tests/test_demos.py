@@ -32,3 +32,37 @@ def test_demo_runs(argv, tmp_path):
                           text=True, capture_output=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
+
+
+BOUQUET4 = os.path.join(DEMOS, "graphs", "bouquet4.g")
+NONE_REACHED = "no sampled start reached TV 0.25 within the step cap"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # a 4-state lift, one of whose starts never gets within TV 0.25
+    (["--n", "4", "--seed", "4", "--graph", BOUQUET4],
+     ["mixing to TV 0.25 over 4 sampled starts: best 2, worst not reached "
+      "(predicted center 2.5)",
+      "exact TV curve from the worst sampled start (0):",
+      "  TV <= 0.25 not reached"]),
+    (["--n", "2"],
+     ["mixing to TV 0.25 over 4 sampled starts: best 2, worst 2 steps "
+      "(predicted center 6.0)",
+      "exact TV curve from the worst sampled start (0):",
+      "  TV <= 0.25 after    2 steps"]),
+    # two copies of bouquet4: no start gets below TV 1/2
+    (["--n", "2", "--seed", "4", "--graph", BOUQUET4],
+     ["mixing to TV 0.25 over 2 sampled starts: best None, worst not reached "
+      "(predicted center 1.3)",
+      NONE_REACHED,
+      "exact TV curve from the worst sampled start (0):",
+      "  TV <= 0.5  after    0 steps"]),
+])
+def test_lift_mixing_demo_reports_the_starts_it_ran(argv, lines):
+    proc = subprocess.run([sys.executable, os.path.join(DEMOS, "demo_lift_mixing.py"),
+                           *argv], text=True, capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert [line for line in out if line in lines] == lines
+    assert (NONE_REACHED in out) == (NONE_REACHED in lines)

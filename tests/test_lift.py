@@ -1,6 +1,7 @@
 """Explicit n-fold covers: navigation, kernels, spectra, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from liftmix import (
     lift_stationary,
     lift_to_json,
     lift_transition_matrix,
+    mixing_curves,
     parse_graph,
     project_distribution,
+    projection_identity_check,
     spectrum_inheritance_check,
     stationary_distribution,
     substream,
@@ -60,6 +63,46 @@ def test_lift_step_rejects_wrong_tail(theta3):
     lift = Lift(theta3, 2, ([0, 1], [0, 1], [0, 1]))
     with pytest.raises(GraphError):
         lift.step(lift.state("v", 0), 0)  # e1+ starts at u, not v
+
+
+#: The functions that take a state, a fiber or an oriented label, each as a
+#: call on one value, with the size of its range on a theta3 8-lift.
+INDEX_TAKERS = {
+    "mixing_curves": (lambda lift, v: mixing_curves(lift, [v]), 16),
+    "period": (lambda lift, v: lift.period(v), 16),
+    "split": (lambda lift, v: lift.split(v), 16),
+    "state": (lambda lift, v: lift.state("u", v), 8),
+    "step": (lambda lift, v: lift.step(v, 0), 16),
+    "step label": (lambda lift, v: lift.step(0, v), 6),
+    "projection_identity_check": (
+        lambda lift, v: projection_identity_check(lift, v, 3), 16),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(INDEX_TAKERS))
+def test_every_index_is_checked_by_one_rule(theta3, taker):
+    # int() ran start 0 for 0.7 and 1 for True, and fiber 2 for 2.5
+    call, size = INDEX_TAKERS[taker]
+    lift = Lift(theta3, 8, (range(8),) * 3)
+    for value in (0.7, True, 2.5, -1, size):
+        with pytest.raises(GraphError, match=re.escape(
+                f"index {value!r} is not an integer in 0..{size - 1}")):
+            call(lift, value)
+
+
+def test_a_bool_among_integer_states_is_refused(theta3):
+    # numpy reads [0, True] as the integer array [0, 1]
+    lift = Lift(theta3, 8, (range(8),) * 3)
+    for call in (lambda: mixing_curves(lift, [0, True]), lambda: lift.period((3, False))):
+        with pytest.raises(GraphError, match=r"index (True|False) is not an integer"):
+            call()
+
+
+def test_no_states_give_no_periods(theta3):
+    lift = Lift(theta3, 8, (range(8),) * 3)
+    for empty in ([], np.array([], dtype=float)):
+        periods = lift.period(empty)
+        assert periods.shape == (0,)
 
 
 def test_lift_rejects_bad_permutations(theta3):
@@ -159,6 +202,17 @@ def test_project_distribution_folds_fibers(theta3):
     mu[lift.state("v", 0)] = 0.75
     proj = project_distribution(lift, mu)
     assert np.allclose(proj, [0.25, 0.75], atol=1e-15)
+
+
+def test_lift_stationary_is_one_broadcast_column(asym_theta):
+    base_pi = asym_theta.stationary.as_array()
+    for n in (1, 7, 1024, 131_072):
+        lift = Lift(asym_theta, n, (np.arange(n),) * len(asym_theta.edges))
+        pi = lift_stationary(lift)
+        assert np.array_equal(pi, np.repeat(base_pi[:, None], n, axis=1) / n)
+        # a read-only view of one value per vertex, not a state-sized array
+        assert pi.strides[1] == 0 and pi.base.size == asym_theta.n_vertices
+        assert not pi.flags.writeable
 
 
 def test_lift_stationary_is_invariant(asym_theta, pendant):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
+    GraphError,
     Lift,
     apply_kernel,
     check_assumptions,
@@ -91,7 +92,7 @@ def test_mixing_curve_aperiodic_has_no_averaged_sibling(theta3):
 
 def test_mixing_curve_input_validation(theta3):
     lift = _lift8(theta3)
-    with pytest.raises(AnalysisError):
+    with pytest.raises(GraphError):
         mixing_curves(lift, [-1])
     with pytest.raises(AnalysisError):
         mixing_curves(lift, [0], eps_list=())
@@ -497,7 +498,7 @@ def test_mixing_curves_reject_starts_that_are_not_integers(theta3):
     # int() would run start 0 for 0.7 and start 1 for True
     lift = _lift8(theta3)
     for starts in ([0.7], [True], np.array([1.0])):
-        with pytest.raises(AnalysisError, match="is not an integer"):
+        with pytest.raises(GraphError, match="is not an integer in 0..15"):
             mixing_curves(lift, starts)
 
 

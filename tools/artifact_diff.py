@@ -25,6 +25,9 @@ of CLI calls on that tree and on the working tree's ``src/``:
   are cycles of hundreds to thousands of states; and a small-``n`` ``sweep
   --starts sample:8`` on theta3, whose sampled starts share a block and
   stop at different steps;
+* ``sweep --starts all`` on theta3 at ``n = 8, 16, 32``, whose cell (16, 1)
+  is a disconnected lift: two of its starts never get within TV 0.25, so
+  the sweep fails with the step-cap error and writes no artifact;
 * ``validate``, ``analyze``, ``spectrum``, ``lift`` and ``mix`` on every
   demo graph, and ``validate`` on the analyze batch;
 * ``cover-sim`` on every demo graph at its own holding probability and at
@@ -197,6 +200,8 @@ def calls(batch, rejected):
         ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "16,32,64",
          "--seeds", "2", "--starts", "sample:8", "--master-seed", "0",
          "--workers", "1", *out],
+        ["sweep", "--graph", theta3, "--alpha", "0.5", "--n", "8,16,32", "--seeds", "2",
+         "--starts", "all", *out],
     ]
     for fname in sorted(os.listdir(DEMO_GRAPHS)):
         g = os.path.join(DEMO_GRAPHS, fname)
