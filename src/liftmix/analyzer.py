@@ -24,7 +24,7 @@ J. Comput. 2010).  From it we compute:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
@@ -396,7 +396,8 @@ class EntropyReport:
     entropy, the escape speed, the moving fraction ``1 - holding_prob``, and
     the fraction of moving steps spent on the pruned graph's edges.
     ``sigma_mc`` is an optional Monte Carlo estimate of the step-CLT spread
-    of the ray's location information, filled in from cover simulations.
+    of the ray's location information (None unless set with
+    ``dataclasses.replace``), which widens :func:`predict_mixing_time`.
 
     ``exit_prob`` and ``edge_freq`` restate ``ray_law``, which lives on the
     pruned graph, on the oriented edges of ``graph``, the analyzed graph,
@@ -418,11 +419,6 @@ class EntropyReport:
     exit_prob: np.ndarray
     edge_freq: np.ndarray
     sigma_mc: Optional[float] = None
-    sigma_mc_se: Optional[float] = None
-
-    def with_sigma(self, sigma, se=None):
-        return replace(self, sigma_mc=float(sigma),
-                       sigma_mc_se=None if se is None else float(se))
 
 
 def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITER):

@@ -53,9 +53,6 @@ from .mixing import (
 )
 from .rng import substream
 
-ENV_OUT_DIR = "LIFTMIX_OUT_DIR"
-ENV_WORKERS = "LIFTMIX_WORKERS"
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with status 3, and which
@@ -88,25 +85,9 @@ def _load_graph(path):
     return parse_graph(text)
 
 
-def _resolve_out_dir(args):
-    out = getattr(args, "out", None)
-    if out is None:
-        out = os.environ.get(ENV_OUT_DIR) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _resolve_workers(args):
-    flag = getattr(args, "workers", None)
-    if flag is not None:
-        return max(1, int(flag))
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise AnalysisError(f"bad {ENV_WORKERS} value {env!r}") from None
-    return 1
+def _out_dir(args):
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _canonical_json(payload):
@@ -337,7 +318,6 @@ def _cmd_cover_sim(args):
     if root not in g.vertex_index:
         raise GraphError(f"unknown root vertex {root!r}")
     e_star = renewal_edge(report, args.e_star)
-    workers = _resolve_workers(args)
     run = _Run("cover-sim", g, {
         "alpha": alpha,
         "steps": args.steps,
@@ -348,14 +328,14 @@ def _cmd_cover_sim(args):
         "e_star": g.oriented_name(e_star),
         "r_max": args.r_max,
         "per_trial": bool(args.per_trial),
-    }, _resolve_out_dir(args))
+    }, _out_dir(args))
     packed = [
         (report, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
          args.r_max)
         for trial in range(args.trials)
     ]
     results = []
-    for res in _pool_map(_cover_trial, packed, workers):
+    for res in _pool_map(_cover_trial, packed, args.workers):
         results.append(res)
         _progress(f"trial {res['trial'] + 1}/{args.trials} done "
                   f"({res['n_excursions']} excursions)")
@@ -442,7 +422,7 @@ def _cmd_lift(args):
         }
     if args.n is None:
         raise AnalysisError("--n is required unless --verify is given")
-    run = _Run("lift", g, {"n": args.n, "seed": args.seed}, _resolve_out_dir(args))
+    run = _Run("lift", g, {"n": args.n, "seed": args.seed}, _out_dir(args))
     lift = draw_lift(g, args.n, args.seed)
     payload_file = json.loads(lift_to_json(lift))
     payload_file["meta"] = run.meta
@@ -473,7 +453,7 @@ def _cmd_mix(args):
         "eps": list(eps_list),
         "starts": args.starts,
         "t_cap": args.t_cap,
-    }, _resolve_out_dir(args))
+    }, _out_dir(args))
     last = 0
 
     def _report(done, total):
@@ -544,7 +524,6 @@ def _cmd_sweep(args):
     eps_list = _parse_eps_list(args.eps)
     n_grid = _parse_n_list(args.n)
     eps_primary = 0.25 if 0.25 in eps_list else eps_list[0]
-    workers = _resolve_workers(args)
     alpha = holding_probability(g, args.alpha)
     run = _Run("sweep", g, {
         "n_grid": list(n_grid),
@@ -555,12 +534,12 @@ def _cmd_sweep(args):
         "starts": args.starts,
         "t_cap": args.t_cap,
         "eps_primary": eps_primary,
-    }, _resolve_out_dir(args))
+    }, _out_dir(args))
     _progress(f"sweep over n={list(n_grid)}, {args.seeds} seeds, "
-              f"{_pool_size(workers, len(n_grid) * args.seeds)} worker(s)")
+              f"{_pool_size(args.workers, len(n_grid) * args.seeds)} worker(s)")
     result = cutoff_sweep(
         g, n_grid, alpha=alpha, eps_list=eps_list, n_seeds=args.seeds,
-        master_seed=args.master_seed, starts=args.starts, workers=workers,
+        master_seed=args.master_seed, starts=args.starts, workers=args.workers,
         t_cap=args.t_cap, eps_primary=eps_primary,
     )
     rows = [
@@ -683,8 +662,8 @@ def build_parser():
                    help="largest localization radius reported")
     p.add_argument("--per-trial", action="store_true",
                    help="also write per_trial.csv")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=_cmd_cover_sim)
 
     p = sub.add_parser("lift", help="generate or verify an explicit n-lift")
@@ -693,7 +672,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", default=None, metavar="PATH",
                    help="validate an existing lift file instead of generating")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=_cmd_lift)
 
     p = sub.add_parser("mix", help="exact TV mixing curve on one lift")
@@ -706,7 +685,7 @@ def build_parser():
     p.add_argument("--starts", default="all",
                    help="'all' or 'sample:k' start states")
     p.add_argument("--t-cap", type=int, default=10_000)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=_cmd_mix)
 
     p = sub.add_parser("sweep",
@@ -720,8 +699,8 @@ def build_parser():
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--starts", default="sample:5")
     p.add_argument("--t-cap", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("spectrum",

@@ -152,15 +152,6 @@ class CoverTrajectory:
     def max_height(self):
         return int(self.heights.max()) if len(self.heights) else 0
 
-    def final_stack(self):
-        stack = []
-        for mv in self.moves:
-            if mv == MOVE_POP:
-                stack.pop()
-            elif mv != MOVE_HOLD:
-                stack.append(int(mv))
-        return tuple(stack)
-
 
 def _build_sampler(g, alpha):
     """Per-vertex cumulative thresholds for one-uniform move sampling."""
@@ -211,22 +202,16 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
     after = [(thresholds[v], labels[v]) for v in (int(x) for x in g.oriented_end)]
     start = g.vertex_index[root_label]
     thr, labs = thresholds[start], labels[start]
-    moves = np.empty(steps, dtype=np.int32)
-    heights = np.empty(steps, dtype=np.int32)
+    moves = np.full(steps, MOVE_HOLD, dtype=np.int32)
     # ``below`` holds, for each stacked label, the popping label of the one
-    # underneath, so ``len(below)`` is the height and ``pop`` is ``top ^ 1``
-    # (-1 at the root, which no label equals).
+    # underneath, so ``pop`` is ``top ^ 1`` (-1 at the root, which no label
+    # equals).
     below = []
     pop = -1
-    t = 0
-    while True:
-        block = rng.random(_BLOCK)
-        m = min(_BLOCK, steps - t)
-        r = block[:m]
-        seg = moves[t:t + m]
-        seg.fill(MOVE_HOLD)
+    # one block is drawn even for no steps
+    for t in range(0, max(steps, 1), _BLOCK):
+        r = rng.random(_BLOCK)[:steps - t]
         moving = np.flatnonzero(r >= alpha)
-        h0 = len(below)
         codes = []
         for x in r[moving].tolist():
             # the last threshold is at least 1 > x, so the index is in range
@@ -239,14 +224,11 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
                 pop = k ^ 1
                 codes.append(k)
             thr, labs = after[k]
-        seg[moving] = codes
-        delta = np.zeros(m, dtype=np.int32)
-        delta[moving] = np.where(seg[moving] == MOVE_POP, -1, 1)
-        delta[:1] += h0
-        np.cumsum(delta, out=heights[t:t + m])
-        t += m
-        if t >= steps:
-            break
+        moves[t:t + _BLOCK][moving] = codes
+    # a push (a label, >= 0) raises the walk one level and a pop lowers it
+    heights = np.greater_equal(moves, 0, out=np.empty(steps, dtype=np.int32))
+    heights[moves == MOVE_POP] = -1
+    np.cumsum(heights, out=heights)
     return CoverTrajectory(root_label=root_label, alpha=alpha, moves=moves,
                            heights=heights)
 

@@ -195,40 +195,30 @@ def draw_lift(g, n, master_seed, index=0):
                                  seed=master_seed)
 
 
-def apply_kernel(lift, mu, alpha=None, out=None):
+def apply_kernel(lift, mu, alpha=None):
     """One lazy-walk step applied to a distribution on the lift.
 
     ``mu`` has shape ``(n_vertices, n)`` or is flat, of ``n_states``
     entries (anything else raises :class:`~liftmix.errors.AnalysisError`);
-    the result has the same shape.  Pure gathers, no renormalization: mass
-    moving along ``k`` lands on ``(v, maps[k][i])``, so fiber ``v`` reads
-    ``maps[k ^ 1]``.
+    the result is a new array of the same shape.  Pure gathers, no
+    renormalization: mass moving along ``k`` lands on ``(v, maps[k][i])``,
+    so fiber ``v`` reads ``maps[k ^ 1]``.
 
-    ``out``, when given, receives the step and is returned.  It has the
-    shape of ``mu`` and must not overlap it, because the gathers read ``mu``
-    while ``out`` is written.  The result is the same with or without it,
-    and the same bit for bit as the allocating expression ``out = alpha *
-    m``, then ``out[v] += ((1 - alpha) * w) * m[u][maps[k ^ 1]]`` for each
-    move in index order.  The step is :func:`_step` on a block of one row,
-    which is ``mu`` reshaped.
+    The result is the same bit for bit as the allocating expression ``out =
+    alpha * m``, then ``out[v] += ((1 - alpha) * w) * m[u][maps[k ^ 1]]``
+    for each move in index order.  The step is :func:`_step` on a block of
+    one row, which is ``mu`` reshaped.
     """
     alpha = holding_probability(lift.base, alpha)
     arr = np.asarray(mu)
     if arr.size != lift.n_states:
         raise AnalysisError(f"mu has {arr.size} entries, not {lift.n_states}")
     m = arr.reshape(lift.base.n_vertices, lift.n, 1)
-    if out is None:
-        res = np.empty(m.shape, dtype=np.result_type(alpha, m))
-    else:
-        if out.shape != arr.shape:
-            raise AnalysisError(f"out has shape {out.shape}, mu has {arr.shape}")
-        if np.may_share_memory(out, arr):
-            raise AnalysisError("out must not overlap mu")
-        res = out.reshape(m.shape, copy=False)
+    res = np.empty(m.shape, dtype=np.result_type(alpha, m))
     if m.dtype != res.dtype:
         m = m.astype(res.dtype)  # an integer mu is gathered in floating point
     _step(lift, m, alpha, res, np.empty(2 * lift.n, dtype=res.dtype))
-    return res.reshape(arr.shape) if out is None else out
+    return res.reshape(arr.shape)
 
 
 def _step(lift, m, alpha, res, work):

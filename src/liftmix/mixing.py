@@ -316,13 +316,13 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi):
                 f"TV increased at step {t}: {float(last[slot])!r} -> "
                 f"{float(tvs[slot])!r}"
             )
-        values += tvs[~failed].tolist()
-        owners += live[~failed].tolist()
+        # a failed row's TVs are recorded too: it raises before _histories
+        values += tvs.tolist()
+        owners += live.tolist()
         watched = tvs
         if averaging.any():
-            recorded = averaging & ~failed
-            values += avg[recorded].tolist()
-            owners += averaged_history[live[recorded]].tolist()
+            values += avg[averaging].tolist()
+            owners += averaged_history[live[averaging]].tolist()
             watched = np.where(averaging, avg, tvs)
         last = tvs
         stopped = failed | (watched <= eps_min)
@@ -594,12 +594,10 @@ def projection_identity_check(lift, start, t_max, alpha=None):
     p0 = transition_matrix(lift.base, alpha=alpha)
     mu = np.zeros(lift.n_states)
     mu[start] = 1.0
-    nxt = np.empty_like(mu)
     base_mu = project_distribution(lift, mu)
     worst = 0.0  # at t = 0 the base distribution is the fiber-sum itself
     for _ in range(t_max):
-        apply_kernel(lift, mu, alpha=alpha, out=nxt)
-        mu, nxt = nxt, mu
+        mu = apply_kernel(lift, mu, alpha=alpha)
         base_mu = base_mu @ p0
         dev = float(np.abs(project_distribution(lift, mu) - base_mu).max())
         worst = max(worst, dev)

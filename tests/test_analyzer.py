@@ -14,6 +14,7 @@ The asymmetric theta constants were computed once with an independent
 40-digit fixed-point solve and are frozen here to 15 significant digits.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -283,16 +284,6 @@ def test_entropy_forwards_solver_budget(theta3):
         entropy(theta3, max_iter=3)
 
 
-def test_with_sigma_returns_updated_copy(theta3):
-    rep = entropy(theta3)
-    assert rep.sigma_mc is None
-    rep2 = rep.with_sigma(0.5, 0.01)
-    assert rep.sigma_mc is None
-    assert rep2.sigma_mc == 0.5
-    assert rep2.sigma_mc_se == 0.01
-    assert rep2.entropy_rate == rep.entropy_rate
-
-
 # ---------------------------------------------------------------------------
 # mixing-time prediction
 # ---------------------------------------------------------------------------
@@ -308,7 +299,7 @@ def test_predict_center_theta3(theta3):
 
 
 def test_predict_window_direction(theta3):
-    rep = entropy(theta3).with_sigma(0.466)
+    rep = dataclasses.replace(entropy(theta3), sigma_mc=0.466)
     lo = predict_mixing_time(rep, 4096, 0.25)
     hi = predict_mixing_time(rep, 4096, 0.75)
     mid = predict_mixing_time(rep, 4096, 0.5)

@@ -633,20 +633,6 @@ def test_mix_is_the_sweep_cell_of_its_seed(capsys, theta3_file, tmp_path, alpha)
     assert cell == per_start
 
 
-def test_sweep_env_workers_and_out_dir(capsys, theta3_file, tmp_path, monkeypatch):
-    out = tmp_path / "env-out"
-    monkeypatch.setenv("LIFTMIX_OUT_DIR", str(out))
-    monkeypatch.setenv("LIFTMIX_WORKERS", "2")
-    code, payload, _ = run_cli(capsys, [
-        "sweep", "--graph", theta3_file, "--n", "32,64", "--seeds", "1",
-        "--master-seed", "5", "--starts", "sample:2",
-    ])
-    assert code == 0
-    assert (out / "results.csv").exists()
-    assert (out / "summary.json").exists()
-    assert (out / "manifest.json").exists()
-
-
 def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeypatch):
     from liftmix import mixing
 
@@ -687,9 +673,9 @@ def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeyp
     assert run_cli(capsys, cover + ["--workers", "1"])[0] == 0
     assert sizes == [3, 2]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    monkeypatch.setenv("LIFTMIX_WORKERS", "5000")
     sweep = ["sweep", "--graph", theta3_file, "--n", "16,32", "--seeds", "1",
-             "--starts", "sample:2", "--out", str(tmp_path / "sweep")]
+             "--starts", "sample:2", "--workers", "5000",
+             "--out", str(tmp_path / "sweep")]
     code, _, cap = run_cli(capsys, sweep)
     assert code == 0 and sizes == [3, 2, 2]
     assert shares == [21, 1, 32]
@@ -699,16 +685,6 @@ def test_workers_capped_by_items_and_cpus(capsys, theta3_file, tmp_path, monkeyp
     code, _, cap = run_cli(capsys, sweep)
     assert code == 0 and sizes == [3, 2, 2]
     assert "1 seeds, 1 worker(s)" in cap.err
-
-
-def test_sweep_bad_env_workers(capsys, theta3_file, monkeypatch, tmp_path):
-    monkeypatch.setenv("LIFTMIX_WORKERS", "two")
-    code, _, cap = run_cli(capsys, [
-        "sweep", "--graph", theta3_file, "--n", "16,32", "--seeds", "1",
-        "--starts", "sample:2", "--out", str(tmp_path / "x"),
-    ])
-    assert code == 1
-    assert "LIFTMIX_WORKERS" in cap.err
 
 
 def test_sweep_rejects_zero_seeds(capsys, theta3_file, tmp_path):

@@ -268,9 +268,9 @@ def test_projected_step_equals_base_step(theta3):
 #
 # The two functions below step and measure the way the walk is written down:
 # every step allocates its result, every TV its difference, against the
-# state-sized stationary law.  They are the reference for apply_kernel's
-# out= and for mixing_curves, which keeps two swapped distributions and one
-# difference buffer and must reproduce them bit for bit.
+# state-sized stationary law.  They are the reference for apply_kernel and
+# for mixing_curves, which keeps two swapped distributions and one difference
+# buffer and must reproduce them bit for bit.
 
 
 def _allocating_step(lift, mu, alpha):
@@ -326,9 +326,8 @@ def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, al
     mu = rng.dirichlet(np.ones(lift.n_states))
     for shape in (mu.shape, (g.n_vertices, n)):
         m = mu.reshape(shape)
-        out = np.empty(shape)
-        assert apply_kernel(lift, m, alpha=alpha, out=out) is out
-        assert np.array_equal(out, apply_kernel(lift, m, alpha=alpha))
+        out = apply_kernel(lift, m, alpha=alpha)
+        assert out.shape == shape
         assert np.array_equal(out, _allocating_step(lift, m, alpha))
 
     if not check_assumptions(g).a1_irreducible:
@@ -477,6 +476,34 @@ def test_blocked_curves_raise_the_first_failing_start_in_order(theta3, monkeypat
             monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
             with pytest.raises(AnalysisError) as exc:
                 mixing_curves(lift, starts)
+            assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("tol, starts, expected", [
+    # start 4 fails at step 9, after start 0 has failed at step 5
+    (-1e-3, [4, 9, 0], "TV increased at step 9: 0.4999999999999999 -> "
+                       "0.49999999999999983"),
+    # start 5 fails at step 9, start 2 at step 6, and start 0 only loses
+    # mass (2.2e-16 against a negative tolerance)
+    (-6e-17, [5, 0, 2], "TV increased at step 9: 0.4999999999999999 -> "
+                        "0.4999999999999999"),
+], ids=["every-start-fails", "one-start-only-drifts"])
+def test_periodic_blocks_raise_the_first_failing_start_in_order(theta3, monkeypatch,
+                                                                tol, starts, expected):
+    # at holding 0 every row of theta3's lift is periodic, so each step also
+    # records averaged TVs, failed rows' included
+    lift = _lift8(theta3)
+    monkeypatch.setattr(mixing, "PROPAGATION_TOL", tol)
+    assert all(lift.period(starts) == 2)
+    with pytest.raises(AnalysisError) as exc:
+        mixing_curves(lift, starts[:1], alpha=0.0)
+    assert str(exc.value) == expected
+    for cpus in (1, 2):
+        monkeypatch.setattr(mixing, "_CPUS", cpus)
+        for rows in (1, 2, len(starts)):
+            monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", rows * lift.n_states)
+            with pytest.raises(AnalysisError) as exc:
+                mixing_curves(lift, starts, alpha=0.0)
             assert str(exc.value) == expected
 
 

@@ -31,8 +31,9 @@ of CLI calls on that tree and on the working tree's ``src/``:
 * ``validate``, ``analyze``, ``spectrum``, ``lift`` and ``mix`` on every
   demo graph, and ``validate`` on the analyze batch;
 * ``cover-sim`` on every demo graph at its own holding probability and at
-  0, with ``--per-trial``, with a step count that is not a multiple of the
-  walk's 4096-draw blocks, and with an explicit ``--e-star``; and
+  0, with ``--per-trial``, with step counts of exactly two of the walk's
+  4096-draw blocks and of one step past three, and with an explicit
+  ``--e-star``; and
   ``cover-sim`` from the pendant vertex ``p``, off the pruned core;
 * ``cover-sim`` on theta3 at ``--alpha 0 --margin 0 --r-max 40``, whose
   localization tail is read out to radius 40 on rays confirmed up to the
@@ -216,6 +217,7 @@ def calls(batch, rejected):
         argvs += [
             [*cover, "--steps", "30000", "--per-trial", *out],
             [*cover, "--steps", "30000", "--alpha", "0", "--per-trial", *out],
+            [*cover, "--steps", str(2 * 4096), *out],
             [*cover, "--steps", str(3 * 4096 + 1), *out],
             [*cover, "--steps", "30000", "--e-star", f"{_first_edge(g)}+",
              "--per-trial", *out],

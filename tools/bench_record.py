@@ -10,8 +10,12 @@ For each workload of ``perfbench/run.py``, one after another, it runs
 for ``SECONDS`` at seed ``SEED``, so that one ``BENCH_<PR>.json`` compares
 with the next.  Then it runs the tier-1 tests once.  The file it writes holds:
 
-* ``git_sha``, ``src_lines`` and ``machine``, read from the ``info:`` line
-  that every benchmark run prints;
+* ``base_sha``, the commit checked out, and ``uncommitted``, whether a
+  tracked file differed from it, both read when recording starts, so a
+  change recorded before its commit names its parent as ``base_sha`` and
+  says ``uncommitted``;
+* ``src_lines`` and ``machine``, read from the ``info:`` line that every
+  benchmark run prints;
 * per workload: the median, quartiles and IQR of ``throughput``,
   ``setup_s`` and ``peak_rss_mb`` over the untraced runs, each run's value,
   the summed ``failed`` count, and the per-layer metrics of the traced run
@@ -59,6 +63,12 @@ def bench(workload, trace):
     return json.loads(lines[-1]), info
 
 
+def git(*args):
+    """Standard output of one ``git`` command run in the repository."""
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def spread(values):
     """Median, quartiles and IQR of ``values``, with the values themselves."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -91,6 +101,8 @@ def main(argv=None):
         parser.error("--runs must be at least 2")
 
     record = {"config": {"runs": args.runs, "seconds": SECONDS, "seed": SEED},
+              "base_sha": git("rev-parse", "HEAD").strip(),
+              "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no")),
               "workloads": {}}
     for workload in WORKLOADS:
         results = []
@@ -108,7 +120,6 @@ def main(argv=None):
         print(f"{workload}: throughput median {entry['throughput']['median']:.6g} "
               f"(IQR {entry['throughput']['iqr']:.3g}), failed {entry['failed']}",
               flush=True)
-    record["git_sha"] = info["git_sha"]
     record["src_lines"] = info["src_lines"]
     record["machine"] = {key: info[key] for key in
                          ("nproc", "cpu_model", "l2_bytes", "l3_bytes", "versions")}
