@@ -86,7 +86,11 @@ def _load_graph(path):
 
 
 def _out_dir(args):
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise AnalysisError(
+            f"cannot create output directory {args.out!r}: {exc}") from exc
     return args.out
 
 

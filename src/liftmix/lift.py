@@ -206,8 +206,14 @@ def apply_kernel(lift, mu, alpha=None):
 
     The result is the same bit for bit as the allocating expression ``out =
     alpha * m``, then ``out[v] += ((1 - alpha) * w) * m[u][maps[k ^ 1]]``
-    for each move in index order.  The step is :func:`_step` on a block of
-    one row, which is ``mu`` reshaped.
+    for each move in index order, but for one case: at ``alpha = 0`` the
+    step does not add to ``0.0 * m`` (:func:`_step`).  There a zero of the
+    result can carry the other sign when ``mu`` holds a negative entry or
+    ``-0.0``, and an infinite or NaN entry of ``mu`` no longer makes its own
+    state NaN.  On finite masses of at least ``+0.0``, the distributions
+    that this package steps, it is the same bit for bit at every ``alpha``.
+    The step is :func:`_step` on a block of one row, which is ``mu``
+    reshaped.
     """
     alpha = holding_probability(lift.base, alpha)
     arr = np.asarray(mu)
@@ -237,13 +243,25 @@ def _step(lift, m, alpha, res, work):
     scaled by its coefficient into ``work`` once for a run of moves that
     share both, and each gather reads the scaled rows: scaling commutes
     with a gather, so this is exact.
+
+    At holding 0 there is no ``alpha * m`` pass: each target's first
+    gather is written straight into ``res[v]``, and a target that no move
+    enters is zeroed.  That drops the ``0.0 * m[v]`` the allocating
+    expression starts from.  On finite ``m`` of at least ``+0.0`` that term
+    is ``+0.0``, and ``+0.0 + y == y`` for every ``y`` but ``-0.0``, which
+    such an ``m`` never gathers, so the two agree bit for bit; on finite
+    signed ``m`` at most the sign of a zero differs.
     """
     n, j = m.shape[1:]
     scaled = work[:n * j].reshape(n, j)
     scratch = work[n * j:2 * n * j].reshape(n, j)
-    np.multiply(alpha, m, out=res)
+    if alpha:
+        np.multiply(alpha, m, out=res)
+    else:
+        for v in set(range(len(res))).difference(move[2] for move in lift.moves):
+            res[v] = 0.0
     lazy = 1.0 - alpha
-    source = None
+    source = target = None
     for k, u, v, w in lift._moves_by_target:
         if source != (u, lazy * w):
             source = (u, lazy * w)
@@ -251,6 +269,10 @@ def _step(lift, m, alpha, res, work):
         # the method, not np.take, whose wrapper costs more than a small
         # gather; "clip" because under "raise" take buffers out, and the
         # maps are permutations, so nothing is ever clipped
+        if not alpha and v != target:
+            target = v
+            scaled.take(lift.maps[k ^ 1], axis=0, out=res[v], mode="clip")
+            continue
         scaled.take(lift.maps[k ^ 1], axis=0, out=scratch, mode="clip")
         # add through a view: ``res[v] += scratch`` also assigns the rows
         # back onto themselves, a second pass over them

@@ -13,13 +13,16 @@ pool, one thread per CPU but no more than blocks; their curves, progress
 calls and errors come back in block order.  A block is stored state-major,
 ``(n_vertices, n, rows)``, so that each gather of the step moves whole rows
 of doubles; with one row this is the layout of a single distribution.  A
-running block allocates and owns its buffers, in one anonymous map: two
-distribution blocks that swap roles each step, and one work buffer that
-holds the step's scaled source and gather scratch and then the TVs'
-transposed difference, each start's a contiguous row summed as if the start
-ran alone.  After a step the old distribution is
-dead: the averaged law is evaluated in it, and the rows still stepping are
-compacted into it when others stop.  Raw and averaged TVs share one list of
+running block has one anonymous map to itself, which the blocks of a call
+share: a block takes a map that an earlier block gave back, and maps a new
+one, sized for the call's largest block, only when none is free, so a call
+maps at most one per thread and unmaps them all before it returns.  The map
+holds two distribution blocks that swap roles each step, and one work
+buffer that holds the step's scaled source and gather scratch and then the
+TVs' transposed difference, each start's a contiguous row summed as if the
+start ran alone.  After a step the old distribution is dead: the averaged
+law is evaluated in it, and the rows still stepping are compacted into it
+when others stop.  Raw and averaged TVs share one list of
 histories.  The monotonicity checks, early stops, mass drifts and crossings
 of a block are vector operations over its rows, and every curve is the same
 bit for bit as if its start were propagated alone, at any CPU count.  A step
@@ -213,8 +216,9 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     min(ceil(len(starts) / cpus), _BLOCK_DOUBLES // n_states))``, on a pool
     of one thread per CPU the process may use, but no more threads than
     blocks; every curve is the same, bit for bit, as if its start were
-    propagated alone.  Each running block allocates its own buffers, so at
-    most one set per thread is alive at once.  ``progress``, when given, is
+    propagated alone.  A running block has one map of buffers to itself,
+    taken from those that earlier blocks of the call gave back when there is
+    one, so the call maps at most one per thread.  ``progress``, when given, is
     called in the calling thread with the number of curves done after each
     block, in block order, and never when ``starts`` is empty.  No thread
     outlives the call.
@@ -241,12 +245,30 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     # the blocks read this cache: fill it before any thread starts, because
     # cached_property takes no lock from Python 3.12 on
     lift._moves_by_target
+    # one anonymous map per running block, sized for the largest block and
+    # given back to ``free`` for the next one; the maps are unmapped when
+    # ``free`` goes with the call.  glibc kept np.empty's freed buffers in
+    # each pool thread's arena, and mix --starts all on a 1,024-state lift
+    # peaked 4.5 MB higher (2 CPUs).  list.pop and list.append are atomic,
+    # so the threads share ``free`` without a lock.
+    free = []
+    nbytes = 8 * size * (2 * lift.n_states + max(lift.n_states, 2 * lift.n))
+
+    def run(block):
+        try:
+            buf = free.pop()
+        except IndexError:
+            buf = mmap.mmap(-1, nbytes)
+        try:
+            return _block_curves(lift, *block, alpha, eps_list, t_cap, pi,
+                                 np.frombuffer(buf))
+        finally:
+            free.append(buf)
+
     curves = []
     pool = ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks))))
     try:
-        for block_curves in pool.map(
-                lambda block: _block_curves(lift, *block, alpha, eps_list, t_cap, pi),
-                blocks):
+        for block_curves in pool.map(run, blocks):
             curves.extend(block_curves)
             if progress is not None:
                 progress(len(curves))
@@ -255,11 +277,13 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     return curves
 
 
-def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi):
+def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
     """The curves of one block of starts, propagated together.
 
-    The block owns its three buffers, sized for its ``k`` rows and given
-    back to the system when it returns.  It is state-major, ``(n_vertices,
+    ``buf`` is a buffer of doubles that the block has to itself while it
+    runs, whatever an earlier block left in it: at least ``k * (2 *
+    n_states + max(n_states, 2 * n))`` of them for its ``k`` rows.  It holds
+    the block's three buffers.  The block is state-major, ``(n_vertices,
     n, j)`` for ``j`` rows still stepping, in one of the two distribution
     buffers; each step writes the other, and the third, the work buffer,
     holds the step's scaled source and gather scratch and then each TV's
@@ -273,11 +297,7 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi):
     """
     n_vertices, n = lift.base.n_vertices, lift.n
     k = len(starts)
-    # one anonymous map, handed back to the system when the block returns:
-    # glibc kept np.empty's freed buffers in each pool thread's arena, and
-    # mix --starts all on a 1,024-state lift peaked 4.5 MB higher (2 CPUs)
     size = k * lift.n_states
-    buf = np.frombuffer(mmap.mmap(-1, 8 * (2 * size + k * max(lift.n_states, 2 * n))))
     cur, spare, work = buf[:size], buf[size:2 * size], buf[2 * size:]
 
     def block(buffer, j):

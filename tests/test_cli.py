@@ -64,6 +64,19 @@ def test_exit_1_on_graph_error(capsys, tmp_path):
     assert "error" in cap.err
 
 
+def test_exit_1_on_an_output_directory_that_cannot_be_made(capsys, tmp_path):
+    graph = os.path.join(os.path.dirname(__file__), "..", "demos", "graphs", "theta3.g")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out, reason in ((str(afile), "File exists"), ("", "No such file or directory")):
+        code, _, cap = run_cli(capsys, ["mix", "--graph", graph, "--n", "8", "--out", out])
+        assert code == 1
+        assert cap.err.startswith(
+            f"liftmix: error: cannot create output directory {out!r}: ")
+        assert reason in cap.err
+        assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
+
+
 def test_exit_1_on_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.g"
     path.write_text("graph\nalpha 1/2\n")

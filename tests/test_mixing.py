@@ -1,8 +1,11 @@
 """Exact TV propagation, mixing curves, worst starts and sweeps."""
 
 import math
+import mmap
 import os
 import threading
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -374,6 +377,15 @@ edge l u u 1/4 1/4
 edge a u v 1/4 1/2
 edge b u v 1/4 1/2
 """, 3, ((0, 2, 1), (0, 1, 2), (0, 1, 2)))
+# no positive-weight move enters v, so a step at holding 0 writes no gather
+# there; the vertex chain is reducible, and mixing_curves refuses it
+UNENTERED_VERTEX = ("""\
+alpha 0
+vertex u
+vertex v
+edge l u u 1/2 1/2
+edge a u v 0 1
+""", 3, ((2, 0, 1), (1, 2, 0)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -392,6 +404,7 @@ edge b u v 1/4 1/2
 @example((THETA3_TEXT, 8, ((3, 1, 4, 0, 5, 7, 2, 6), (1, 2, 3, 4, 5, 6, 7, 0),
                            tuple(range(8)))), 0.5, [0, 2], 60, 2,
          DEFAULT_EPS_LIST, 0, 1)
+@example(UNENTERED_VERTEX, 0.0, [0], 60, 3, DEFAULT_EPS_LIST, 0, 1)
 def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_cap,
                                                        rows, eps_list, seed, cpus):
     text, n, perms = case
@@ -405,14 +418,17 @@ def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_ca
     block = block.reshape(rows, g.n_vertices, n)
     m = np.ascontiguousarray(block.transpose(1, 2, 0))
     work = np.full(2 * n * rows, np.nan)  # a step must not read what work held
-    out = np.empty_like(m)
+    # a step must write every state, those no move enters too
+    out = np.full_like(m, np.nan)
     _step(lift, m, alpha, out, work)
-    again = np.empty_like(m)
+    again = np.full_like(m, np.nan)
     _step(lift, m, alpha, again, work)
     assert np.array_equal(out, again)
     for r in range(rows):
         assert np.array_equal(out[..., r], apply_kernel(lift, block[r], alpha=alpha))
         assert np.array_equal(out[..., r], _allocating_step(lift, block[r], alpha))
+    if not check_assumptions(g).a1_irreducible:
+        return
 
     # at most rows starts per block, so several blocks, whose rows stop at
     # different steps, run on cpus threads
@@ -448,6 +464,39 @@ def test_the_mixed_period_lift_puts_different_stops_in_one_block():
         curves = mixing_curves(lift, starts, alpha=0.0, eps_list=(0.5,), t_cap=60)
         assert [c.periodic for c in curves] == periodic
         assert [len(c.tv) for c in curves] == lengths
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_the_blocks_of_a_call_share_one_map_per_thread(theta3, monkeypatch, alpha):
+    lift = _lift8(theta3)
+    expected = mixing_curves(lift, range(16), alpha=alpha)
+    monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", 2 * lift.n_states)
+    maps = []
+
+    def nan_map(fileno, length):
+        # a fresh map reads as zeros, which would hide a block that reads
+        # what it has not written, or what an earlier block left behind
+        buf = mmap.mmap(fileno, length)
+        buf.write(np.full(length // 8, np.nan).tobytes())
+        maps.append(weakref.ref(buf))
+        return buf
+
+    monkeypatch.setattr(mixing, "mmap", SimpleNamespace(mmap=nan_map))
+    for cpus in (1, 2):
+        monkeypatch.setattr(mixing, "_CPUS", cpus)
+        maps.clear()
+        curves = mixing_curves(lift, range(16), alpha=alpha)
+        # eight blocks of two starts
+        assert 1 <= len(maps) <= cpus
+        assert all(ref() is None for ref in maps)  # unmapped by the return
+        assert len(curves) == len(expected)
+        for curve, want in zip(curves, expected):
+            assert np.array_equal(curve.tv, want.tv)
+            assert curve.crossings == want.crossings
+            assert curve.mass_drift == want.mass_drift
+            assert curve.periodic == want.periodic
+            if want.periodic:
+                assert np.array_equal(curve.averaged.tv, want.averaged.tv)
 
 
 @pytest.mark.parametrize("tol, starts", [

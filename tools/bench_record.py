@@ -3,7 +3,7 @@
 
 Usage, from anywhere in the repository::
 
-    python3 tools/bench_record.py --out BENCH_<PR>.json [--runs 3]
+    python3 tools/bench_record.py --out BENCH_<PR>.json [--runs 3] [--against REV]
 
 For each workload of ``perfbench/run.py``, one after another, it runs
 ``--workload <w> --trace 0`` ``--runs`` times and ``--trace 1`` once, each
@@ -23,6 +23,19 @@ with the next.  Then it runs the tier-1 tests once.  The file it writes holds:
 * ``tier1``: the wall time of the test run, its pass count and its exit
   code.
 
+With ``--against REV`` it then extracts ``REV`` (``git archive REV | tar
+-x``) into a temporary directory and, per workload, runs ``--trace 0`` on
+``REV`` and on the working tree in alternating pairs, one pair per seed of
+``PAIR_SEEDS``, ``REV`` first in odd pairs, each run for ``SECONDS``.  That
+adds 20 runs per workload, 80 in all: about 25 minutes of wall time at
+about 19 s a run.  The ``against`` section holds ``REV``'s SHA,
+``harness_changed``, whether ``perfbench/`` or ``BENCHMARK.json`` differ
+between the two trees (then the pairs do not run the same benchmark), and,
+per workload and end-to-end metric, the median and quartiles of each side,
+the ratio of the working tree's median to ``REV``'s, and the pairs the
+working tree won (ties count for neither side), with each side's summed
+``failed`` count.
+
 Only the standard library is used.  A failing benchmark run stops the
 script with its exit status and writes nothing.
 """
@@ -36,27 +49,32 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("cover-mc", "mix-many-starts", "sweep-large-n", "analyze-batch")
-END_TO_END = ("throughput", "setup_s", "peak_rss_mb")
+#: End-to-end metrics and the direction that is better, as BENCHMARK.json
+#: declares them.
+END_TO_END = {"throughput": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 SECONDS = 15
 SEED = 0
+#: The seed of each alternating pair of runs under ``--against``.
+PAIR_SEEDS = tuple(range(10))
 
 
-def bench(workload, trace):
+def bench(workload, trace, root=ROOT, seed=SEED):
     """``(result, info)``: the last JSON line and the ``info:`` line of one
-    ``perfbench/run.py`` run."""
+    ``perfbench/run.py`` run of the checkout at ``root``."""
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", workload, "--seed", str(SEED), "--seconds", str(SECONDS),
+        [sys.executable, os.path.join(root, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS),
          "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
-        raise SystemExit(f"perfbench {workload} --trace {trace} exited with "
-                         f"{proc.returncode}")
+        raise SystemExit(f"perfbench {workload} --trace {trace} in {root} exited "
+                         f"with {proc.returncode}")
     lines = proc.stdout.splitlines()
     info = next(json.loads(line[len("info: "):]) for line in lines
                 if line.startswith("info: "))
@@ -73,6 +91,47 @@ def spread(values):
     """Median, quartiles and IQR of ``values``, with the values themselves."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def against(sha):
+    """The ``against`` section: alternating pairs of untraced runs per
+    workload of commit ``sha`` and of the working tree."""
+    harness = subprocess.run(["git", "diff", "--quiet", sha, "--", "perfbench",
+                              "BENCHMARK.json"], cwd=ROOT).returncode
+    if harness not in (0, 1):
+        raise SystemExit(f"git diff against {sha} exited with {harness}")
+    section = {"rev": sha, "pair_seeds": list(PAIR_SEEDS),
+               "harness_changed": harness == 1, "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-against-") as tree:
+        archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT,
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout, check=True)
+        archive.stdout.close()
+        if archive.wait() != 0:
+            raise SystemExit(f"git archive {sha} exited with {archive.returncode}")
+        for workload in WORKLOADS:
+            runs = {"rev": [], "tree": []}
+            for pair, seed in enumerate(PAIR_SEEDS, 1):
+                sides = (("rev", tree), ("tree", ROOT))
+                for side, root in sides if pair % 2 else sides[::-1]:
+                    runs[side].append(bench(workload, 0, root, seed)[0])
+            entry = {"failed": {side: sum(r["failed"] for r in results)
+                                for side, results in runs.items()}}
+            for name, better in END_TO_END.items():
+                rev_values, tree_values = ([r["metrics"][name]["value"] for r in runs[side]]
+                                           for side in ("rev", "tree"))
+                sign = 1 if better == "higher" else -1
+                entry[name] = {
+                    "rev": spread(rev_values), "tree": spread(tree_values),
+                    "ratio": statistics.median(tree_values) / statistics.median(rev_values),
+                    "pairs_won": sum(sign * (t - r) > 0
+                                     for r, t in zip(rev_values, tree_values)),
+                }
+            section["workloads"][workload] = entry
+            print(f"{workload} against {sha[:7]}: throughput ratio "
+                  f"{entry['throughput']['ratio']:.4f}, won "
+                  f"{entry['throughput']['pairs_won']}/{len(PAIR_SEEDS)}", flush=True)
+    return section
 
 
 def tier1():
@@ -96,9 +155,16 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="the BENCH_<PR>.json to write")
     parser.add_argument("--runs", type=int, default=3,
                         help="untraced runs per workload (at least 2)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run alternating pairs against this revision")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
+    if args.against is not None:
+        try:
+            sha = git("rev-parse", "--verify", "--quiet", f"{args.against}^{{commit}}")
+        except subprocess.CalledProcessError:
+            parser.error(f"--against: {args.against!r} names no commit")
 
     record = {"config": {"runs": args.runs, "seconds": SECONDS, "seed": SEED},
               "base_sha": git("rev-parse", "HEAD").strip(),
@@ -125,6 +191,8 @@ def main(argv=None):
                          ("nproc", "cpu_model", "l2_bytes", "l3_bytes", "versions")}
     record["tier1"] = tier1()
     print(f"tier-1: {record['tier1']['passed']} passed in {record['tier1']['wall_s']} s")
+    if args.against is not None:
+        record["against"] = against(sha.strip())
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
