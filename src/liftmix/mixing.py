@@ -19,11 +19,15 @@ one, sized for the call's largest block, only when none is free, so a call
 maps at most one per thread and unmaps them all before it returns.  The map
 holds two distribution blocks that swap roles each step, and one work
 buffer that holds the step's scaled source and gather scratch and then the
-TVs' transposed difference, each start's a contiguous row summed as if the
-start ran alone.  After a step the old distribution is dead: the averaged
-law is evaluated in it, and the rows still stepping are compacted into it
-when others stop.  Raw and averaged TVs share one list of
-histories.  The monotonicity checks, early stops, mass drifts and crossings
+TVs' differences.  Each start's TV is summed in the order in which numpy
+sums it for a start run alone: on a block of 16 rows or more the
+differences stay state-major and each row is summed in numpy's pairwise
+order (:func:`_sum_plan`), and on fewer rows they are transposed, so that
+each row is contiguous, and summed by one reduce.  After a step the old
+distribution is dead: the averaged law is evaluated in it, and the rows
+still stepping are compacted into it when others stop.  Raw and averaged
+TVs are recorded in one pair of growing arrays, each TV with its history.
+The monotonicity checks, early stops, mass drifts and crossings
 of a block are vector operations over its rows, and every curve is the same
 bit for bit as if its start were propagated alone, at any CPU count.  A step
 allocates no state-sized array.  The period of an unlazy lift is found once
@@ -47,7 +51,8 @@ import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -68,6 +73,12 @@ DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
 #: 2**15 on 1,024 starts of a 1,024-state lift, whose gathers then move rows
 #: of 64 doubles.
 _BLOCK_DOUBLES = 1 << 16
+#: Rows of a block from which :func:`_tvs` sums the block state-major.  Below
+#: it the transposed differences cost less: on a 1,024-state lift a TV of 8
+#: rows took 24 us that way against 37 us state-major, of 16 rows 33 against
+#: 31 us, and of 64 rows 170 against 77 us (one thread on a 2 vCPU host,
+#: best of 5).
+_STATE_MAJOR_ROWS = 16
 #: Largest relative distance of the fitted slope from ``1 / h`` that
 #: :func:`cutoff_sweep` accepts.
 _SLOPE_TOLERANCE = 0.15
@@ -153,12 +164,12 @@ class TVCurve:
 
 def _histories(values, owners, n_histories, eps_list):
     """Each history's TVs in step order and first step at or below each
-    threshold (or None), from every step's TVs (the list ``values``) and
-    their histories (``owners``): ``(tvs, bounds, crossings)``, history ``h``
-    being ``tvs[bounds[h]:bounds[h + 1]]``, never empty, with crossings
-    ``crossings[h]``, found in one pass over the histories per threshold."""
-    owners = np.array(owners, dtype=np.int64)
-    tvs = np.array(values)[np.argsort(owners, kind="stable")]
+    threshold (or None), from every TV in step order (the array ``values``)
+    and the history of each (``owners``): ``(tvs, bounds, crossings)``,
+    history ``h`` being ``tvs[bounds[h]:bounds[h + 1]]``, never empty, with
+    crossings ``crossings[h]``, found in one pass over the histories per
+    threshold."""
+    tvs = values[np.argsort(owners, kind="stable")]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n_histories))))
     positions = np.arange(len(tvs))
     starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
@@ -170,17 +181,124 @@ def _histories(values, owners, n_histories, eps_list):
     return tvs, bounds, [dict(zip(eps_list, col)) for col in zip(*firsts)]
 
 
+class _SumPlan(NamedTuple):
+    """The order in which numpy sums a contiguous row of doubles
+    (:func:`_sum_plan`)."""
+
+    leaves: int  #: runs of at most 128 elements, each summed on its own
+    width: int  #: the most groups of 8 elements in a leaf
+    index: Optional[np.ndarray]  #: each leaf's groups, padded to ``width``
+    slots: Optional[np.ndarray]  #: each leaf's slot at ``depth``
+    depth: int  #: the deepest leaf's depth in the tree of splits
+    tail: int  #: where the rightmost leaf's elements past its groups begin
+    work: int  #: the doubles per column that :func:`_column_sums` uses
+
+
+@lru_cache(maxsize=32)
+def _sum_plan(n):
+    """The order in which ``np.add.reduce`` sums a contiguous row of ``n``
+    doubles.
+
+    It is a pairwise sum (numpy 2.4; a test pins it against the installed
+    numpy).  A run of more than 128 elements splits at half
+    its length, rounded down to a multiple of 8.  A run of at most 128, a
+    leaf, is summed in 8 running accumulators, combined as ((r0 + r1) + (r2
+    + r3)) + ((r4 + r5) + (r6 + r7)), and then its elements past the last
+    multiple of 8 are added in order.  Every split is at a multiple of 8, so
+    only the rightmost leaf has such elements, the row's last ``n % 8``.
+
+    When the leaves' group counts differ, ``index`` names each leaf's groups,
+    the row's groups numbered in order, padded to ``width`` with the group
+    after the row's last, whole or partial, which :func:`_column_sums` fills
+    with zeros.  When a leaf is shallower than ``depth``, ``slots`` places each
+    leaf at its leftmost descendant at that depth.  Adding ``+0.0`` to a
+    double other than ``-0.0`` leaves it unchanged, so padded groups and
+    empty slots change no sum of nonnegative doubles.
+    """
+    leaves = []  # (first group, groups, depth, position at that depth)
+
+    def split(start, length, depth, position):
+        if length > 128:
+            half = length // 2 - (length // 2) % 8
+            split(start, half, depth + 1, 2 * position)
+            split(start + half, length - half, depth + 1, 2 * position + 1)
+        else:
+            leaves.append((start // 8, length // 8, depth, position))
+
+    split(0, n, 0, 0)
+    first, groups, depths, positions = (np.array(col) for col in zip(*leaves))
+    width, depth = int(groups.max()), int(depths.max())
+    index = slots = None
+    work = n
+    if groups.min() != width:
+        zero = -(-n // 8)
+        steps = np.arange(width)
+        index = np.where(steps < groups[:, None], first[:, None] + steps, zero)
+        work = 8 * (zero + 1 + len(leaves) * width)
+    if len(leaves) != 1 << depth:
+        slots = positions << (depth - depths)
+    return _SumPlan(len(leaves), width, index, slots, depth, n - n % 8, work)
+
+
 def _tvs(mu, pi, diff):
     """Total variation between each row of the state-major block ``mu``
-    (``(n_vertices, n, j)``) and ``pi``, computed in ``diff``, a buffer of
-    at least ``mu.size`` doubles that does not overlap ``mu``."""
+    (``(n_vertices, n, j)``) and ``pi`` (``(n_vertices, 1, 1)``, the
+    stationary mass of one state over each base vertex), computed in
+    ``diff``, a buffer that does not overlap ``mu``: at least ``mu.size``
+    doubles below :data:`_STATE_MAJOR_ROWS` rows, and ``j *
+    _sum_plan(n_vertices * n).work`` from there on.
+
+    Each row's differences are summed in the order in which
+    ``np.add.reduce`` sums them as a contiguous row, so each TV is the one
+    its start gets when it runs alone.  Below :data:`_STATE_MAJOR_ROWS`
+    rows the differences are taken transposed, each row contiguous, and
+    summed by one reduce; with one row that is the row itself.  From there
+    on they are taken state-major, as ``mu`` is stored, and summed by
+    :func:`_column_sums`.
+    """
     j = mu.shape[2]
-    rows = diff[:mu.size].reshape(j, *mu.shape[:2])
-    np.subtract(mu.transpose(2, 0, 1), pi, out=rows)
+    if j < _STATE_MAJOR_ROWS:
+        rows = diff[:mu.size].reshape(j, *mu.shape[:2])
+        np.subtract(mu.transpose(2, 0, 1), pi[:, 0], out=rows)
+        np.abs(rows, out=rows)
+        return 0.5 * np.add.reduce(rows.reshape(j, -1), axis=1)
+    rows = diff[:mu.size].reshape(mu.shape)
+    np.subtract(mu, pi, out=rows)
     np.abs(rows, out=rows)
-    # each row is contiguous: one pairwise sum per row, the same one a
-    # single row's diff.sum() runs
-    return 0.5 * np.add.reduce(rows.reshape(j, -1), axis=1)
+    return 0.5 * _column_sums(diff, mu.size // j, j)
+
+
+def _column_sums(buf, n, j):
+    """The sum of each column of ``buf[:n * j].reshape(n, j)``, doubles of
+    at least ``+0.0``, in the order in which ``np.add.reduce`` sums the
+    column as a contiguous row (:func:`_sum_plan`).  ``buf`` holds at least
+    ``j * _sum_plan(n).work`` doubles; those past the columns are scratch.
+    """
+    plan = _sum_plan(n)
+    cols = buf[:n * j].reshape(n, j)
+    if plan.index is None:
+        leaves = cols[:plan.tail].reshape(plan.leaves, plan.width, 8, j)
+    else:
+        end = 8 * j * (-(-n // 8) + 1)  # the zero group's end
+        buf[end - 8 * j:end] = 0.0
+        leaves = buf[end:end + 8 * j * plan.index.size].reshape(*plan.index.shape, 8, j)
+        np.take(buf[:end].reshape(-1, 8, j), plan.index, axis=0, out=leaves,
+                mode="clip")
+    # a reduce over an outer axis adds its slices in order, and one over a
+    # contiguous axis of 8 adds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    # + (r6 + r7)), in one call where pairwise levels would take three
+    acc = np.empty((len(leaves), j, 8))
+    np.add.reduce(leaves, axis=1, out=acc.transpose(0, 2, 1))
+    sums = np.add.reduce(acc, axis=2)
+    for row in cols[plan.tail:]:
+        sums[-1] += row
+    if plan.slots is not None:
+        tree = np.zeros((1 << plan.depth, j))
+        tree[plan.slots] = sums
+        sums = tree
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
 
 
 def _drifts(mu, slots, work, spare):
@@ -237,7 +355,9 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     else:
         periodic = np.zeros(len(starts), dtype=bool)
 
-    pi = lift_stationary(lift)
+    # one mass per base vertex, of which lift_stationary is the broadcast, so
+    # each subtract of a TV broadcasts one scalar over a vertex's states
+    pi = lift_stationary(lift)[:, :1, None]
     cpus = _cpus()
     size = max(1, min(math.ceil(len(starts) / cpus), _BLOCK_DOUBLES // lift.n_states))
     blocks = [(starts[b:b + size], periodic[b:b + size])
@@ -252,7 +372,9 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     # peaked 4.5 MB higher (2 CPUs).  list.pop and list.append are atomic,
     # so the threads share ``free`` without a lock.
     free = []
-    nbytes = 8 * size * (2 * lift.n_states + max(lift.n_states, 2 * lift.n))
+    tvs_work = (_sum_plan(lift.n_states).work if size >= _STATE_MAJOR_ROWS
+                else lift.n_states)
+    nbytes = 8 * size * (2 * lift.n_states + max(tvs_work, 2 * lift.n))
 
     def run(block):
         try:
@@ -282,18 +404,21 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
 
     ``buf`` is a buffer of doubles that the block has to itself while it
     runs, whatever an earlier block left in it: at least ``k * (2 *
-    n_states + max(n_states, 2 * n))`` of them for its ``k`` rows.  It holds
-    the block's three buffers.  The block is state-major, ``(n_vertices,
-    n, j)`` for ``j`` rows still stepping, in one of the two distribution
-    buffers; each step writes the other, and the third, the work buffer,
-    holds the step's scaled source and gather scratch and then each TV's
-    transposed difference.  After a step the old distribution is dead, and the
-    averaged law is computed in it.  The per-row checks and the early stop
-    run on the step's TV vector; when rows stop, the others are compacted
-    into the dead buffer, so a step never works on a row that has stopped.
-    Each step records the TVs of the rows it stepped with their histories:
-    row ``r``'s raw TVs are history ``r`` and, on a periodic row, its
-    averaged ones history ``k + p(r)``, ``p(r)`` periodic rows before it.
+    n_states + max(w, 2 * n))`` of them for its ``k`` rows, where ``w`` is
+    ``n_states``, or ``_sum_plan(n_states).work`` when ``k`` is at least
+    :data:`_STATE_MAJOR_ROWS`.  It holds the block's three buffers.  The
+    block is state-major, ``(n_vertices, n, j)`` for ``j`` rows still
+    stepping, in one of the two distribution buffers; each step writes the
+    other, and the third, the work buffer, holds the step's scaled source
+    and gather scratch and then each TV's differences (:func:`_tvs`).  After
+    a step the old distribution is dead, and the averaged law is computed
+    in it.  The per-row checks and the early stop run on the step's TV
+    vector; when rows stop, the others are compacted into the dead buffer,
+    so a step never works on a row that has stopped.  Each step records the
+    TVs of the rows it stepped with their histories, in two arrays that grow
+    when full: row ``r``'s raw TVs are history ``r`` and, on a periodic row,
+    its averaged ones history ``k + p(r)``, ``p(r)`` periodic rows before
+    it.
     """
     n_vertices, n = lift.base.n_vertices, lift.n
     k = len(starts)
@@ -309,52 +434,66 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
     last = _tvs(mu, pi, work)  # by slot: the TV of the latest step
     # by row: k + p(r), the history of its averaged TVs (periodic rows only)
     averaged_history = k + np.cumsum(periodic) - 1
-    # every TV recorded and the history it belongs to, as lists: 32 bytes a
-    # TV.  The average of mu_0 with itself at t=0 is mu_0.
-    values = last.tolist() + last[periodic].tolist()
-    owners = list(range(k)) + averaged_history[periodic].tolist()
+    # every TV recorded, in step order, and the history it belongs to, in
+    # two arrays that grow when full: 16 bytes a TV
+    values, owners, used = np.empty(4 * k), np.empty(4 * k, dtype=np.int64), 0
+
+    def record(tvs, histories):
+        nonlocal values, owners, used
+        end = used + len(tvs)
+        if end > len(values):
+            values = np.concatenate((values, np.empty(end)))
+            owners = np.concatenate((owners, np.empty(end, dtype=np.int64)))
+        values[used:end] = tvs
+        owners[used:end] = histories
+        used = end
+
+    record(last, np.arange(k))
+    # the average of mu_0 with itself at t=0 is mu_0
+    record(last[periodic], averaged_history[periodic])
     eps_min = min(eps_list)
     stops = np.full(k, t_cap)  # per row: the step it stopped at
     drifts = np.zeros(k)
     failures = {}  # per row that failed its monotonicity check: the error
     live = np.arange(k)  # the rows still stepping, by slot
     averaging = periodic.copy()  # by slot: the rows that watch the average
+    averages = averaging.any()
     t = 0
     while len(live) and t < t_cap:
         nxt = block(spare, len(live))
         _step(lift, mu, alpha, nxt, work)
         t += 1
-        if averaging.any():
+        if averages:
             np.add(mu, nxt, out=mu)
             mu *= 0.5
             avg = _tvs(mu, pi, work)
         tvs = _tvs(nxt, pi, work)
         cur, spare, mu = spare, cur, nxt
         failed = tvs > last + PROPAGATION_TOL
-        for slot in np.flatnonzero(failed).tolist():
-            failures[int(live[slot])] = AnalysisError(
-                f"TV increased at step {t}: {float(last[slot])!r} -> "
-                f"{float(tvs[slot])!r}"
-            )
         # a failed row's TVs are recorded too: it raises before _histories
-        values += tvs.tolist()
-        owners += live.tolist()
+        record(tvs, live)
         watched = tvs
-        if averaging.any():
-            values += avg[averaging].tolist()
-            owners += averaged_history[live[averaging]].tolist()
+        if averages:
+            record(avg[averaging], averaged_history[live[averaging]])
             watched = np.where(averaging, avg, tvs)
-        last = tvs
         stopped = failed | (watched <= eps_min)
         if stopped.any():
+            for slot in np.flatnonzero(failed).tolist():
+                failures[int(live[slot])] = AnalysisError(
+                    f"TV increased at step {t}: {float(last[slot])!r} -> "
+                    f"{float(tvs[slot])!r}"
+                )
             slots = np.flatnonzero(stopped)
             stops[live[slots]] = t
             drifts[live[slots]] = _drifts(mu, slots, work, spare)
             kept = np.flatnonzero(~stopped)
-            live, averaging, last = live[kept], averaging[kept], last[kept]
+            live, averaging, last = live[kept], averaging[kept], tvs[kept]
+            averages = averaging.any()
             # the dead buffer holds the average: move the rows kept into it
             mu = np.take(mu, kept, axis=2, out=block(spare, len(kept)), mode="clip")
             cur, spare = spare, cur
+        else:
+            last = tvs
     if len(live):
         drifts[live] = _drifts(mu, np.arange(len(live)), work, spare)
 
@@ -364,8 +503,8 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
         r = int(bad.argmax())
         raise failures.get(r) or AnalysisError(
             f"propagation lost mass: drift {float(drifts[r]):g}")
-    tvs, bounds, crossings = _histories(values, owners, k + int(periodic.sum()),
-                                        eps_list)
+    tvs, bounds, crossings = _histories(values[:used], owners[:used],
+                                        k + int(periodic.sum()), eps_list)
 
     def curve(h, r, averaged=None):
         return TVCurve(tv=tvs[bounds[h]:bounds[h + 1]], crossings=crossings[h],

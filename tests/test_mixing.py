@@ -466,6 +466,48 @@ def test_the_mixed_period_lift_puts_different_stops_in_one_block():
         assert [len(c.tv) for c in curves] == lengths
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 129, 1000, 1001, 1023, 1024,
+                               2000, 4097, 12288])
+def test_column_sums_add_in_the_order_of_a_contiguous_reduce(n):
+    # a numpy that sums a contiguous row in another order fails here,
+    # instead of changing the curves of state-major blocks silently
+    rng = np.random.default_rng(n)
+    for j in (1, 2, 3, 64):
+        cols = 10.0 ** rng.uniform(-9, 6, (n, j))
+        cols[rng.random((n, j)) < 0.1] = 0.0
+        buf = np.full(j * mixing._sum_plan(n).work, np.nan)
+        buf[:n * j] = cols.ravel()
+        expected = [np.add.reduce(np.ascontiguousarray(cols[:, r])) for r in range(j)]
+        assert mixing._column_sums(buf, n, j).tolist() == expected
+
+
+@pytest.mark.parametrize("text, n, alpha", [
+    (bouquet_text(4), 512, 0.0),  # four leaves of 16 groups
+    (bouquet_text(4), 257, 0.0),  # leaves of 8 and 16 groups at two depths, and a tail
+    (THETA3_TEXT, 150, 0.5),  # 300 states: leaves of 9 and 10 groups, and a tail
+    (THETA3_TEXT, 150, 0.0),  # the same, periodic: the averaged TVs too
+])
+def test_state_major_blocks_match_the_allocating_reference(text, n, alpha, monkeypatch):
+    # 20 starts in one block: its TVs are summed state-major until fewer
+    # than mixing._STATE_MAJOR_ROWS rows still step
+    lift = draw_lift(parse_graph(text), n, 0)
+    starts = list(range(0, lift.n_states, lift.n_states // 20))[:20]
+    monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", len(starts) * lift.n_states)
+    monkeypatch.setattr(mixing, "_CPUS", 1)
+    curves = mixing_curves(lift, starts, alpha=alpha)
+    assert len({len(curve.tv) for curve in curves}) > 1
+    for start, curve in zip(starts, curves):
+        tvs, avg_tvs, drift = _allocating_curve(lift, start, alpha, min(DEFAULT_EPS_LIST),
+                                                curve.t_cap)
+        assert np.array_equal(curve.tv, tvs)
+        assert curve.crossings == _first_crossings(tvs, DEFAULT_EPS_LIST)
+        assert curve.mass_drift == drift
+        assert curve.periodic == (avg_tvs is not None)
+        if avg_tvs is not None:
+            assert np.array_equal(curve.averaged.tv, avg_tvs)
+            assert curve.averaged.crossings == _first_crossings(avg_tvs, DEFAULT_EPS_LIST)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_the_blocks_of_a_call_share_one_map_per_thread(theta3, monkeypatch, alpha):
     lift = _lift8(theta3)

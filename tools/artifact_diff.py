@@ -25,6 +25,10 @@ of CLI calls on that tree and on the working tree's ``src/``:
   are cycles of hundreds to thousands of states; and a small-``n`` ``sweep
   --starts sample:8`` on theta3, whose sampled starts share a block and
   stop at different steps;
+* ``mix --starts all`` on the demo theta3 at ``n = 1000`` (2,000 states,
+  in blocks of 32 starts, whose pairwise sums have leaves of unequal
+  lengths) and on the demo bouquet4 at ``n = 1001`` (1,001 states, so one
+  element past the last group of 8);
 * ``sweep --starts all`` on theta3 at ``n = 8, 16, 32``, whose cell (16, 1)
   is a disconnected lift: two of its starts never get within TV 0.25, so
   the sweep fails with the step-cap error and writes no artifact;
@@ -201,6 +205,10 @@ def calls(batch, rejected):
         ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "16,32,64",
          "--seeds", "2", "--starts", "sample:8", "--master-seed", "0",
          "--workers", "1", *out],
+        ["mix", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "1000", "--starts", "all",
+         "--seed", "0", *out],
+        ["mix", "--graph", _graph(DEMO_GRAPHS, "bouquet4"), "--n", "1001", "--starts", "all",
+         "--seed", "0", *out],
         ["sweep", "--graph", theta3, "--alpha", "0.5", "--n", "8,16,32", "--seeds", "2",
          "--starts", "all", *out],
     ]

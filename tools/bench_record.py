@@ -32,9 +32,11 @@ about 19 s a run.  The ``against`` section holds ``REV``'s SHA,
 ``harness_changed``, whether ``perfbench/`` or ``BENCHMARK.json`` differ
 between the two trees (then the pairs do not run the same benchmark), and,
 per workload and end-to-end metric, the median and quartiles of each side,
-the ratio of the working tree's median to ``REV``'s, and the pairs the
-working tree won (ties count for neither side), with each side's summed
-``failed`` count.
+the ratio of the working tree's median to ``REV``'s, the pairs the working
+tree won (ties count for neither side) and ``gain``, whether the claim rule
+holds: the working tree won at least nine tenths of the pairs, and its
+median is better than ``REV``'s by more than ``REV``'s IQR.  Each workload
+also has each side's summed ``failed`` count.
 
 Only the standard library is used.  A failing benchmark run stops the
 script with its exit status and writes nothing.
@@ -93,6 +95,19 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def paired(rev_values, tree_values, better):
+    """One metric's pairs, ``REV``'s and the working tree's runs in pair
+    order, where ``better`` is ``"higher"`` or ``"lower"``: each side's
+    spread, the ratio of the medians, the pairs won and the claim rule."""
+    sign = 1 if better == "higher" else -1
+    rev, tree = spread(rev_values), spread(tree_values)
+    won = sum(sign * (t - r) > 0 for r, t in zip(rev_values, tree_values))
+    return {"rev": rev, "tree": tree, "ratio": tree["median"] / rev["median"],
+            "pairs_won": won,
+            "gain": (10 * won >= 9 * len(rev_values)
+                     and sign * (tree["median"] - rev["median"]) > rev["iqr"])}
+
+
 def against(sha):
     """The ``against`` section: alternating pairs of untraced runs per
     workload of commit ``sha`` and of the working tree."""
@@ -120,17 +135,12 @@ def against(sha):
             for name, better in END_TO_END.items():
                 rev_values, tree_values = ([r["metrics"][name]["value"] for r in runs[side]]
                                            for side in ("rev", "tree"))
-                sign = 1 if better == "higher" else -1
-                entry[name] = {
-                    "rev": spread(rev_values), "tree": spread(tree_values),
-                    "ratio": statistics.median(tree_values) / statistics.median(rev_values),
-                    "pairs_won": sum(sign * (t - r) > 0
-                                     for r, t in zip(rev_values, tree_values)),
-                }
+                entry[name] = paired(rev_values, tree_values, better)
             section["workloads"][workload] = entry
             print(f"{workload} against {sha[:7]}: throughput ratio "
                   f"{entry['throughput']['ratio']:.4f}, won "
-                  f"{entry['throughput']['pairs_won']}/{len(PAIR_SEEDS)}", flush=True)
+                  f"{entry['throughput']['pairs_won']}/{len(PAIR_SEEDS)}, gain "
+                  f"{entry['throughput']['gain']}", flush=True)
     return section
 
 
