@@ -20,17 +20,19 @@ maps at most one per thread and unmaps them all before it returns.  The map
 holds two distribution blocks that swap roles each step, and one work
 buffer that holds the step's scaled source and gather scratch and then the
 TVs' differences.  Each start's TV is summed in the order in which numpy
-sums it for a start run alone: on a block of 16 rows or more the
-differences stay state-major and each row is summed in numpy's pairwise
-order (:func:`_sum_plan`), and on fewer rows they are transposed, so that
-each row is contiguous, and summed by one reduce.  After a step the old
-distribution is dead: the averaged law is evaluated in it, and the rows
-still stepping are compacted into it when others stop.  Raw and averaged
-TVs are recorded in one pair of growing arrays, each TV with its history.
-The monotonicity checks, early stops, mass drifts and crossings
-of a block are vector operations over its rows, and every curve is the same
-bit for bit as if its start were propagated alone, at any CPU count.  A step
-allocates no state-sized array.  The period of an unlazy lift is found once
+sums it for a start run alone: on a block of 16 rows or more, when that
+pairwise order splits a row into leaves of one length (:func:`_sum_plan`),
+the differences stay state-major and each row is summed in that order, and
+otherwise they are transposed, so that each row is contiguous, and summed
+by one reduce.  After a step the old distribution is dead: the averaged
+law is evaluated in it, and the rows still stepping are compacted into it
+when others stop.  Raw and averaged TVs are recorded in one pair of
+growing arrays, each TV with its history.  The monotonicity checks, early
+stops, mass drifts and crossings of a block are vector operations over its
+rows, and every curve is the same bit for bit as if its start were
+propagated alone, at any CPU count.  A step allocates no state-sized
+array: a state-major TV's partial sums, one per leaf of at most 128 states
+and row, are the largest.  The period of an unlazy lift is found once
 per strong component (:meth:`liftmix.lift.Lift.period`) and read for a whole
 call at once.  ``mix`` and every sweep cell run one function,
 :func:`_cell_curves`: it draws the lift, picks its starts by the one
@@ -182,14 +184,11 @@ def _histories(values, owners, n_histories, eps_list):
 
 
 class _SumPlan(NamedTuple):
-    """The order in which numpy sums a contiguous row of doubles
-    (:func:`_sum_plan`)."""
+    """The order in which numpy sums a contiguous row of doubles whose
+    leaves are alike (:func:`_sum_plan`)."""
 
     leaves: int  #: runs of at most 128 elements, each summed on its own
-    width: int  #: the most groups of 8 elements in a leaf
-    index: Optional[np.ndarray]  #: each leaf's groups, padded to ``width``
-    slots: Optional[np.ndarray]  #: each leaf's slot at ``depth``
-    depth: int  #: the deepest leaf's depth in the tree of splits
+    width: int  #: the groups of 8 elements in each leaf
     tail: int  #: where the rightmost leaf's elements past its groups begin
     work: int  #: the doubles per column that :func:`_column_sums` uses
 
@@ -197,47 +196,44 @@ class _SumPlan(NamedTuple):
 @lru_cache(maxsize=32)
 def _sum_plan(n):
     """The order in which ``np.add.reduce`` sums a contiguous row of ``n``
-    doubles.
+    doubles, or None when :func:`_column_sums` does not follow it.
 
-    It is a pairwise sum (numpy 2.4; a test pins it against the installed
-    numpy).  A run of more than 128 elements splits at half
-    its length, rounded down to a multiple of 8.  A run of at most 128, a
-    leaf, is summed in 8 running accumulators, combined as ((r0 + r1) + (r2
-    + r3)) + ((r4 + r5) + (r6 + r7)), and then its elements past the last
-    multiple of 8 are added in order.  Every split is at a multiple of 8, so
-    only the rightmost leaf has such elements, the row's last ``n % 8``.
+    It is a pairwise sum (numpy 2.4).  A run of more than 128 elements
+    splits at half its length, rounded down to a multiple of 8.  A run of at
+    most 128, a leaf, is summed in 8 running accumulators, combined as ((r0
+    + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then its elements past
+    the last multiple of 8 are added in order.  Every split is at a multiple
+    of 8, so only the rightmost leaf has such elements, the row's last ``n %
+    8``.
 
-    When the leaves' group counts differ, ``index`` names each leaf's groups,
-    the row's groups numbered in order, padded to ``width`` with the group
-    after the row's last, whole or partial, which :func:`_column_sums` fills
-    with zeros.  When a leaf is shallower than ``depth``, ``slots`` places each
-    leaf at its leftmost descendant at that depth.  Adding ``+0.0`` to a
-    double other than ``-0.0`` leaves it unchanged, so padded groups and
-    empty slots change no sum of nonnegative doubles.
+    :func:`_column_sums` follows that order only where every leaf has as
+    many groups of 8 and lies as deep in the tree of splits, so that the
+    leaves' sums add up level by level; other lengths get None.  The plan is
+    also checked once against ``np.add.reduce`` on :data:`_STATE_MAJOR_ROWS`
+    random columns, so a numpy that sums in another order gets None too, and
+    its blocks are summed transposed (:func:`_tvs`).
     """
-    leaves = []  # (first group, groups, depth, position at that depth)
+    leaves = []  # (groups, depth) of each leaf
 
-    def split(start, length, depth, position):
+    def split(length, depth):
         if length > 128:
             half = length // 2 - (length // 2) % 8
-            split(start, half, depth + 1, 2 * position)
-            split(start + half, length - half, depth + 1, 2 * position + 1)
+            split(half, depth + 1)
+            split(length - half, depth + 1)
         else:
-            leaves.append((start // 8, length // 8, depth, position))
+            leaves.append((length // 8, depth))
 
-    split(0, n, 0, 0)
-    first, groups, depths, positions = (np.array(col) for col in zip(*leaves))
-    width, depth = int(groups.max()), int(depths.max())
-    index = slots = None
-    work = n
-    if groups.min() != width:
-        zero = -(-n // 8)
-        steps = np.arange(width)
-        index = np.where(steps < groups[:, None], first[:, None] + steps, zero)
-        work = 8 * (zero + 1 + len(leaves) * width)
-    if len(leaves) != 1 << depth:
-        slots = positions << (depth - depths)
-    return _SumPlan(len(leaves), width, index, slots, depth, n - n % 8, work)
+    split(n, 0)
+    if len(set(leaves)) > 1:
+        return None
+    plan = _SumPlan(len(leaves), leaves[0][0], n - n % 8, n + 8 * len(leaves))
+    j = _STATE_MAJOR_ROWS
+    probe = np.random.default_rng(n).random((j, n))
+    buf = np.empty(j * plan.work)
+    buf[:n * j].reshape(n, j)[...] = probe.T
+    if not np.array_equal(_column_sums(buf, n, j, plan), np.add.reduce(probe, axis=1)):
+        return None
+    return plan
 
 
 def _tvs(mu, pi, diff):
@@ -245,19 +241,20 @@ def _tvs(mu, pi, diff):
     (``(n_vertices, n, j)``) and ``pi`` (``(n_vertices, 1, 1)``, the
     stationary mass of one state over each base vertex), computed in
     ``diff``, a buffer that does not overlap ``mu``: at least ``mu.size``
-    doubles below :data:`_STATE_MAJOR_ROWS` rows, and ``j *
-    _sum_plan(n_vertices * n).work`` from there on.
+    doubles, and ``j * _sum_plan(n_vertices * n).work`` from
+    :data:`_STATE_MAJOR_ROWS` rows on when there is that plan.
 
     Each row's differences are summed in the order in which
     ``np.add.reduce`` sums them as a contiguous row, so each TV is the one
-    its start gets when it runs alone.  Below :data:`_STATE_MAJOR_ROWS`
-    rows the differences are taken transposed, each row contiguous, and
-    summed by one reduce; with one row that is the row itself.  From there
-    on they are taken state-major, as ``mu`` is stored, and summed by
-    :func:`_column_sums`.
+    its start gets when it runs alone.  From :data:`_STATE_MAJOR_ROWS` rows
+    on, where :func:`_sum_plan` gives the order, they are taken state-major,
+    as ``mu`` is stored, and summed by :func:`_column_sums`.  Otherwise they
+    are taken transposed, each row contiguous, and summed by one reduce;
+    with one row that is the row itself.
     """
     j = mu.shape[2]
-    if j < _STATE_MAJOR_ROWS:
+    plan = _sum_plan(mu.size // j) if j >= _STATE_MAJOR_ROWS else None
+    if plan is None:
         rows = diff[:mu.size].reshape(j, *mu.shape[:2])
         np.subtract(mu.transpose(2, 0, 1), pi[:, 0], out=rows)
         np.abs(rows, out=rows)
@@ -265,37 +262,23 @@ def _tvs(mu, pi, diff):
     rows = diff[:mu.size].reshape(mu.shape)
     np.subtract(mu, pi, out=rows)
     np.abs(rows, out=rows)
-    return 0.5 * _column_sums(diff, mu.size // j, j)
+    return 0.5 * _column_sums(diff, mu.size // j, j, plan)
 
 
-def _column_sums(buf, n, j):
-    """The sum of each column of ``buf[:n * j].reshape(n, j)``, doubles of
-    at least ``+0.0``, in the order in which ``np.add.reduce`` sums the
-    column as a contiguous row (:func:`_sum_plan`).  ``buf`` holds at least
-    ``j * _sum_plan(n).work`` doubles; those past the columns are scratch.
-    """
-    plan = _sum_plan(n)
+def _column_sums(buf, n, j, plan):
+    """The sum of each column of ``buf[:n * j].reshape(n, j)`` in the order
+    ``plan``, :func:`_sum_plan` of ``n``.  ``buf`` holds at least ``j *
+    plan.work`` doubles; those past the columns hold the accumulators."""
     cols = buf[:n * j].reshape(n, j)
-    if plan.index is None:
-        leaves = cols[:plan.tail].reshape(plan.leaves, plan.width, 8, j)
-    else:
-        end = 8 * j * (-(-n // 8) + 1)  # the zero group's end
-        buf[end - 8 * j:end] = 0.0
-        leaves = buf[end:end + 8 * j * plan.index.size].reshape(*plan.index.shape, 8, j)
-        np.take(buf[:end].reshape(-1, 8, j), plan.index, axis=0, out=leaves,
-                mode="clip")
+    leaves = cols[:plan.tail].reshape(plan.leaves, plan.width, 8, j)
+    acc = buf[n * j:plan.work * j].reshape(plan.leaves, j, 8)
     # a reduce over an outer axis adds its slices in order, and one over a
     # contiguous axis of 8 adds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
     # + (r6 + r7)), in one call where pairwise levels would take three
-    acc = np.empty((len(leaves), j, 8))
     np.add.reduce(leaves, axis=1, out=acc.transpose(0, 2, 1))
     sums = np.add.reduce(acc, axis=2)
     for row in cols[plan.tail:]:
         sums[-1] += row
-    if plan.slots is not None:
-        tree = np.zeros((1 << plan.depth, j))
-        tree[plan.slots] = sums
-        sums = tree
     while len(sums) > 1:
         sums = sums[0::2] + sums[1::2]
     return sums[0]
@@ -372,8 +355,8 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     # peaked 4.5 MB higher (2 CPUs).  list.pop and list.append are atomic,
     # so the threads share ``free`` without a lock.
     free = []
-    tvs_work = (_sum_plan(lift.n_states).work if size >= _STATE_MAJOR_ROWS
-                else lift.n_states)
+    plan = _sum_plan(lift.n_states) if size >= _STATE_MAJOR_ROWS else None
+    tvs_work = lift.n_states if plan is None else plan.work
     nbytes = 8 * size * (2 * lift.n_states + max(tvs_work, 2 * lift.n))
 
     def run(block):
@@ -406,19 +389,19 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
     runs, whatever an earlier block left in it: at least ``k * (2 *
     n_states + max(w, 2 * n))`` of them for its ``k`` rows, where ``w`` is
     ``n_states``, or ``_sum_plan(n_states).work`` when ``k`` is at least
-    :data:`_STATE_MAJOR_ROWS`.  It holds the block's three buffers.  The
-    block is state-major, ``(n_vertices, n, j)`` for ``j`` rows still
-    stepping, in one of the two distribution buffers; each step writes the
-    other, and the third, the work buffer, holds the step's scaled source
-    and gather scratch and then each TV's differences (:func:`_tvs`).  After
-    a step the old distribution is dead, and the averaged law is computed
-    in it.  The per-row checks and the early stop run on the step's TV
-    vector; when rows stop, the others are compacted into the dead buffer,
-    so a step never works on a row that has stopped.  Each step records the
-    TVs of the rows it stepped with their histories, in two arrays that grow
-    when full: row ``r``'s raw TVs are history ``r`` and, on a periodic row,
-    its averaged ones history ``k + p(r)``, ``p(r)`` periodic rows before
-    it.
+    :data:`_STATE_MAJOR_ROWS` and there is that plan.  It holds the block's
+    three buffers.  The block is state-major, ``(n_vertices, n, j)`` for
+    ``j`` rows still stepping, in one of the two distribution buffers; each
+    step writes the other, and the third, the work buffer, holds the step's
+    scaled source and gather scratch and then each TV's differences
+    (:func:`_tvs`).  After a step the old distribution is dead, and the
+    averaged law is computed in it.  The per-row checks and the early stop
+    run on the step's TV vector; when rows stop, the others are compacted
+    into the dead buffer, so a step never works on a row that has stopped.
+    Each step records the TVs of the rows it stepped with their histories,
+    in two arrays that grow when full: row ``r``'s raw TVs are history ``r``
+    and, on a periodic row, its averaged ones history ``k + p(r)``, ``p(r)``
+    periodic rows before it.
     """
     n_vertices, n = lift.base.n_vertices, lift.n
     k = len(starts)

@@ -472,24 +472,53 @@ def test_column_sums_add_in_the_order_of_a_contiguous_reduce(n):
     # a numpy that sums a contiguous row in another order fails here,
     # instead of changing the curves of state-major blocks silently
     rng = np.random.default_rng(n)
+    plan = mixing._sum_plan(n)
+    # 1000 to 4097 split into leaves of unequal length or depth
+    assert (plan is None) == (n in (1000, 1001, 1023, 2000, 4097))
     for j in (1, 2, 3, 64):
         cols = 10.0 ** rng.uniform(-9, 6, (n, j))
         cols[rng.random((n, j)) < 0.1] = 0.0
-        buf = np.full(j * mixing._sum_plan(n).work, np.nan)
-        buf[:n * j] = cols.ravel()
         expected = [np.add.reduce(np.ascontiguousarray(cols[:, r])) for r in range(j)]
-        assert mixing._column_sums(buf, n, j).tolist() == expected
+        buf = np.full(j * (n if plan is None else plan.work), np.nan)
+        if plan is not None:
+            buf[:n * j] = cols.ravel()
+            assert mixing._column_sums(buf, n, j, plan).tolist() == expected
+        # every TV, state-major or transposed, is its row's contiguous sum
+        tvs = mixing._tvs(cols.reshape(1, n, j), np.zeros((1, 1, 1)), buf)
+        assert tvs.tolist() == [0.5 * e for e in expected]
+
+
+def test_a_numpy_that_sums_in_another_order_gets_the_transposed_path(monkeypatch):
+    # _sum_plan checks its order against np.add.reduce once per length
+    def in_order(buf, n, j, plan):
+        return np.add.reduce(buf[:n * j].reshape(n, j), axis=0)
+
+    monkeypatch.setattr(mixing, "_column_sums", in_order)
+    mixing._sum_plan.cache_clear()
+    try:
+        assert mixing._sum_plan(1024) is None
+        lift = draw_lift(parse_graph(bouquet_text(4)), 1024, 0)
+        starts = list(range(0, 1024, 32))
+        monkeypatch.setattr(mixing, "_CPUS", 1)
+        for start, curve in zip(starts, mixing_curves(lift, starts, alpha=0.0)):
+            tvs, _, _ = _allocating_curve(lift, start, 0.0, min(DEFAULT_EPS_LIST),
+                                          curve.t_cap)
+            assert np.array_equal(curve.tv, tvs)
+    finally:
+        mixing._sum_plan.cache_clear()
 
 
 @pytest.mark.parametrize("text, n, alpha", [
     (bouquet_text(4), 512, 0.0),  # four leaves of 16 groups
-    (bouquet_text(4), 257, 0.0),  # leaves of 8 and 16 groups at two depths, and a tail
-    (THETA3_TEXT, 150, 0.5),  # 300 states: leaves of 9 and 10 groups, and a tail
-    (THETA3_TEXT, 150, 0.0),  # the same, periodic: the averaged TVs too
+    (bouquet_text(4), 135, 0.0),  # two leaves of 8 groups, and a tail of 7
+    (THETA3_TEXT, 65, 0.5),  # 130 states: two leaves of 8 groups, and a tail of 2
+    (THETA3_TEXT, 65, 0.0),  # the same, periodic: the averaged TVs too
+    (bouquet_text(4), 257, 0.0),  # leaves at two depths: summed transposed
+    (THETA3_TEXT, 150, 0.5),  # 300 states, leaves of 9 and 10 groups: transposed
 ])
 def test_state_major_blocks_match_the_allocating_reference(text, n, alpha, monkeypatch):
-    # 20 starts in one block: its TVs are summed state-major until fewer
-    # than mixing._STATE_MAJOR_ROWS rows still step
+    # 20 starts in one block: where _sum_plan gives the order, its TVs are
+    # summed state-major until fewer than mixing._STATE_MAJOR_ROWS rows step
     lift = draw_lift(parse_graph(text), n, 0)
     starts = list(range(0, lift.n_states, lift.n_states // 20))[:20]
     monkeypatch.setattr(mixing, "_BLOCK_DOUBLES", len(starts) * lift.n_states)

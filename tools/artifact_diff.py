@@ -25,10 +25,13 @@ of CLI calls on that tree and on the working tree's ``src/``:
   are cycles of hundreds to thousands of states; and a small-``n`` ``sweep
   --starts sample:8`` on theta3, whose sampled starts share a block and
   stop at different steps;
-* ``mix --starts all`` on the demo theta3 at ``n = 1000`` (2,000 states,
-  in blocks of 32 starts, whose pairwise sums have leaves of unequal
-  lengths) and on the demo bouquet4 at ``n = 1001`` (1,001 states, so one
-  element past the last group of 8);
+* ``mix --starts all`` on the demo bouquet4 at ``n = 135``, whose blocks
+  of 16 starts or more are summed state-major, in two leaves of 8 groups
+  of 8 states and a tail of 7; and on the demo theta3 at ``n = 1000`` (2,000
+  states, in blocks of 32 starts) and the demo bouquet4 at ``n = 1001``
+  (1,001 states, with one state past the last group of 8), whose pairwise
+  sums have leaves of unequal lengths, so their blocks are summed
+  transposed;
 * ``sweep --starts all`` on theta3 at ``n = 8, 16, 32``, whose cell (16, 1)
   is a disconnected lift: two of its starts never get within TV 0.25, so
   the sweep fails with the step-cap error and writes no artifact;
@@ -205,6 +208,8 @@ def calls(batch, rejected):
         ["sweep", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "16,32,64",
          "--seeds", "2", "--starts", "sample:8", "--master-seed", "0",
          "--workers", "1", *out],
+        ["mix", "--graph", _graph(DEMO_GRAPHS, "bouquet4"), "--n", "135", "--starts", "all",
+         "--seed", "0", *out],
         ["mix", "--graph", _graph(DEMO_GRAPHS, "theta3"), "--n", "1000", "--starts", "all",
          "--seed", "0", *out],
         ["mix", "--graph", _graph(DEMO_GRAPHS, "bouquet4"), "--n", "1001", "--starts", "all",
