@@ -17,10 +17,14 @@ oriented edges of ``graph``: for a walk on a graph ``g``, the
 its pruned core on ``g``'s own oriented edges.
 
 Only the walk itself is sequential.  :func:`simulate_walk` draws uniforms in
-blocks of 4096, finds the holds of a block with numpy, and loops over the
-moving draws alone, keeping the label stack; heights are a cumulative sum
-of the moves.  The rest reads the finished trajectory in three stages, each
-one public function, through two last-exit rules:
+blocks of 4096 and finds the holds of a block with numpy.  One
+``searchsorted`` ranks the block's moving draws among the move thresholds
+of every base vertex, and a table built once per walk turns a vertex and a
+rank into the label drawn.  A Python loop over the moving draws then only
+looks the label up, keeps the label stack and goes on at the label's head.
+Heights are a cumulative sum of the moves.  The rest reads the finished
+trajectory in three stages, each one public function, through two
+last-exit rules:
 
 * the step after the walk's last visit to height ``j - 1`` is the last push
   to level ``j`` and is never undone; its label is the ray's level-``j``
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -154,7 +157,16 @@ class CoverTrajectory:
 
 
 def _build_sampler(g, alpha):
-    """Per-vertex cumulative thresholds for one-uniform move sampling."""
+    """Every vertex's one-uniform move sampling, as one lookup table.
+
+    At vertex ``u`` a draw ``x >= alpha`` moves along ``u``'s ``i``-th
+    positive orientation, where ``i`` is ``bisect_left`` of ``x`` in ``u``'s
+    cumulative thresholds.  ``grid`` holds the thresholds of all vertices,
+    sorted, each value once; a draw of rank ``j = searchsorted(grid, x)`` lies above
+    exactly ``grid[:j]``, so ``rows[u][j]`` is the label ``u`` takes.  The
+    table is made by comparisons alone, so it gives ``bisect_left``'s label
+    on the same float64 thresholds.
+    """
     thresholds = []
     labels = []
     for u in range(g.n_vertices):
@@ -168,7 +180,16 @@ def _build_sampler(g, alpha):
             cums[-1] = max(cums[-1], 1.0)
         thresholds.append(cums)
         labels.append(ks)
-    return thresholds, labels
+    grid = np.unique(np.concatenate(thresholds))
+    rows = []
+    for cums, ks in zip(thresholds, labels):
+        # how many of u's thresholds lie in grid[:j], for j = 0 .. len(grid).
+        # Every draw is below 1 <= u's last threshold, so the ranks past it,
+        # clipped here, never occur at u.
+        index = np.searchsorted(cums, grid, side="right")
+        index = np.minimum(np.concatenate(([0], index)), len(ks) - 1)
+        rows.append(np.array(ks)[index].tolist())
+    return grid, rows
 
 
 def simulate_walk(g, root_label, steps, alpha=None, rng=None):
@@ -178,6 +199,14 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
     trajectories are reproducible per stream.  Emits a warning when the
     cover walk is known to be recurrent, since escape-based estimators are
     then meaningless.
+
+    The uniforms come in blocks of 4096, one uniform a step; a step holds
+    when its uniform is below ``alpha``.  One ``searchsorted`` ranks a
+    block's moving draws among the thresholds of every vertex, and the loop
+    over them reads the label from the current vertex's row of the sampler
+    table at that rank, pushes it or pops the stack, and goes on at the
+    row of the label's head.  A block without a moving draw leaves the walk
+    where it was.
     """
     alpha = holding_probability(g, alpha)
     if root_label not in g.vertex_index:
@@ -196,12 +225,10 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
     except AnalysisError:
         pass
 
-    thresholds, labels = _build_sampler(g, alpha)
-    # After a move along label k the walk sits at the head of k; its sampler
-    # is looked up once per label instead of once per step.
-    after = [(thresholds[v], labels[v]) for v in (int(x) for x in g.oriented_end)]
-    start = g.vertex_index[root_label]
-    thr, labs = thresholds[start], labels[start]
+    grid, rows = _build_sampler(g, alpha)
+    # after a move along label k the walk sits at the head of k
+    after = [rows[u] for u in g.oriented_end.tolist()]
+    row = rows[g.vertex_index[root_label]]
     moves = np.full(steps, MOVE_HOLD, dtype=np.int32)
     # ``below`` holds, for each stacked label, the popping label of the one
     # underneath, so ``pop`` is ``top ^ 1`` (-1 at the root, which no label
@@ -212,18 +239,17 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
     for t in range(0, max(steps, 1), _BLOCK):
         r = rng.random(_BLOCK)[:steps - t]
         moving = np.flatnonzero(r >= alpha)
-        codes = []
-        for x in r[moving].tolist():
-            # the last threshold is at least 1 > x, so the index is in range
-            k = labs[bisect_left(thr, x)]
+        ranks = np.searchsorted(grid, r[moving]).tolist()
+        codes = [MOVE_POP] * len(ranks)
+        for i in range(len(ranks)):
+            k = row[ranks[i]]
             if k == pop:
                 pop = below.pop()
-                codes.append(MOVE_POP)
             else:
                 below.append(pop)
                 pop = k ^ 1
-                codes.append(k)
-            thr, labs = after[k]
+                codes[i] = k
+            row = after[k]
         moves[t:t + _BLOCK][moving] = codes
     # a push (a label, >= 0) raises the walk one level and a pop lowers it
     heights = np.greater_equal(moves, 0, out=np.empty(steps, dtype=np.int32))

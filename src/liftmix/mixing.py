@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -369,6 +368,10 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
                                  np.frombuffer(buf))
         finally:
             free.append(buf)
+
+    # imported here, as _pool_map imports its pool: concurrent.futures, with
+    # the logging and queue it loads, costs every CLI call about 9 ms
+    from concurrent.futures import ThreadPoolExecutor
 
     curves = []
     pool = ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks))))

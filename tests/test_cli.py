@@ -161,6 +161,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_executor():
+    # the pools are imported by the calls that start them, so commands that
+    # never propagate do not pay for concurrent.futures or multiprocessing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liftmix.__file__)))
+    probe = ("import sys, liftmix.cli; print([m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -772,6 +772,38 @@ def test_walks_ending_below_their_peak_match_the_scalar_loops(theta3, margin):
     assert capped >= 3
 
 
+def _assert_walk_matches_scalar(g, root, steps, alpha, rng_ref, rng):
+    moves, heights = _scalar_walk(g, root, steps, alpha, rng_ref)
+    traj = simulate_walk(g, root, steps, alpha=alpha, rng=rng)
+    assert traj.moves.tolist() == moves
+    assert traj.heights.tolist() == heights
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    return traj
+
+
+@pytest.mark.parametrize("name, alpha", [("theta3", 0.5), ("bouquet4", 0.0)])
+def test_benchmark_walks_match_the_scalar_walk(request, name, alpha):
+    # cover-mc's walk and a one-vertex walk without holds, whose stacks grow
+    # far deeper than the hypothesis cases' 21,000 steps reach
+    g = request.getfixturevalue(name)
+    traj = _assert_walk_matches_scalar(g, g.vertices[0], 250_000, alpha,
+                                       substream(0, "cover-walk", 0),
+                                       substream(0, "cover-walk", 0))
+    assert traj.max_height > 10_000
+
+
+@pytest.mark.parametrize("root", ["a", "b", "c"])
+def test_a_block_of_holds_keeps_the_walks_vertex(c3b, root):
+    # at alpha = 0.999 this stream's block 10 is all holds, so the vertex the
+    # walk reached in block 9 must carry over to block 11
+    alpha, steps = 0.999, 12 * 4096
+    blocks = substream(4, "walk").random(steps).reshape(12, 4096)
+    assert (blocks[10] < alpha).all() and (blocks[11] >= alpha).any()
+    traj = _assert_walk_matches_scalar(c3b, root, steps, alpha, substream(4, "walk"),
+                                       substream(4, "walk"))
+    assert (traj.moves[10 * 4096:11 * 4096] == MOVE_HOLD).all()
+
+
 # Hand-built trajectories for the two rules behind the confirmed ray and the
 # localization profile: the ray's level-j label is the last push to level j,
 # and a step's common prefix with the ray is read from the outermost off-ray

@@ -12,6 +12,10 @@ of CLI calls on that tree and on the working tree's ``src/``:
   ``sweep`` and ``analyze`` on the seed-0 analyze batch with its
   known-defect probe), at seed 0, and the ``lift`` call that the
   mix-many-starts check makes to rebuild the lift of its ``mix`` line;
+* ``cover-sim`` with 250,000 steps, as long as the benchmark's walks, on
+  the demo bouquet4 at ``--alpha 0`` (one vertex, so the label stack grows
+  deepest) and on the demo pendant from ``--root p`` at its own holding
+  probability, where the next base vertex depends on the label drawn;
 * ``mix --alpha 0`` on theta3 with ``n = 8`` (a periodic lift, so it also
   writes ``curve_averaged.csv``), and ``sweep --alpha 0`` on theta3, whose
   rows are the crossings of the averaged curves;
@@ -186,6 +190,10 @@ def calls(batch, rejected):
     argvs = [
         ["cover-sim", "--graph", theta3, "--alpha", "0.5", "--trials", "4",
          "--steps", "250000", "--per-trial", "--seed", "0", "--workers", "1", *out],
+        ["cover-sim", "--graph", _graph(DEMO_GRAPHS, "bouquet4"), "--alpha", "0",
+         "--trials", "2", "--steps", "250000", "--per-trial", "--seed", "0", *out],
+        ["cover-sim", "--graph", _graph(DEMO_GRAPHS, "pendant"), "--root", "p",
+         "--trials", "2", "--steps", "250000", "--per-trial", "--seed", "0", *out],
         ["mix", "--graph", bouquet4, "--n", "1024", "--starts", "all", "--seed", "0",
          *out],
         ["lift", "--graph", bouquet4, "--n", "1024", "--seed", "0", *out],
