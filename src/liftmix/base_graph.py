@@ -210,13 +210,13 @@ class WeightedMultigraph:
 
 
 def _parse_number(token, lineno, what):
+    # float() of a Fraction overflows past the largest double, as in 1e400
     try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        return float(Fraction(token))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise GraphError(
             f"line {lineno}: cannot parse {what} {token!r} as a number"
         ) from exc
-    return float(value)
 
 
 def build_graph(vertices, edges, alpha=0.5, alpha_literal=None):

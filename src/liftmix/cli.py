@@ -80,7 +80,7 @@ def _load_graph(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read graph file {path!r}: {exc}") from exc
     return parse_graph(text)
 

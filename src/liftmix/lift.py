@@ -43,9 +43,7 @@ class Lift:
     maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise GraphError(f"lift degree must be >= 1, got {n}")
+        n = _degree(self.n)
         if len(self.perms) != len(self.base.edges):
             raise GraphError(
                 f"need {len(self.base.edges)} permutations, got {len(self.perms)}"
@@ -180,6 +178,14 @@ class Lift:
         return int(g.oriented_end[k]) * self.n + int(self.maps[k][i])
 
 
+def _degree(n):
+    """``n`` as a lift degree, checked: at least 1."""
+    n = int(n)
+    if n < 1:
+        raise GraphError(f"lift degree must be >= 1, got {n}")
+    return n
+
+
 def generate_uniform_lift(g, n, rng, seed=None):
     """Lift with one independent uniform permutation per edge (file order)."""
     perms = tuple(rng.permutation(int(n)).astype(np.int64) for _ in g.edges)
@@ -190,7 +196,9 @@ def draw_lift(g, n, master_seed, index=0):
     """The ``index``-th random ``n``-lift of ``g`` drawn from ``master_seed``,
     which it records.  ``lift``, ``mix``, ``spectrum`` and every sweep cell
     draw here, so ``mix --seed S`` and sweep cell ``(n, 0)`` at master seed
-    ``S`` walk on the same lift."""
+    ``S`` walk on the same lift.  The degree is checked before the lift's
+    stream is derived from it."""
+    n = _degree(n)
     return generate_uniform_lift(g, n, substream(master_seed, "lift", n, index),
                                  seed=master_seed)
 

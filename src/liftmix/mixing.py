@@ -19,20 +19,17 @@ one, sized for the call's largest block, only when none is free, so a call
 maps at most one per thread and unmaps them all before it returns.  The map
 holds two distribution blocks that swap roles each step, and one work
 buffer that holds the step's scaled source and gather scratch and then the
-TVs' differences.  Each start's TV is summed in the order in which numpy
-sums it for a start run alone: on a block of 16 rows or more, when that
-pairwise order splits a row into leaves of one length (:func:`_sum_plan`),
-the differences stay state-major and each row is summed in that order, and
-otherwise they are transposed, so that each row is contiguous, and summed
-by one reduce.  After a step the old distribution is dead: the averaged
-law is evaluated in it, and the rows still stepping are compacted into it
-when others stop.  Raw and averaged TVs are recorded in one pair of
-growing arrays, each TV with its history.  The monotonicity checks, early
-stops, mass drifts and crossings of a block are vector operations over its
-rows, and every curve is the same bit for bit as if its start were
-propagated alone, at any CPU count.  A step allocates no state-sized
-array: a state-major TV's partial sums, one per leaf of at most 128 states
-and row, are the largest.  The period of an unlazy lift is found once
+TVs' differences.  Every TV and mass drift is summed in one order that
+liftmix owns (:func:`_halve`): over the state axis of the state-major block,
+by elementwise adds that never mix rows, so a start's sums do not depend on
+the block it runs in or on numpy's reduce order.  After a step the old
+distribution is dead: the averaged law is evaluated in it, and the rows
+still stepping are compacted into it when others stop.  Raw and averaged
+TVs are recorded in one pair of growing arrays, each TV with its history.
+The monotonicity checks, early stops, mass drifts and crossings of a block
+are vector operations over its rows, and every curve is the same bit for
+bit as if its start were propagated alone, at any CPU count.  A step
+allocates no state-sized array.  The period of an unlazy lift is found once
 per strong component (:meth:`liftmix.lift.Lift.period`) and read for a whole
 call at once.  ``mix`` and every sweep cell run one function,
 :func:`_cell_curves`: it draws the lift, picks its starts by the one
@@ -52,8 +49,7 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -74,12 +70,6 @@ DEFAULT_EPS_LIST = (0.1, 0.25, 0.5, 0.9)
 #: 2**15 on 1,024 starts of a 1,024-state lift, whose gathers then move rows
 #: of 64 doubles.
 _BLOCK_DOUBLES = 1 << 16
-#: Rows of a block from which :func:`_tvs` sums the block state-major.  Below
-#: it the transposed differences cost less: on a 1,024-state lift a TV of 8
-#: rows took 24 us that way against 37 us state-major, of 16 rows 33 against
-#: 31 us, and of 64 rows 170 against 77 us (one thread on a 2 vCPU host,
-#: best of 5).
-_STATE_MAJOR_ROWS = 16
 #: Largest relative distance of the fitted slope from ``1 / h`` that
 #: :func:`cutoff_sweep` accepts.
 _SLOPE_TOLERANCE = 0.15
@@ -182,119 +172,47 @@ def _histories(values, owners, n_histories, eps_list):
     return tvs, bounds, [dict(zip(eps_list, col)) for col in zip(*firsts)]
 
 
-class _SumPlan(NamedTuple):
-    """The order in which numpy sums a contiguous row of doubles whose
-    leaves are alike (:func:`_sum_plan`)."""
-
-    leaves: int  #: runs of at most 128 elements, each summed on its own
-    width: int  #: the groups of 8 elements in each leaf
-    tail: int  #: where the rightmost leaf's elements past its groups begin
-    work: int  #: the doubles per column that :func:`_column_sums` uses
-
-
-@lru_cache(maxsize=32)
-def _sum_plan(n):
-    """The order in which ``np.add.reduce`` sums a contiguous row of ``n``
-    doubles, or None when :func:`_column_sums` does not follow it.
-
-    It is a pairwise sum (numpy 2.4).  A run of more than 128 elements
-    splits at half its length, rounded down to a multiple of 8.  A run of at
-    most 128, a leaf, is summed in 8 running accumulators, combined as ((r0
-    + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then its elements past
-    the last multiple of 8 are added in order.  Every split is at a multiple
-    of 8, so only the rightmost leaf has such elements, the row's last ``n %
-    8``.
-
-    :func:`_column_sums` follows that order only where every leaf has as
-    many groups of 8 and lies as deep in the tree of splits, so that the
-    leaves' sums add up level by level; other lengths get None.  The plan is
-    also checked once against ``np.add.reduce`` on :data:`_STATE_MAJOR_ROWS`
-    random columns, so a numpy that sums in another order gets None too, and
-    its blocks are summed transposed (:func:`_tvs`).
-    """
-    leaves = []  # (groups, depth) of each leaf
-
-    def split(length, depth):
-        if length > 128:
-            half = length // 2 - (length // 2) % 8
-            split(half, depth + 1)
-            split(length - half, depth + 1)
-        else:
-            leaves.append((length // 8, depth))
-
-    split(n, 0)
-    if len(set(leaves)) > 1:
-        return None
-    plan = _SumPlan(len(leaves), leaves[0][0], n - n % 8, n + 8 * len(leaves))
-    j = _STATE_MAJOR_ROWS
-    probe = np.random.default_rng(n).random((j, n))
-    buf = np.empty(j * plan.work)
-    buf[:n * j].reshape(n, j)[...] = probe.T
-    if not np.array_equal(_column_sums(buf, n, j, plan), np.add.reduce(probe, axis=1)):
-        return None
-    return plan
+def _halve(cols):
+    """The sum of each column of the ``(m, j)`` view ``cols``, in one order
+    that liftmix owns, computed in place: the result is a view of the first
+    row.  While more than one row is left, an odd count adds its last row
+    onto its first, and then the second half of the rows is added onto the
+    first.  Every add is elementwise, so a column's sum does not depend on
+    the other columns: a start's TV is the same in a block of any width."""
+    m = len(cols)
+    while m > 1:
+        if m % 2:
+            m -= 1
+            np.add(cols[0], cols[m], cols[0])
+        m //= 2
+        # out by position: numpy parses it faster than out=, which counts
+        # on the many small adds of a one-row block
+        top = cols[:m]
+        np.add(top, cols[m:2 * m], top)
+    return cols[0]
 
 
 def _tvs(mu, pi, diff):
     """Total variation between each row of the state-major block ``mu``
     (``(n_vertices, n, j)``) and ``pi`` (``(n_vertices, 1, 1)``, the
     stationary mass of one state over each base vertex), computed in
-    ``diff``, a buffer that does not overlap ``mu``: at least ``mu.size``
-    doubles, and ``j * _sum_plan(n_vertices * n).work`` from
-    :data:`_STATE_MAJOR_ROWS` rows on when there is that plan.
-
-    Each row's differences are summed in the order in which
-    ``np.add.reduce`` sums them as a contiguous row, so each TV is the one
-    its start gets when it runs alone.  From :data:`_STATE_MAJOR_ROWS` rows
-    on, where :func:`_sum_plan` gives the order, they are taken state-major,
-    as ``mu`` is stored, and summed by :func:`_column_sums`.  Otherwise they
-    are taken transposed, each row contiguous, and summed by one reduce;
-    with one row that is the row itself.
-    """
-    j = mu.shape[2]
-    plan = _sum_plan(mu.size // j) if j >= _STATE_MAJOR_ROWS else None
-    if plan is None:
-        rows = diff[:mu.size].reshape(j, *mu.shape[:2])
-        np.subtract(mu.transpose(2, 0, 1), pi[:, 0], out=rows)
-        np.abs(rows, out=rows)
-        return 0.5 * np.add.reduce(rows.reshape(j, -1), axis=1)
+    ``diff``, a buffer of at least ``mu.size`` doubles that does not overlap
+    ``mu``.  The differences stay state-major, and each row's are summed by
+    :func:`_halve`."""
     rows = diff[:mu.size].reshape(mu.shape)
     np.subtract(mu, pi, out=rows)
     np.abs(rows, out=rows)
-    return 0.5 * _column_sums(diff, mu.size // j, j, plan)
+    return 0.5 * _halve(rows.reshape(-1, mu.shape[2]))
 
 
-def _column_sums(buf, n, j, plan):
-    """The sum of each column of ``buf[:n * j].reshape(n, j)`` in the order
-    ``plan``, :func:`_sum_plan` of ``n``.  ``buf`` holds at least ``j *
-    plan.work`` doubles; those past the columns hold the accumulators."""
-    cols = buf[:n * j].reshape(n, j)
-    leaves = cols[:plan.tail].reshape(plan.leaves, plan.width, 8, j)
-    acc = buf[n * j:plan.work * j].reshape(plan.leaves, j, 8)
-    # a reduce over an outer axis adds its slices in order, and one over a
-    # contiguous axis of 8 adds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
-    # + (r6 + r7)), in one call where pairwise levels would take three
-    np.add.reduce(leaves, axis=1, out=acc.transpose(0, 2, 1))
-    sums = np.add.reduce(acc, axis=2)
-    for row in cols[plan.tail:]:
-        sums[-1] += row
-    while len(sums) > 1:
-        sums = sums[0::2] + sums[1::2]
-    return sums[0]
-
-
-def _drifts(mu, slots, work, spare):
-    """Mass drift of the rows ``slots`` of the state-major block ``mu``,
-    each summed as a contiguous copy of its column: the columns are taken
-    in ``work`` and transposed into ``spare``, buffers that overlap neither
-    ``mu`` nor each other."""
+def _drifts(mu, slots, work):
+    """Mass drift of the rows ``slots`` of the state-major block ``mu``:
+    the rows are taken into ``work``, a buffer that does not overlap
+    ``mu``, and summed there by :func:`_halve`."""
     n_vertices, n, _ = mu.shape
-    size = n_vertices * n * len(slots)
-    picked = work[:size].reshape(n_vertices, n, len(slots))
+    picked = work[:n_vertices * n * len(slots)].reshape(n_vertices, n, len(slots))
     np.take(mu, slots, axis=2, out=picked, mode="clip")
-    cols = spare[:size].reshape(len(slots), n_vertices, n)
-    np.copyto(cols, picked.transpose(2, 0, 1))
-    return np.abs(np.add.reduce(cols.reshape(len(slots), -1), axis=1) - 1.0)
+    return np.abs(_halve(picked.reshape(-1, len(slots))) - 1.0)
 
 
 def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
@@ -316,12 +234,13 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     min(ceil(len(starts) / cpus), _BLOCK_DOUBLES // n_states))``, on a pool
     of one thread per CPU the process may use, but no more threads than
     blocks; every curve is the same, bit for bit, as if its start were
-    propagated alone.  A running block has one map of buffers to itself,
-    taken from those that earlier blocks of the call gave back when there is
-    one, so the call maps at most one per thread.  ``progress``, when given, is
-    called in the calling thread with the number of curves done after each
-    block, in block order, and never when ``starts`` is empty.  No thread
-    outlives the call.
+    propagated alone.  A running block has one map of ``8 * size * (2 *
+    n_states + max(n_states, 2 * n))`` bytes to itself, for blocks of
+    ``size`` starts, taken from those that earlier blocks of the call gave
+    back when there is one, so the call maps at most one per thread.
+    ``progress``, when given, is called in the calling thread with the
+    number of curves done after each block, in block order, and never when
+    ``starts`` is empty.  No thread outlives the call.
     """
     alpha = holding_probability(lift.base, alpha)
     eps_list = tuple(float(e) for e in eps_list)
@@ -354,9 +273,7 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     # peaked 4.5 MB higher (2 CPUs).  list.pop and list.append are atomic,
     # so the threads share ``free`` without a lock.
     free = []
-    plan = _sum_plan(lift.n_states) if size >= _STATE_MAJOR_ROWS else None
-    tvs_work = lift.n_states if plan is None else plan.work
-    nbytes = 8 * size * (2 * lift.n_states + max(tvs_work, 2 * lift.n))
+    nbytes = 8 * size * (2 * lift.n_states + max(lift.n_states, 2 * lift.n))
 
     def run(block):
         try:
@@ -390,14 +307,13 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
 
     ``buf`` is a buffer of doubles that the block has to itself while it
     runs, whatever an earlier block left in it: at least ``k * (2 *
-    n_states + max(w, 2 * n))`` of them for its ``k`` rows, where ``w`` is
-    ``n_states``, or ``_sum_plan(n_states).work`` when ``k`` is at least
-    :data:`_STATE_MAJOR_ROWS` and there is that plan.  It holds the block's
-    three buffers.  The block is state-major, ``(n_vertices, n, j)`` for
-    ``j`` rows still stepping, in one of the two distribution buffers; each
-    step writes the other, and the third, the work buffer, holds the step's
-    scaled source and gather scratch and then each TV's differences
-    (:func:`_tvs`).  After a step the old distribution is dead, and the
+    n_states + max(n_states, 2 * n))`` of them for its ``k`` rows.  It holds
+    the block's three buffers.  The block is state-major, ``(n_vertices, n,
+    j)`` for ``j`` rows still stepping, in one of the two distribution
+    buffers; each step writes the other, and the third, the work buffer,
+    holds the step's scaled source and gather scratch and then each TV's
+    differences (:func:`_tvs`), or the rows whose mass drift is summed
+    (:func:`_drifts`).  After a step the old distribution is dead, and the
     averaged law is computed in it.  The per-row checks and the early stop
     run on the step's TV vector; when rows stop, the others are compacted
     into the dead buffer, so a step never works on a row that has stopped.
@@ -471,7 +387,7 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
                 )
             slots = np.flatnonzero(stopped)
             stops[live[slots]] = t
-            drifts[live[slots]] = _drifts(mu, slots, work, spare)
+            drifts[live[slots]] = _drifts(mu, slots, work)
             kept = np.flatnonzero(~stopped)
             live, averaging, last = live[kept], averaging[kept], tvs[kept]
             averages = averaging.any()
@@ -481,7 +397,7 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
         else:
             last = tvs
     if len(live):
-        drifts[live] = _drifts(mu, np.arange(len(live)), work, spare)
+        drifts[live] = _drifts(mu, np.arange(len(live)), work)
 
     bad = drifts > PROPAGATION_TOL * np.maximum(stops, 1)
     bad[list(failures)] = True

@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import AnalysisError
+
 
 def substream(master_seed, purpose, *indices):
     """Return a ``numpy.random.Generator`` for one named stream.
@@ -26,7 +28,14 @@ def substream(master_seed, purpose, *indices):
     *indices : int
         Optional integer coordinates distinguishing streams of the same
         purpose (trial index, lift size, cell seed, ...).
+
+    Raises
+    ------
+    AnalysisError
+        When ``master_seed`` is negative.
     """
+    if master_seed < 0:
+        raise AnalysisError(f"seed must be a non-negative integer, got {master_seed}")
     digest = hashlib.sha256(purpose.encode("utf-8")).digest()
     words = tuple(
         int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)

@@ -108,6 +108,8 @@ def test_digest_sensitive_to_weights():
         ("vertex a\nedge e a a 1/2 1/2\nedge e a a 1/2 1/2\n", "line 3: duplicate edge id"),
         ("vertex a\nedge e a a 1/2\n", "edge takes"),
         ("vertex a\nedge e a a x 1/2\n", "cannot parse weight"),
+        # a finite literal past the largest double
+        ("vertex a\nedge e a a 1e400 1/2\n", "line 2: cannot parse weight '1e400' as a number"),
         ("alpha 1\nvertex a\nedge e a a 1/2 1/2\n", "alpha must lie in [0, 1)"),
         ("alpha 1/2\nalpha 1/2\nvertex a\nedge e a a 1/2 1/2\n", "duplicate alpha"),
         ("frobnicate a\n", "unknown directive"),

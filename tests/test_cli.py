@@ -1,14 +1,18 @@
 """End-to-end CLI tests: exit codes, payloads, artifacts, reproducibility."""
 
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liftmix
 from liftmix import (
@@ -21,7 +25,7 @@ from liftmix import (
 )
 from liftmix.cli import main
 
-from conftest import ASYM_THETA_TEXT, SYM3_TEXT, THETA3_TEXT
+from conftest import ASYM_THETA_TEXT, SYM3_TEXT, THETA3_TEXT, bouquet_text
 
 
 @pytest.fixture()
@@ -82,6 +86,110 @@ def test_exit_1_on_parse_error(capsys, tmp_path):
     path.write_text("graph\nalpha 1/2\n")
     code, _, cap = run_cli(capsys, ["validate", "--graph", str(path)])
     assert code == 1
+
+
+def test_exit_1_on_a_graph_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bytes.g"
+    path.write_bytes(b"\x00\xff\xfe")
+    code, _, cap = run_cli(capsys, ["validate", "--graph", str(path)])
+    assert code == 1
+    assert cap.err.startswith(f"liftmix: error: cannot read graph file {str(path)!r}: "
+                              "'utf-8' codec can't decode byte 0xff")
+    assert cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["mix", "--n", "8", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["cover-sim", "--steps", "1000", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+    (["lift", "--n", "8", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["spectrum", "--n", "8", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["sweep", "--n", "8,16", "--seeds", "1", "--master-seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+    (["mix", "--n", "-3"], "lift degree must be >= 1, got -3"),
+    (["spectrum", "--n", "-3"], "lift degree must be >= 1, got -3"),
+])
+def test_a_negative_seed_or_degree_gives_one_error_line(capsys, theta3_file, tmp_path,
+                                                        argv, line):
+    out = [] if argv[0] == "spectrum" else ["--out", str(tmp_path)]
+    code, _, cap = run_cli(capsys, [argv[0], "--graph", theta3_file, *argv[1:], *out])
+    assert code == 1
+    assert [l for l in cap.err.splitlines() if l.startswith("liftmix")] == [
+        f"liftmix: error: {line}"]
+    assert "Traceback" not in cap.err
+
+
+GRAPH_TEXTS = (THETA3_TEXT, ASYM_THETA_TEXT, SYM3_TEXT, bouquet_text(4, "1/2"))
+
+
+@st.composite
+def graph_files(draw):
+    """The bytes of a graph file: a valid graph, a truncated one, or random
+    bytes."""
+    kind = draw(st.sampled_from(["valid", "valid", "truncated", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    text = draw(st.sampled_from(GRAPH_TEXTS)).encode()
+    return text if kind == "valid" else text[:draw(st.integers(0, len(text)))]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and its options, negative and non-integer values
+    included, each drawn small: ``--n`` at most 64, ``--steps`` at most
+    5,000, ``--trials`` at most 2 and ``--workers`` 1 or 2."""
+    ints = st.integers
+    seed = ints(-2, 2**70)
+    degree = ints(-3, 64)
+    alpha = st.sampled_from(["0", "0.5", "-0.5", "1", "1.5", "nan", "inf"])
+    eps = st.sampled_from(["0.25", "0.5,0.1", "1.5", "0", "-1,0.5", "x", ","])
+    starts = st.sampled_from(["all", "sample:2", "sample:0", "sample:-1", "sample:1.5",
+                              "none"])
+    workers = st.sampled_from([1, 2])
+    command = draw(st.sampled_from(["validate", "analyze", "cover-sim", "lift", "mix",
+                                    "sweep", "spectrum"]))
+    options = {
+        "validate": {},
+        "analyze": {"alpha": alpha, "max-iter": ints(-1, 50)},
+        "cover-sim": {"alpha": alpha, "steps": ints(-2, 5000), "trials": ints(-1, 2),
+                      "seed": seed, "margin": ints(-2, 30), "r-max": ints(-2, 12),
+                      "root": st.sampled_from(["u", "v", "o", "zz"]),
+                      "e-star": st.sampled_from(["e1+", "e2-", "l1+", "zz"]),
+                      "workers": workers},
+        "lift": {"n": degree, "seed": seed},
+        "mix": {"n": degree, "seed": seed, "alpha": alpha, "eps": eps,
+                "starts": starts, "t-cap": ints(-1, 200)},
+        "sweep": {"n": st.sampled_from(["8,16", "4,8,16", "16,8", "8", "-3,8", "0,8",
+                                        "8,1.5", "x"]),
+                  "alpha": alpha, "eps": eps, "seeds": ints(-1, 2), "master-seed": seed,
+                  "starts": starts, "t-cap": ints(-1, 200), "workers": workers},
+        "spectrum": {"n": degree, "seed": seed, "alpha": alpha},
+    }[command]
+    # argparse requires --n, and mix would step a disconnected lift to its
+    # default cap of 10,000 steps
+    always = {"mix": ("n", "t-cap"), "sweep": ("n",), "spectrum": ("n",)}.get(command, ())
+    argv = [command]
+    for name, values in options.items():
+        value = draw(values if name in always else st.none() | values)
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(command_lines(), graph_files())
+def test_every_input_ends_in_an_exit_code_and_no_traceback(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "g.g")
+        with open(graph, "wb") as fh:
+            fh.write(data)
+        out = [] if argv[0] in ("validate", "analyze", "spectrum") else [
+            f"--out={os.path.join(tmp, 'out')}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--graph={graph}", *out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_exit_1_on_recurrent_analyze(capsys, sym3_file):

@@ -29,13 +29,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
   are cycles of hundreds to thousands of states; and a small-``n`` ``sweep
   --starts sample:8`` on theta3, whose sampled starts share a block and
   stop at different steps;
-* ``mix --starts all`` on the demo bouquet4 at ``n = 135``, whose blocks
-  of 16 starts or more are summed state-major, in two leaves of 8 groups
-  of 8 states and a tail of 7; and on the demo theta3 at ``n = 1000`` (2,000
-  states, in blocks of 32 starts) and the demo bouquet4 at ``n = 1001``
-  (1,001 states, with one state past the last group of 8), whose pairwise
-  sums have leaves of unequal lengths, so their blocks are summed
-  transposed;
+* ``mix --starts all`` on the demo bouquet4 at ``n = 135`` (135 states),
+  on the demo theta3 at ``n = 1000`` (2,000 states, in blocks of 32
+  starts) and on the demo bouquet4 at ``n = 1001`` (1,001 states), whose
+  TVs are summed over odd counts of states and counts that are not powers
+  of 2, in the one order of every block width;
 * ``sweep --starts all`` on theta3 at ``n = 8, 16, 32``, whose cell (16, 1)
   is a disconnected lift: two of its starts never get within TV 0.25, so
   the sweep fails with the step-cap error and writes no artifact;
@@ -62,9 +60,9 @@ of CLI calls on that tree and on the working tree's ``src/``:
 
 The working tree's ``mix`` and ``sweep`` calls run a second time in a child
 pinned to one CPU (``os.sched_setaffinity`` in that child only, where the
-platform has it), so that the curves stepped in the blocks sized for one CPU
-and those stepped in the blocks sized for every CPU are both compared with
-``--rev``.
+platform has it), and are compared with the working tree's own calls, so
+that the curves stepped in the blocks sized for one CPU are checked against
+those stepped in the blocks sized for every CPU, whatever ``--rev`` writes.
 
 For each call it compares the exit code, standard output, the error lines
 (``liftmix: ...`` on standard error), every artifact file byte for byte, and
@@ -415,11 +413,11 @@ def main(argv=None):
             one = _run([CHILD], one_dir, [new_src], json.dumps(picked),
                        cpus={min(os.sched_getaffinity(0))})
             diffs += [f"one CPU: {d}" for i, argv in enumerate(picked) if argv
-                      for d in compare(i, argv, old[i], one[i], old_dir, one_dir)]
+                      for d in compare(i, argv, new[i], one[i], new_dir, one_dir)]
     for line in diffs:
         print(line)
-    print(f"{len(argvs)} calls ({sum(map(bool, picked))} also on one CPU), "
-          f"{len(diffs)} difference(s) against {args.rev}")
+    print(f"{len(diffs)} difference(s): {len(argvs)} calls against {args.rev}, "
+          f"{sum(map(bool, picked))} of them also on one CPU against the working tree")
     return 1 if diffs else 0
 
 
