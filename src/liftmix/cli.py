@@ -94,6 +94,29 @@ def _out_dir(args):
     return args.out
 
 
+def _removes_made_out(command):
+    """``command``, but a call that fails removes the ``--out`` directories
+    it made, innermost first, while they are empty.  A call can be refused
+    anywhere, from its seed to its step cap, so none leaves an empty
+    ``--out`` behind; a directory it did not make is kept."""
+    def run(args):
+        made = []
+        path = os.path.abspath(args.out)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
+        try:
+            return command(args)
+        except BaseException:
+            for path in made:
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    pass
+            raise
+    return run
+
+
 def _canonical_json(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -310,6 +333,7 @@ def _cover_trial(packed):
     }
 
 
+@_removes_made_out
 def _cmd_cover_sim(args):
     if args.trials < 1:
         raise AnalysisError(f"trials must be at least 1, got {args.trials}")
@@ -408,6 +432,7 @@ def _cmd_cover_sim(args):
 # ---------------------------------------------------------------------------
 
 
+@_removes_made_out
 def _cmd_lift(args):
     g = _load_graph(args.graph)
     if args.verify is not None:
@@ -445,6 +470,7 @@ def _cmd_lift(args):
 # ---------------------------------------------------------------------------
 
 
+@_removes_made_out
 def _cmd_mix(args):
     g = _load_graph(args.graph)
     eps_list = _parse_eps_list(args.eps)
@@ -523,6 +549,7 @@ def _cmd_mix(args):
 # ---------------------------------------------------------------------------
 
 
+@_removes_made_out
 def _cmd_sweep(args):
     g = _load_graph(args.graph)
     eps_list = _parse_eps_list(args.eps)

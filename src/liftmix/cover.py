@@ -20,11 +20,14 @@ Only the walk itself is sequential.  :func:`simulate_walk` draws uniforms in
 blocks of 4096 and finds the holds of a block with numpy.  One
 ``searchsorted`` ranks the block's moving draws among the move thresholds
 of every base vertex, and a table built once per walk turns a vertex and a
-rank into the label drawn.  A Python loop over the moving draws then only
-looks the label up, keeps the label stack and goes on at the label's head.
-Heights are a cumulative sum of the moves.  The rest reads the finished
-trajectory in three stages, each one public function, through two
-last-exit rules:
+rank into the code of the label drawn: ``k + 2`` for label ``k``, with 0 a
+hold and 1 a pop.  A Python loop over the moving draws then only looks the
+code up, keeps the stack and goes on at the label's head.  On a graph of at
+most 254 oriented labels every rank and code fits in a byte, so a block's
+ranks reach the loop, and its codes leave it, as bytes.  The moves are the
+codes less 2, and the heights a cumulative sum of each code's rise.  The
+rest reads the finished trajectory in three stages, each one public
+function, through two last-exit rules:
 
 * the step after the walk's last visit to height ``j - 1`` is the last push
   to level ``j`` and is never undone; its label is the ray's level-``j``
@@ -163,12 +166,12 @@ def _build_sampler(g, alpha):
     positive orientation, where ``i`` is ``bisect_left`` of ``x`` in ``u``'s
     cumulative thresholds.  ``grid`` holds the thresholds of all vertices,
     sorted, each value once; a draw of rank ``j = searchsorted(grid, x)`` lies above
-    exactly ``grid[:j]``, so ``rows[u][j]`` is the label ``u`` takes.  The
-    table is made by comparisons alone, so it gives ``bisect_left``'s label
-    on the same float64 thresholds.
+    exactly ``grid[:j]``, so ``rows[u][j]`` is the code ``k + 2`` of the
+    label ``k`` that ``u`` takes.  The table is made by comparisons alone,
+    so it gives ``bisect_left``'s label on the same float64 thresholds.
     """
     thresholds = []
-    labels = []
+    codes = []
     for u in range(g.n_vertices):
         ks = [int(k) for k in g.out_oriented[u] if g.oriented_weight[k] > 0.0]
         acc = alpha
@@ -179,16 +182,16 @@ def _build_sampler(g, alpha):
         if cums:
             cums[-1] = max(cums[-1], 1.0)
         thresholds.append(cums)
-        labels.append(ks)
+        codes.append([k + 2 for k in ks])
     grid = np.unique(np.concatenate(thresholds))
     rows = []
-    for cums, ks in zip(thresholds, labels):
+    for cums, cs in zip(thresholds, codes):
         # how many of u's thresholds lie in grid[:j], for j = 0 .. len(grid).
         # Every draw is below 1 <= u's last threshold, so the ranks past it,
         # clipped here, never occur at u.
         index = np.searchsorted(cums, grid, side="right")
-        index = np.minimum(np.concatenate(([0], index)), len(ks) - 1)
-        rows.append(np.array(ks)[index].tolist())
+        index = np.minimum(np.concatenate(([0], index)), len(cs) - 1)
+        rows.append(np.array(cs)[index].tolist())
     return grid, rows
 
 
@@ -203,10 +206,15 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
     The uniforms come in blocks of 4096, one uniform a step; a step holds
     when its uniform is below ``alpha``.  One ``searchsorted`` ranks a
     block's moving draws among the thresholds of every vertex, and the loop
-    over them reads the label from the current vertex's row of the sampler
-    table at that rank, pushes it or pops the stack, and goes on at the
-    row of the label's head.  A block without a moving draw leaves the walk
-    where it was.
+    over them reads the code of the label drawn from the current vertex's
+    row of the sampler table at that rank, pushes it or pops the stack, and
+    goes on at the row of the label's head.  A step's code is 0 for a hold,
+    1 for a pop and ``k + 2`` for a push of label ``k``, so the moves are
+    the codes less 2 and the heights a cumulative sum of each code's rise.
+    On a graph of at most 254 oriented labels every rank and code fits in
+    a byte, and a block's ranks reach the loop, and its codes leave it, as
+    bytes; a larger graph passes them as Python lists.  A block without a
+    moving draw leaves the walk where it was.
     """
     alpha = holding_probability(g, alpha)
     if root_label not in g.vertex_index:
@@ -226,21 +234,26 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
         pass
 
     grid, rows = _build_sampler(g, alpha)
-    # after a move along label k the walk sits at the head of k
-    after = [rows[u] for u in g.oriented_end.tolist()]
+    # after a move along label k the walk sits at the head of k; its code
+    # k + 2 indexes ``after``
+    after = [None, None] + [rows[u] for u in g.oriented_end.tolist()]
     row = rows[g.vertex_index[root_label]]
-    moves = np.full(steps, MOVE_HOLD, dtype=np.int32)
-    # ``below`` holds, for each stacked label, the popping label of the one
-    # underneath, so ``pop`` is ``top ^ 1`` (-1 at the root, which no label
-    # equals).
+    # the largest code is n_oriented + 1, and no rank exceeds the count of
+    # positive labels
+    as_bytes = g.n_oriented <= 254
+    codes = np.zeros(steps, dtype=np.uint8 if as_bytes else np.int32)
+    # ``below`` holds, for each stacked code, the popping code of the one
+    # underneath, so ``pop`` is ``top ^ 1``, since adding 2 leaves the low
+    # bit alone (-1 at the root, which no code equals).
     below = []
     pop = -1
     # one block is drawn even for no steps
     for t in range(0, max(steps, 1), _BLOCK):
         r = rng.random(_BLOCK)[:steps - t]
         moving = np.flatnonzero(r >= alpha)
-        ranks = np.searchsorted(grid, r[moving]).tolist()
-        codes = [MOVE_POP] * len(ranks)
+        ranks = np.searchsorted(grid, r[moving])
+        ranks = ranks.astype(np.uint8).tobytes() if as_bytes else ranks.tolist()
+        block = [1] * len(ranks)
         for i in range(len(ranks)):
             k = row[ranks[i]]
             if k == pop:
@@ -248,12 +261,15 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
             else:
                 below.append(pop)
                 pop = k ^ 1
-                codes[i] = k
+                block[i] = k
             row = after[k]
-        moves[t:t + _BLOCK][moving] = codes
-    # a push (a label, >= 0) raises the walk one level and a pop lowers it
-    heights = np.greater_equal(moves, 0, out=np.empty(steps, dtype=np.int32))
-    heights[moves == MOVE_POP] = -1
+        codes[t:t + _BLOCK][moving] = (np.frombuffer(bytes(block), np.uint8)
+                                       if as_bytes else block)
+    moves = np.subtract(codes, 2, dtype=np.int32)
+    # a hold leaves the height, a pop lowers it and a push raises it
+    rise = np.ones(g.n_oriented + 2, dtype=np.int32)
+    rise[:2] = (0, -1)
+    heights = rise.take(codes)
     np.cumsum(heights, out=heights)
     return CoverTrajectory(root_label=root_label, alpha=alpha, moves=moves,
                            heights=heights)

@@ -72,13 +72,17 @@ def test_exit_1_on_an_output_directory_that_cannot_be_made(capsys, tmp_path):
     graph = os.path.join(os.path.dirname(__file__), "..", "demos", "graphs", "theta3.g")
     afile = tmp_path / "afile"
     afile.write_text("")
-    for out, reason in ((str(afile), "File exists"), ("", "No such file or directory")):
-        code, _, cap = run_cli(capsys, ["mix", "--graph", graph, "--n", "8", "--out", out])
-        assert code == 1
-        assert cap.err.startswith(
-            f"liftmix: error: cannot create output directory {out!r}: ")
-        assert reason in cap.err
-        assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
+    calls = (["mix", "--n", "8"], ["cover-sim", "--steps", "1000"], ["lift", "--n", "8"],
+             ["sweep", "--n", "8,16", "--seeds", "1"])
+    for argv in calls:
+        for out, reason in ((str(afile), "File exists"), ("", "No such file or directory")):
+            code, _, cap = run_cli(capsys, [argv[0], "--graph", graph, *argv[1:],
+                                            "--out", out])
+            assert code == 1
+            assert cap.err.startswith(
+                f"liftmix: error: cannot create output directory {out!r}: ")
+            assert reason in cap.err
+            assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
 
 
 def test_exit_1_on_parse_error(capsys, tmp_path):
@@ -117,6 +121,31 @@ def test_a_negative_seed_or_degree_gives_one_error_line(capsys, theta3_file, tmp
     assert [l for l in cap.err.splitlines() if l.startswith("liftmix")] == [
         f"liftmix: error: {line}"]
     assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "--n", "8", "--seed", "-1"],
+    ["mix", "--n", "-3"],
+    ["mix", "--n", "8", "--starts", "bogus"],
+    ["cover-sim", "--steps", "1000", "--seed", "-1"],
+    ["cover-sim", "--steps", "100"],
+    ["lift", "--n", "8", "--seed", "-1"],
+    ["lift", "--n", "-3"],
+    ["sweep", "--n", "8,16", "--seeds", "1", "--master-seed", "-1"],
+    ["sweep", "--n", "8,16", "--seeds", "0"],
+], ids=" ".join)
+def test_a_refused_call_leaves_no_output_directory(capsys, theta3_file, tmp_path,
+                                                   argv):
+    # refused on its seed or degree, on its start policy or seed count, or
+    # with a trajectory too short for any ray level; an empty directory that
+    # was there before is kept
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for out in (tmp_path / "a" / "b", empty):
+        code, _, cap = run_cli(capsys, [argv[0], "--graph", theta3_file, *argv[1:],
+                                        "--out", str(out)])
+        assert code == 1 and cap.err.count("liftmix: error: ") == 1
+    assert not (tmp_path / "a").exists() and empty.is_dir()
 
 
 GRAPH_TEXTS = (THETA3_TEXT, ASYM_THETA_TEXT, SYM3_TEXT, bouquet_text(4, "1/2"))

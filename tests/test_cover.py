@@ -38,6 +38,8 @@ from liftmix.cover import (
     cover_vertex_type,
 )
 
+from conftest import bouquet_text
+
 LOG2 = math.log(2.0)
 
 
@@ -802,6 +804,21 @@ def test_a_block_of_holds_keeps_the_walks_vertex(c3b, root):
     traj = _assert_walk_matches_scalar(c3b, root, steps, alpha, substream(4, "walk"),
                                        substream(4, "walk"))
     assert (traj.moves[10 * 4096:11 * 4096] == MOVE_HOLD).all()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("loops", [127, 128])
+def test_walks_at_and_past_the_byte_limit_match_the_scalar_walk(loops, alpha):
+    # 127 loops give 254 labels, the most whose ranks and codes pass between
+    # numpy and the loop as bytes; 128 give 256, which take the list path,
+    # where a byte would wrap their top ranks and labels
+    g = parse_graph(bouquet_text(2 * loops))
+    for steps in (0, 4095, 4096, 4097, 20_000):
+        traj = _assert_walk_matches_scalar(g, "o", steps, alpha,
+                                           substream(7, "walk", steps),
+                                           substream(7, "walk", steps))
+        assert traj.moves.dtype == traj.heights.dtype == np.int32
+    assert traj.moves.max() == 2 * loops - 1
 
 
 # Hand-built trajectories for the two rules behind the confirmed ray and the

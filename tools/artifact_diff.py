@@ -52,6 +52,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
   ``--alpha 1.5``, which each must refuse with the same error line and no
   artifact, and ``mix`` and ``sweep`` with both ``--alpha 1.5`` and
   ``--eps 1.5``, whose error line shows which check comes first;
+* ``mix``, ``cover-sim``, ``lift`` and ``spectrum`` with ``--seed -1``,
+  ``sweep --master-seed -1``, ``mix --n -3`` and ``lift --n -3``, and
+  ``validate`` and ``analyze`` on a graph file with a weight of ``1e400``
+  and on one holding the bytes ``00 ff fe``, which each must be refused
+  with the same error line and no artifact;
 * ``validate`` and ``analyze`` on 100 graphs of the kinds the analyze batch
   leaves out or rarely draws: reducible ones, recurrent ones, ones whose
   core is a single cycle, one-way ones (an orientation of the core lies on
@@ -92,6 +97,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_GRAPHS = os.path.join(ROOT, "demos", "graphs")
 BENCH_GRAPHS = os.path.join(ROOT, "perfbench", "graphs")
 OUT = "{out}"  # replaced by each call's own artifact directory
+
+#: Graph files that are refused: a weight past the largest double, and bytes
+#: that are not UTF-8.
+BAD_GRAPHS = {
+    "huge-weight": b"vertex a\nedge e a a 1e400 1/2\n",
+    "not-utf8": b"\x00\xff\xfe",
+}
 
 #: Runs in a child: reads ``[argv, ...]`` as JSON on stdin, calls the CLI
 #: once per entry with artifacts under ``out/<index>`` (``null`` entries are
@@ -260,6 +272,16 @@ def calls(batch, rejected):
         ["mix", *bad, "--n", "8", "--eps", "1.5", *out],
         ["sweep", *bad, "--n", "8,16", "--eps", "1.5", *out],
     ]
+    theta3 = ["--graph", _graph(DEMO_GRAPHS, "theta3")]
+    argvs += [
+        ["mix", *theta3, "--n", "8", "--seed", "-1", *out],
+        ["cover-sim", *theta3, "--steps", "1000", "--seed", "-1", *out],
+        ["lift", *theta3, "--n", "8", "--seed", "-1", *out],
+        ["spectrum", *theta3, "--n", "8", "--seed", "-1"],
+        ["sweep", *theta3, "--n", "8,16", "--seeds", "1", "--master-seed", "-1", *out],
+        ["mix", *theta3, "--n", "-3", *out],
+        ["lift", *theta3, "--n", "-3", *out],
+    ]
     for g in batch + rejected:
         argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
     return argvs
@@ -398,7 +420,12 @@ def main(argv=None):
         new_src = os.path.join(ROOT, "src")
         batch, rejected = _run([BATCH, os.path.join(work, "batch"), BENCH_GRAPHS],
                                work, [ROOT, new_src])
-        argvs = calls(batch, rejected)
+        bad_graphs = []
+        for name, data in BAD_GRAPHS.items():
+            bad_graphs.append(os.path.join(work, f"{name}.g"))
+            with open(bad_graphs[-1], "wb") as fh:
+                fh.write(data)
+        argvs = calls(batch, rejected + bad_graphs)
         stdin = json.dumps(argvs)
         print(f"running {len(argvs)} CLI calls at {args.rev} ...", file=sys.stderr)
         old = _run([CHILD], old_dir, [old_src], stdin)
