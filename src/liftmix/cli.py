@@ -8,6 +8,12 @@ byte.  Artifacts embed the configuration digest, library version, and
 graph digest; commands that write files also write a ``manifest.json``
 whose only non-reproducible content is isolated under its ``timing`` key.
 
+:func:`main` is the one place that runs a command: it loads the graph once
+and passes it to the command's handler, and a refused call removes the
+``--out`` directories that it made while they are empty.  An ``--out``
+that cannot be made is refused before any work, and each artifact's
+manifest digest is that of the text written, not of a file read back.
+
 Exit codes: 0 success; 1 validation or analysis error; 2 numerical
 non-convergence; 3 usage error.
 """
@@ -47,7 +53,6 @@ from .lift import draw_lift, lift_from_json, lift_to_json, spectrum_inheritance_
 from .mixing import (
     _cell_curves,
     _pool_map,
-    _pool_size,
     _worst_start,
     cutoff_sweep,
 )
@@ -76,57 +81,26 @@ def _progress(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
-def _load_graph(path):
+def _read_text(path, what):
+    """The text of the ``what`` file at ``path``; one ``GraphError`` line
+    when it cannot be opened or is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise GraphError(f"cannot read graph file {path!r}: {exc}") from exc
-    return parse_graph(text)
-
-
-def _out_dir(args):
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise AnalysisError(
-            f"cannot create output directory {args.out!r}: {exc}") from exc
-    return args.out
-
-
-def _removes_made_out(command):
-    """``command``, but a call that fails removes the ``--out`` directories
-    it made, innermost first, while they are empty.  A call can be refused
-    anywhere, from its seed to its step cap, so none leaves an empty
-    ``--out`` behind; a directory it did not make is kept."""
-    def run(args):
-        made = []
-        path = os.path.abspath(args.out)
-        while not os.path.exists(path):
-            made.append(path)
-            path = os.path.dirname(path)
-        try:
-            return command(args)
-        except BaseException:
-            for path in made:
-                try:
-                    os.rmdir(path)
-                except OSError:
-                    pass
-            raise
-    return run
+        raise GraphError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def _canonical_json(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, data):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -143,23 +117,17 @@ def _csv_text(meta, header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _file_sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class _Run:
     """Configuration, artifacts and manifest of one command run.
 
     The configuration opens with the command name and the graph digest; its
     digest, the library version and the graph digest form ``meta``, which
-    every payload and artifact carries.  Artifacts are written atomically
-    into ``out_dir``; :meth:`manifest` then records their SHA-256 digests.
-    The manifest's ``timing`` key, its only non-reproducible content,
-    counts from the creation of the run.
+    every payload and artifact carries.  A run given ``out_dir`` makes it
+    on creation, so an ``--out`` that cannot be made is refused before any
+    work.  Artifacts are written atomically into it, each with the SHA-256
+    digest of the text written, which :meth:`manifest` records.  The
+    manifest's ``timing`` key, its only non-reproducible content, counts
+    from the creation of the run.
     """
 
     def __init__(self, command, g, config, out_dir=None):
@@ -172,16 +140,23 @@ class _Run:
             "library_version": __version__,
             "graph_digest": g.digest(),
         }
+        if out_dir is not None:
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise AnalysisError(
+                    f"cannot create output directory {out_dir!r}: {exc}") from exc
         self.out_dir = out_dir
         self.artifacts = {}
         self.started = datetime.now(timezone.utc).isoformat()
         self.t0 = time.monotonic()
 
     def write(self, name, text):
-        """Write one artifact and return its path."""
+        """Write one artifact, record its digest and return its path."""
+        data = text.encode("utf-8")
         path = os.path.join(self.out_dir, name)
-        _atomic_write(path, text)
-        self.artifacts[name] = path
+        _atomic_write(path, data)
+        self.artifacts[name] = hashlib.sha256(data).hexdigest()
         return path
 
     def write_csv(self, name, header, rows, **extra_meta):
@@ -196,18 +171,25 @@ class _Run:
             "command": self.command,
             "config": self.config,
             **self.meta,
-            "artifacts": {
-                name: _file_sha256(path)
-                for name, path in sorted(self.artifacts.items())
-            },
+            "artifacts": dict(sorted(self.artifacts.items())),
             "timing": {
                 "started_utc": self.started,
                 "wall_seconds": round(time.monotonic() - self.t0, 6),
             },
         }
         path = os.path.join(self.out_dir, "manifest.json")
-        _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=False) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=False) + "\n"
+        _atomic_write(path, text.encode("utf-8"))
         return path
+
+    def closing_keys(self):
+        """The ``artifacts``, ``manifest`` and ``meta`` keys that close a
+        payload; writes ``manifest.json`` when there are artifacts."""
+        return {
+            "artifacts": sorted(self.artifacts),
+            "manifest": self.manifest(),
+            "meta": self.meta,
+        }
 
 
 def _parse_eps_list(text):
@@ -239,8 +221,7 @@ def _fmt_eps(e):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args):
-    g = _load_graph(args.graph)
+def _cmd_validate(args, g):
     report = g.assumptions
     transient = None
     reason = None
@@ -274,8 +255,7 @@ def _cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args):
-    g = _load_graph(args.graph)
+def _cmd_analyze(args, g):
     report = entropy(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     gc = report.core.graph
     fps = report.first_passage
@@ -333,13 +313,11 @@ def _cover_trial(packed):
     }
 
 
-@_removes_made_out
-def _cmd_cover_sim(args):
+def _cmd_cover_sim(args, g):
     if args.trials < 1:
         raise AnalysisError(f"trials must be at least 1, got {args.trials}")
     if args.r_max < 0:
         raise AnalysisError("r_max must be nonnegative")
-    g = _load_graph(args.graph)
     alpha = holding_probability(g, args.alpha)
     report = entropy(g, alpha=alpha)
     root = args.root if args.root is not None else g.vertices[0]
@@ -356,7 +334,7 @@ def _cmd_cover_sim(args):
         "e_star": g.oriented_name(e_star),
         "r_max": args.r_max,
         "per_trial": bool(args.per_trial),
-    }, _out_dir(args))
+    }, args.out)
     packed = [
         (report, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
          args.r_max)
@@ -420,9 +398,7 @@ def _cmd_cover_sim(args):
         "trials": args.trials,
         "h_analytic": report.entropy_rate,
         "speed_analytic": report.speed,
-        "artifacts": sorted(run.artifacts),
-        "manifest": run.manifest(),
-        "meta": run.meta,
+        **run.closing_keys(),
     }
     return payload
 
@@ -432,16 +408,9 @@ def _cmd_cover_sim(args):
 # ---------------------------------------------------------------------------
 
 
-@_removes_made_out
-def _cmd_lift(args):
-    g = _load_graph(args.graph)
+def _cmd_lift(args, g):
     if args.verify is not None:
-        try:
-            with open(args.verify, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise GraphError(f"cannot read lift file {args.verify!r}: {exc}") from exc
-        lift = lift_from_json(g, text)
+        lift = lift_from_json(g, _read_text(args.verify, "lift"))
         return {
             "verified": True,
             "n": lift.n,
@@ -451,7 +420,7 @@ def _cmd_lift(args):
         }
     if args.n is None:
         raise AnalysisError("--n is required unless --verify is given")
-    run = _Run("lift", g, {"n": args.n, "seed": args.seed}, _out_dir(args))
+    run = _Run("lift", g, {"n": args.n, "seed": args.seed}, args.out)
     lift = draw_lift(g, args.n, args.seed)
     payload_file = json.loads(lift_to_json(lift))
     payload_file["meta"] = run.meta
@@ -470,9 +439,7 @@ def _cmd_lift(args):
 # ---------------------------------------------------------------------------
 
 
-@_removes_made_out
-def _cmd_mix(args):
-    g = _load_graph(args.graph)
+def _cmd_mix(args, g):
     eps_list = _parse_eps_list(args.eps)
     eps_primary = eps_list[0]
     alpha = holding_probability(g, args.alpha)
@@ -483,7 +450,7 @@ def _cmd_mix(args):
         "eps": list(eps_list),
         "starts": args.starts,
         "t_cap": args.t_cap,
-    }, _out_dir(args))
+    }, args.out)
     last = 0
 
     def _report(done, total):
@@ -538,9 +505,7 @@ def _cmd_mix(args):
         "worst_crossings": summary["worst_crossings"],
         "periodic": worst_curve.periodic,
         "n": args.n,
-        "artifacts": sorted(run.artifacts),
-        "manifest": run.manifest(),
-        "meta": run.meta,
+        **run.closing_keys(),
     }
 
 
@@ -549,9 +514,7 @@ def _cmd_mix(args):
 # ---------------------------------------------------------------------------
 
 
-@_removes_made_out
-def _cmd_sweep(args):
-    g = _load_graph(args.graph)
+def _cmd_sweep(args, g):
     eps_list = _parse_eps_list(args.eps)
     n_grid = _parse_n_list(args.n)
     eps_primary = 0.25 if 0.25 in eps_list else eps_list[0]
@@ -565,13 +528,13 @@ def _cmd_sweep(args):
         "starts": args.starts,
         "t_cap": args.t_cap,
         "eps_primary": eps_primary,
-    }, _out_dir(args))
-    _progress(f"sweep over n={list(n_grid)}, {args.seeds} seeds, "
-              f"{_pool_size(args.workers, len(n_grid) * args.seeds)} worker(s)")
+    }, args.out)
     result = cutoff_sweep(
         g, n_grid, alpha=alpha, eps_list=eps_list, n_seeds=args.seeds,
         master_seed=args.master_seed, starts=args.starts, workers=args.workers,
         t_cap=args.t_cap, eps_primary=eps_primary,
+        progress=lambda workers: _progress(
+            f"sweep over n={list(n_grid)}, {args.seeds} seeds, {workers} worker(s)"),
     )
     rows = [
         (
@@ -614,9 +577,7 @@ def _cmd_sweep(args):
         "verdict_slope": result.verdict_slope,
         "verdict_window": result.verdict_window,
         "verdict": result.verdict,
-        "artifacts": sorted(run.artifacts),
-        "manifest": run.manifest(),
-        "meta": run.meta,
+        **run.closing_keys(),
     }
 
 
@@ -625,8 +586,7 @@ def _cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args):
-    g = _load_graph(args.graph)
+def _cmd_spectrum(args, g):
     lift = draw_lift(g, args.n, args.seed)
     alpha = holding_probability(g, args.alpha)
     chk = spectrum_inheritance_check(lift, alpha=alpha)
@@ -750,14 +710,29 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.error("a subcommand is required")
+    # a call can be refused anywhere, from its graph to its step cap, so a
+    # refused call removes the --out levels it made, innermost first, while
+    # they are empty; a directory it did not make is kept
+    made = []
+    path = os.path.abspath(getattr(args, "out", os.curdir))
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
-        payload = args.handler(args)
-    except NonConvergenceError as exc:
-        print(f"liftmix: non-convergence: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, AnalysisError) as exc:
-        print(f"liftmix: error: {exc}", file=sys.stderr)
-        return 1
+        payload = args.handler(args, parse_graph(_read_text(args.graph, "graph")))
+    except BaseException as exc:
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
+        if isinstance(exc, NonConvergenceError):
+            print(f"liftmix: non-convergence: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, (GraphError, AnalysisError)):
+            print(f"liftmix: error: {exc}", file=sys.stderr)
+            return 1
+        raise
     print(json.dumps(payload, separators=(",", ":")))
     return 0
 

@@ -377,9 +377,11 @@ def lift_to_json(lift):
 
 def lift_from_json(g, text):
     """Rebuild a lift serialized by :func:`lift_to_json`, revalidating it."""
+    # ValueError also covers an integer past Python's digit limit, and
+    # RecursionError an array or object nested past the recursion limit
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphError(f"invalid lift JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise GraphError("lift JSON must be an object")

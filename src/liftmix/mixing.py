@@ -535,14 +535,16 @@ def _sweep_cell(args):
 
 def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
                  master_seed=0, starts="sample:5", workers=1, t_cap=None,
-                 eps_primary=0.25):
+                 eps_primary=0.25, progress=None):
     """Measure worst-start mixing times over a grid of lift degrees.
 
     Computes the base graph's entropy rate first and refuses degenerate
     graphs, whose mixing time does not scale like ``log n``.  Each (n,
     seed) cell draws its lift and its start sample from dedicated
     deterministic substreams of ``master_seed``, so results are
-    byte-identical regardless of ``workers``.
+    byte-identical regardless of ``workers``.  ``progress``, when given,
+    is called as ``progress(processes)`` once every check has passed, just
+    before the cells run on that many processes.
     """
     alpha = holding_probability(g, alpha)
     report = entropy(g, alpha=alpha)
@@ -567,6 +569,8 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
                      else int(math.ceil(2.2 * math.log(n) / h)) + 30)
     cells = [(g, n, seed, alpha, eps_list, starts, int(master_seed),
               t_caps[n]) for n in n_grid for seed in range(n_seeds)]
+    if progress is not None:
+        progress(_pool_size(workers, len(cells)))
     rows = tuple(row for chunk in _pool_map(_sweep_cell, cells, workers)
                  for row in chunk)
 

@@ -18,6 +18,7 @@ import liftmix
 from liftmix import (
     __version__,
     draw_lift,
+    lift_to_json,
     mixing_curves,
     parse_graph,
     simulate_walk,
@@ -129,6 +130,7 @@ def test_a_negative_seed_or_degree_gives_one_error_line(capsys, theta3_file, tmp
     ["mix", "--n", "8", "--starts", "bogus"],
     ["cover-sim", "--steps", "1000", "--seed", "-1"],
     ["cover-sim", "--steps", "100"],
+    ["cover-sim", "--steps", "100", "--trials", "2", "--workers", "2"],
     ["lift", "--n", "8", "--seed", "-1"],
     ["lift", "--n", "-3"],
     ["sweep", "--n", "8,16", "--seeds", "1", "--master-seed", "-1"],
@@ -137,8 +139,8 @@ def test_a_negative_seed_or_degree_gives_one_error_line(capsys, theta3_file, tmp
 def test_a_refused_call_leaves_no_output_directory(capsys, theta3_file, tmp_path,
                                                    argv):
     # refused on its seed or degree, on its start policy or seed count, or
-    # with a trajectory too short for any ray level; an empty directory that
-    # was there before is kept
+    # with a trajectory too short for any ray level, also in a pool process;
+    # an empty directory that was there before is kept
     empty = tmp_path / "empty"
     empty.mkdir()
     for out in (tmp_path / "a" / "b", empty):
@@ -162,11 +164,24 @@ def graph_files(draw):
     return text if kind == "valid" else text[:draw(st.integers(0, len(text)))]
 
 
+LIFT_JSON = lift_to_json(draw_lift(parse_graph(THETA3_TEXT), 4, 0)).encode()
+
+
+@st.composite
+def lift_files(draw):
+    """The bytes of a lift file: a theta3 lift's JSON, whole or cut short,
+    or random bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    return LIFT_JSON[:draw(st.integers(0, len(LIFT_JSON)))]
+
+
 @st.composite
 def command_lines(draw):
     """A subcommand and its options, negative and non-integer values
     included, each drawn small: ``--n`` at most 64, ``--steps`` at most
-    5,000, ``--trials`` at most 2 and ``--workers`` 1 or 2."""
+    5,000, ``--trials`` at most 2 and ``--workers`` 1 or 2.  ``lift
+    --verify`` names the drawn lift file as ``{lift}``."""
     ints = st.integers
     seed = ints(-2, 2**70)
     degree = ints(-3, 64)
@@ -185,7 +200,7 @@ def command_lines(draw):
                       "root": st.sampled_from(["u", "v", "o", "zz"]),
                       "e-star": st.sampled_from(["e1+", "e2-", "l1+", "zz"]),
                       "workers": workers},
-        "lift": {"n": degree, "seed": seed},
+        "lift": {"n": degree, "seed": seed, "verify": st.just("{lift}")},
         "mix": {"n": degree, "seed": seed, "alpha": alpha, "eps": eps,
                 "starts": starts, "t-cap": ints(-1, 200)},
         "sweep": {"n": st.sampled_from(["8,16", "4,8,16", "16,8", "8", "-3,8", "0,8",
@@ -206,12 +221,16 @@ def command_lines(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(command_lines(), graph_files())
-def test_every_input_ends_in_an_exit_code_and_no_traceback(argv, data):
+@given(command_lines(), graph_files(), lift_files())
+def test_every_input_ends_in_an_exit_code_and_no_traceback(argv, data, lift_data):
     with tempfile.TemporaryDirectory() as tmp:
         graph = os.path.join(tmp, "g.g")
         with open(graph, "wb") as fh:
             fh.write(data)
+        lift = os.path.join(tmp, "lift.json")
+        with open(lift, "wb") as fh:
+            fh.write(lift_data)
+        argv = [a.replace("{lift}", lift) for a in argv]
         out = [] if argv[0] in ("validate", "analyze", "spectrum") else [
             f"--out={os.path.join(tmp, 'out')}"]
         err = io.StringIO()
@@ -599,6 +618,22 @@ def test_lift_verify_rejects_malformed_values(capsys, theta3_file, tmp_path, edi
     assert cap.err.startswith("liftmix: error: lift JSON")
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"\x00\xff\xfe", "cannot read lift file {path!r}: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 200_000, "invalid lift JSON: maximum recursion depth exceeded"),
+    (b'{"n": ' + b"1" * 5000 + b"}", "invalid lift JSON: Exceeds the limit"),
+], ids=["not-utf8", "deeply-nested", "long-integer"])
+def test_lift_verify_gives_one_error_line_on_unreadable_json(capsys, theta3_file,
+                                                             tmp_path, data, line):
+    path = tmp_path / "lift.json"
+    path.write_bytes(data)
+    code, _, cap = run_cli(capsys, ["lift", "--graph", theta3_file,
+                                    "--verify", str(path)])
+    assert code == 1
+    assert cap.err.startswith(f"liftmix: error: {line.format(path=str(path))}")
+    assert cap.err.count("\n") == 1
+
+
 def test_lift_requires_n_or_verify(capsys, theta3_file):
     code, _, cap = run_cli(capsys, ["lift", "--graph", theta3_file])
     assert code == 1
@@ -639,7 +674,16 @@ def test_mix_artifacts_and_summary(capsys, theta3_file, tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(tv, tv[1:]))
 
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["artifacts"]) == {"curve.csv", "summary.json"}
+    assert manifest["artifacts"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("curve.csv", "summary.json")
+    }
+    code, _, _ = run_cli(capsys, ["lift", "--graph", theta3_file, "--n", "8",
+                                  "--seed", "1", "--out", str(out / "lift")])
+    assert code == 0
+    manifest = json.loads((out / "lift" / "manifest.json").read_text())
+    assert manifest["artifacts"] == {
+        "lift.json": hashlib.sha256((out / "lift" / "lift.json").read_bytes()).hexdigest()}
 
 
 def test_mix_periodic_writes_averaged_curve(capsys, theta3_file, tmp_path):
@@ -856,6 +900,20 @@ def test_sweep_rejects_zero_seeds(capsys, theta3_file, tmp_path):
     assert code == 1
     assert "liftmix: error: n_seeds must be at least 1" in cap.err
     assert not (tmp_path / "x" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("graph, argv", [
+    ("theta3", ["--n", "8,16", "--seeds", "0"]),
+    ("theta3", ["--n", "16,8", "--seeds", "1"]),
+    ("biased_cycle", ["--n", "8,16", "--seeds", "1"]),
+], ids=["zero-seeds", "decreasing-grid", "degenerate"])
+def test_a_refused_sweep_announces_no_work(capsys, tmp_path, graph, argv):
+    # the progress line comes after every check that precedes the cells
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "graphs", f"{graph}.g")
+    code, _, cap = run_cli(capsys, ["sweep", "--graph", path, *argv,
+                                    "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert cap.err.startswith("liftmix: error: ") and cap.err.count("\n") == 1
 
 
 def test_sweep_rejects_degenerate_graph(capsys, tmp_path):

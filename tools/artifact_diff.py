@@ -57,6 +57,10 @@ of CLI calls on that tree and on the working tree's ``src/``:
   ``validate`` and ``analyze`` on a graph file with a weight of ``1e400``
   and on one holding the bytes ``00 ff fe``, which each must be refused
   with the same error line and no artifact;
+* ``lift --verify`` on theta3 with a lift file holding the bytes ``00 ff
+  fe``, 200,000 ``[`` characters, an integer of 5,000 digits, or a lift
+  JSON cut short, and ``cover-sim --workers 2`` with 100 steps, refused in
+  a pool process, which each must end in one error line and no artifact;
 * ``validate`` and ``analyze`` on 100 graphs of the kinds the analyze batch
   leaves out or rarely draws: reducible ones, recurrent ones, ones whose
   core is a single cycle, one-way ones (an orientation of the core lies on
@@ -69,7 +73,8 @@ platform has it), and are compared with the working tree's own calls, so
 that the curves stepped in the blocks sized for one CPU are checked against
 those stepped in the blocks sized for every CPU, whatever ``--rev`` writes.
 
-For each call it compares the exit code, standard output, the error lines
+For each call it compares the exit code, the type and message of an
+exception that ``main`` did not catch, standard output, the error lines
 (``liftmix: ...`` on standard error), every artifact file byte for byte, and
 ``manifest.json`` without its ``timing`` key.  Each difference is printed;
 the exit status is 1 if there is any, else 0.  When two JSON payloads on
@@ -105,9 +110,21 @@ BAD_GRAPHS = {
     "not-utf8": b"\x00\xff\xfe",
 }
 
+#: Lift files that ``lift --verify`` refuses: bytes that are not UTF-8,
+#: arrays nested past the recursion limit, an integer past the digit limit,
+#: and a lift JSON cut short.
+BAD_LIFTS = {
+    "not-utf8": b"\x00\xff\xfe",
+    "deeply-nested": b"[" * 200_000,
+    "long-integer": b'{"n": ' + b"1" * 5000 + b"}",
+    "truncated": b'{"base_hash": "0", "n": 2, "permutations": {"e1": [2, 1',
+}
+
 #: Runs in a child: reads ``[argv, ...]`` as JSON on stdin, calls the CLI
 #: once per entry with artifacts under ``out/<index>`` (``null`` entries are
-#: skipped and give ``null``), prints the results.
+#: skipped and give ``null``), prints the results.  An exception that
+#: ``main`` does not catch is that call's ``raised`` result, so it shows as a
+#: difference on that call alone.
 CHILD = r"""
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -120,13 +137,17 @@ for i, argv in enumerate(json.load(sys.stdin)):
         continue
     argv = [f"out/{i}" if a == "{out}" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
+    rc = raised = None
     with redirect_stdout(out), redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
+        except Exception as exc:
+            raised = f"{type(exc).__name__}: {exc}"
     errors = [l for l in err.getvalue().splitlines() if l.startswith("liftmix")]
-    results.append({"rc": rc, "stdout": out.getvalue(), "errors": errors})
+    results.append({"rc": rc, "raised": raised, "stdout": out.getvalue(),
+                    "errors": errors})
 json.dump(results, sys.stdout)
 """
 
@@ -192,9 +213,9 @@ def _graph(directory, name):
     return os.path.join(directory, f"{name}.g")
 
 
-def calls(batch, rejected):
+def calls(batch, rejected, bad_lifts):
     """The fixed list of CLI argument vectors, given the paths of the batch
-    graphs and of the rejected graphs."""
+    graphs, of the rejected graphs and of the refused lift files."""
     theta3, bouquet4 = _graph(BENCH_GRAPHS, "theta3"), _graph(BENCH_GRAPHS, "bouquet4")
     out = ["--out", OUT]
     argvs = [
@@ -281,7 +302,10 @@ def calls(batch, rejected):
         ["sweep", *theta3, "--n", "8,16", "--seeds", "1", "--master-seed", "-1", *out],
         ["mix", *theta3, "--n", "-3", *out],
         ["lift", *theta3, "--n", "-3", *out],
+        ["cover-sim", *theta3, "--steps", "100", "--trials", "2", "--workers", "2",
+         *out],
     ]
+    argvs += [["lift", *theta3, "--verify", path] for path in bad_lifts]
     for g in batch + rejected:
         argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
     return argvs
@@ -380,7 +404,7 @@ def _numbers_only(a, b, csv=False):
 def compare(i, argv, old, new, old_dir, new_dir):
     """Differences of one call, as printable lines."""
     where = f"call {i} ({' '.join(a for a in argv if a not in ('--out', OUT))})"
-    diffs = [f"{where}: {key} differs" for key in ("rc", "errors")
+    diffs = [f"{where}: {key} differs" for key in ("rc", "raised", "errors")
              if old[key] != new[key]]
     if old["stdout"] != new["stdout"]:
         diffs.append(f"{where}: stdout differs"
@@ -420,12 +444,14 @@ def main(argv=None):
         new_src = os.path.join(ROOT, "src")
         batch, rejected = _run([BATCH, os.path.join(work, "batch"), BENCH_GRAPHS],
                                work, [ROOT, new_src])
-        bad_graphs = []
-        for name, data in BAD_GRAPHS.items():
-            bad_graphs.append(os.path.join(work, f"{name}.g"))
-            with open(bad_graphs[-1], "wb") as fh:
-                fh.write(data)
-        argvs = calls(batch, rejected + bad_graphs)
+        bad_graphs, bad_lifts = [], []
+        for files, bad, suffix in ((bad_graphs, BAD_GRAPHS, ".g"),
+                                   (bad_lifts, BAD_LIFTS, ".lift")):
+            for name, data in bad.items():
+                files.append(os.path.join(work, name + suffix))
+                with open(files[-1], "wb") as fh:
+                    fh.write(data)
+        argvs = calls(batch, rejected + bad_graphs, bad_lifts)
         stdin = json.dumps(argvs)
         print(f"running {len(argvs)} CLI calls at {args.rev} ...", file=sys.stderr)
         old = _run([CHILD], old_dir, [old_src], stdin)
