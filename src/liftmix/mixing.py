@@ -57,7 +57,7 @@ from .analyzer import entropy
 from .base_graph import holding_probability, transition_matrix
 from .errors import AnalysisError
 from .lift import _step, apply_kernel, draw_lift, lift_stationary, project_distribution
-from .rng import substream
+from .rng import _check_seed, substream
 
 #: Tolerance for the per-step mass-conservation and TV-monotonicity checks.
 PROPAGATION_TOL = 1e-12
@@ -421,20 +421,18 @@ def _block_curves(lift, starts, periodic, alpha, eps_list, t_cap, pi, buf):
 # ---------------------------------------------------------------------------
 
 
-def _draw_starts(lift, starts, master_seed, index=0):
-    """The start states of the ``index``-th lift of degree ``lift.n`` drawn
-    from ``master_seed`` (:func:`~liftmix.lift.draw_lift`), and whether they
-    are all of its states, under the policy ``starts``: ``'all'``, at most
-    :data:`EXHAUSTIVE_START_CAP` states, or ``'sample:k'``, ``k`` distinct
-    states (all of them when there are fewer) from that lift's start
-    stream."""
+def _start_policy(starts, n_states):
+    """The sample size ``k`` of the start policy ``'sample:k'``, or None for
+    ``'all'`` on a lift of ``n_states`` states, at most
+    :data:`EXHAUSTIVE_START_CAP`; any other policy raises
+    :class:`AnalysisError`."""
     if starts == "all":
-        if lift.n_states > EXHAUSTIVE_START_CAP:
+        if n_states > EXHAUSTIVE_START_CAP:
             raise AnalysisError(
-                f"{lift.n_states} states exceeds the exhaustive cap "
+                f"{n_states} states exceeds the exhaustive cap "
                 f"{EXHAUSTIVE_START_CAP}; use starts='sample:k'"
             )
-        return list(range(lift.n_states)), True
+        return None
     if isinstance(starts, str) and starts.startswith("sample:"):
         try:
             k = int(starts.split(":", 1)[1])
@@ -442,10 +440,23 @@ def _draw_starts(lift, starts, master_seed, index=0):
             raise AnalysisError(f"bad start policy {starts!r}") from None
         if k < 1:
             raise AnalysisError("sample size must be >= 1")
-        rng = substream(master_seed, "start-sample", lift.n, index)
-        picks = rng.choice(lift.n_states, size=min(k, lift.n_states), replace=False)
-        return [int(x) for x in picks], False
+        return k
     raise AnalysisError(f"bad start policy {starts!r}; use 'all' or 'sample:k'")
+
+
+def _draw_starts(lift, starts, master_seed, index=0):
+    """The start states of the ``index``-th lift of degree ``lift.n`` drawn
+    from ``master_seed`` (:func:`~liftmix.lift.draw_lift`), and whether they
+    are all of its states, under the policy ``starts``
+    (:func:`_start_policy`): ``'all'``, or ``'sample:k'``, ``k`` distinct
+    states (all of them when there are fewer) from that lift's start
+    stream."""
+    k = _start_policy(starts, lift.n_states)
+    if k is None:
+        return list(range(lift.n_states)), True
+    rng = substream(master_seed, "start-sample", lift.n, index)
+    picks = rng.choice(lift.n_states, size=min(k, lift.n_states), replace=False)
+    return [int(x) for x in picks], False
 
 
 def _worst_start(times):
@@ -563,6 +574,10 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     eps_list = tuple(float(e) for e in eps_list)
     if eps_primary not in eps_list:
         raise AnalysisError("eps_primary must be one of eps_list")
+    # every cell would refuse these, so they are refused before any runs
+    _check_seed(master_seed)
+    for n in n_grid:
+        _start_policy(starts, n * g.n_vertices)
     t_caps = {}
     for n in n_grid:
         t_caps[n] = (int(t_cap) if t_cap is not None

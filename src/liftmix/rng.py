@@ -13,6 +13,12 @@ import numpy as np
 from .errors import AnalysisError
 
 
+def _check_seed(seed):
+    """Raise :class:`AnalysisError` when ``seed`` is negative."""
+    if seed < 0:
+        raise AnalysisError(f"seed must be a non-negative integer, got {seed}")
+
+
 def substream(master_seed, purpose, *indices):
     """Return a ``numpy.random.Generator`` for one named stream.
 
@@ -34,8 +40,7 @@ def substream(master_seed, purpose, *indices):
     AnalysisError
         When ``master_seed`` is negative.
     """
-    if master_seed < 0:
-        raise AnalysisError(f"seed must be a non-negative integer, got {master_seed}")
+    _check_seed(master_seed)
     digest = hashlib.sha256(purpose.encode("utf-8")).digest()
     words = tuple(
         int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)

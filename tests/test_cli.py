@@ -906,7 +906,11 @@ def test_sweep_rejects_zero_seeds(capsys, theta3_file, tmp_path):
     ("theta3", ["--n", "8,16", "--seeds", "0"]),
     ("theta3", ["--n", "16,8", "--seeds", "1"]),
     ("biased_cycle", ["--n", "8,16", "--seeds", "1"]),
-], ids=["zero-seeds", "decreasing-grid", "degenerate"])
+    ("theta3", ["--n", "8,16", "--seeds", "1", "--master-seed", "-1"]),
+    ("theta3", ["--n", "8,16", "--seeds", "1", "--starts", "bogus"]),
+    ("theta3", ["--n", "8,16384", "--seeds", "1", "--starts", "all"]),
+], ids=["zero-seeds", "decreasing-grid", "degenerate", "negative-seed", "bad-starts",
+        "too-many-states"])
 def test_a_refused_sweep_announces_no_work(capsys, tmp_path, graph, argv):
     # the progress line comes after every check that precedes the cells
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "graphs", f"{graph}.g")

@@ -33,6 +33,8 @@ from liftmix.cover import (
     DEFAULT_MARGIN,
     MOVE_HOLD,
     MOVE_POP,
+    _COMPARED_VALUES,
+    _build_sampler,
     _ray_prefix_lengths,
     cover_moves,
     cover_vertex_type,
@@ -819,6 +821,49 @@ def test_walks_at_and_past_the_byte_limit_match_the_scalar_walk(loops, alpha):
                                            substream(7, "walk", steps))
         assert traj.moves.dtype == traj.heights.dtype == np.int32
     assert traj.moves.max() == 2 * loops - 1
+
+
+def _one_vertex_text(k, alpha):
+    """One vertex with ``k`` positive orientations of weight ``1/k``; for an
+    odd ``k`` one loop's reverse has weight 0."""
+    lines = [f"alpha {alpha}", "vertex o"]
+    for j in range(k // 2):
+        lines.append(f"edge l{j} o o 1/{k} 1/{k}")
+    if k % 2:
+        lines.append(f"edge dead o o 1/{k} 0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2"])
+@pytest.mark.parametrize("past", [0, 1])
+def test_walks_at_and_past_the_comparison_cutoff_match_the_scalar_walk(past, alpha):
+    # k positive orientations at one vertex give k - 1 grid values below 1:
+    # the cutoff's count of them is ranked by comparisons, one more by
+    # searchsorted
+    g = parse_graph(_one_vertex_text(_COMPARED_VALUES + 1 + past, alpha))
+    grid = _build_sampler(g, g.alpha)[0]
+    assert (grid < 1.0).sum() == _COMPARED_VALUES + past
+    for steps in (4097, 20_000):
+        _assert_walk_matches_scalar(g, "o", steps, g.alpha, substream(8, "walk", steps),
+                                    substream(8, "walk", steps))
+
+
+@pytest.mark.parametrize("name, alpha, draws", [
+    # every threshold of bouquet4 at alpha 0 is dyadic, so a draw can equal
+    # one exactly; bisect_left puts such a draw on the label it closes
+    ("bouquet4", 0.0, [0.25, 0.5, 0.75, 0.0, 0.5, 0.25, 0.75, 0.5, 0.1]),
+    # a draw equal to alpha moves, on the first label
+    ("theta3", 0.5, [0.5, 0.75, 0.5, 0.625, 0.5, 0.25, 0.875]),
+])
+def test_draws_equal_to_a_threshold_match_the_scalar_walk(request, name, alpha, draws):
+    g = request.getfixturevalue(name)
+    grid = _build_sampler(g, alpha)[0]
+    draws = np.concatenate((draws, grid[grid < 1.0]))
+    rng = SimpleNamespace(random=lambda n: np.resize(draws, n))
+    moves, heights = _scalar_walk(g, g.vertices[0], 10_000, alpha, rng)
+    traj = simulate_walk(g, g.vertices[0], 10_000, alpha=alpha, rng=rng)
+    assert traj.moves.tolist() == moves
+    assert traj.heights.tolist() == heights
 
 
 # Hand-built trajectories for the two rules behind the confirmed ray and the
