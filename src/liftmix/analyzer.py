@@ -252,23 +252,16 @@ def ray_law(g, first_passage):
     # 2 r / (1 - return probability); exits within that of zero are zero.
     support = exit_prob > 2.0 * first_passage.error / stay[g.oriented_init]
     kernel = np.zeros((n_or, n_or))
-    out_by_vertex = [[] for _ in range(g.n_vertices)]
-    for k in range(n_or):
-        if support[k]:
-            out_by_vertex[g.oriented_init[k]].append(k)
-    for k in range(n_or):
-        if not support[k]:
-            continue
+    for k in np.flatnonzero(support).tolist():
         denom = 1.0 - exit_prob[inv[k]]
         if denom <= 1e-14:
             raise AnalysisError(
                 "ray kernel denominator vanished: the reverse of a ray edge "
                 "would itself be a sure ray edge"
             )
-        for l in out_by_vertex[g.oriented_end[k]]:
-            if l == inv[k]:
-                continue
-            kernel[k, l] = exit_prob[l] / denom
+        for l in g.continuations[k]:
+            if support[l]:
+                kernel[k, l] = exit_prob[l] / denom
 
     # Unique closed class of the ray chain, a component that no arc leaves,
     # then its stationary law.
@@ -334,42 +327,16 @@ def weight_entropy(raylaw):
     return WeightEntropy(value=float(total), degenerate=False)
 
 
-def _line_drift_speed(g):
-    """Escape speed when the pruned graph is a single cycle.
-
-    The cover is then a bi-infinite line with weights repeating with the
-    cycle's period; the speed is the absolute mean drift under the
-    stationary law of the position-phase chain.
-    """
-    pure_cycles = g.cycle_census[3]
-    if not pure_cycles:
-        raise AnalysisError("no cycle found for line-drift speed")
-    cycle = pure_cycles[0]
-    m = len(cycle)
-    p = np.array([g.oriented_weight[k] for k in cycle])
-    if m == 1:
-        return float(abs(2.0 * p[0] - 1.0))
-    phase = np.zeros((m, m))
-    for j in range(m):
-        phase[j, (j + 1) % m] += p[j]
-        phase[j, (j - 1) % m] += 1.0 - p[j]
-    mu, residual = solve_stationary(phase)
-    if residual > RAY_STATIONARY_TOL:
-        raise AnalysisError(f"phase-chain stationary residual {residual:.3e}")
-    return float(abs(np.dot(mu, 2.0 * p - 1.0)))
-
-
 def speed(g, first_passage, raylaw):
-    """Escape speed of the non-lazy cover walk, in levels per step.
+    """Escape speed of the non-lazy cover walk on the pruned graph ``g``, in
+    levels per step.
 
-    With branching escape directions the reciprocal speed is the stationary
-    mean of ``p(e~) / (w(e~) * (1 - p(e~)))`` over ray edges ``e``; the
-    middle factor is evaluated through ``prob_over_weight`` so zero-weight
-    reverse orientations contribute their correct finite limit.  A
-    single-cycle graph instead uses the explicit line-drift formula.
+    The reciprocal speed is the stationary mean of ``p(e~) / (w(e~) * (1 -
+    p(e~)))`` over ray edges ``e``; the middle factor is evaluated through
+    ``prob_over_weight`` so zero-weight reverse orientations contribute
+    their correct finite limit.  The one formula holds for every transient
+    core, a single cycle (whose cover is a line) included.
     """
-    if not g.assumptions.a2_two_cycles:
-        return _line_drift_speed(g)
     q = first_passage.prob
     qow = first_passage.prob_over_weight
     freq = raylaw.edge_freq

@@ -36,8 +36,11 @@ Besides parsing and validation this module provides:
 A graph keeps these results once computed (``g.vertex_components``,
 ``g.cycle_census``, ``g.assumptions``, ``g.stationary``, ``g.core``,
 ``g.transience``); a call that raises keeps nothing and raises again on the
-next access.  ``g.core.host_oriented`` maps the oriented edges of the pruned
-graph to those of ``g``.
+next access.  It also keeps one table of the walk's moves,
+``g.out_oriented``, and one of their non-backtracking continuations,
+``g.continuations``, which the cycle census, the ray kernel and the cover
+walk all read.  ``g.core.host_oriented`` maps the oriented edges of the
+pruned graph to those of ``g``.
 """
 
 from __future__ import annotations
@@ -128,11 +131,21 @@ class WeightedMultigraph:
 
     @cached_property
     def out_oriented(self):
-        """Tuple (per vertex index) of arrays of oriented edges leaving it."""
+        """The walk's moves: per vertex index, an array of the positive-weight
+        oriented edges leaving it, in index order."""
         buckets = [[] for _ in self.vertices]
-        for k in range(self.n_oriented):
+        for k in np.flatnonzero(self.oriented_weight > 0.0).tolist():
             buckets[self.oriented_init[k]].append(k)
         return tuple(np.array(b, dtype=np.int64) for b in buckets)
+
+    @cached_property
+    def continuations(self):
+        """Per oriented edge ``k``, the non-backtracking continuations: the
+        moves out of ``k``'s head other than ``k ^ 1``, as a tuple of ints in
+        index order."""
+        moves = [out.tolist() for out in self.out_oriented]
+        return tuple(tuple(l for l in moves[v] if l != (k ^ 1))
+                     for k, v in enumerate(self.oriented_end.tolist()))
 
     @cached_property
     def vertex_components(self):
@@ -357,24 +370,6 @@ class AssumptionReport:
     witness_cycles: tuple
 
 
-def _continuation_arcs(g):
-    """Non-backtracking continuation structure on positive oriented edges.
-
-    Returns ``(nodes, succ)`` where ``nodes`` lists positive oriented edges
-    and ``succ[k]`` lists the positive oriented edges ``l`` with
-    ``init(l) == end(k)`` and ``l != inverse(k)``.
-    """
-    weight = g.oriented_weight
-    nodes = [k for k in range(g.n_oriented) if weight[k] > 0.0]
-    out_by_vertex = [[] for _ in range(g.n_vertices)]
-    for k in nodes:
-        out_by_vertex[g.oriented_init[k]].append(k)
-    succ = {}
-    for k in nodes:
-        succ[k] = [l for l in out_by_vertex[g.oriented_end[k]] if l != (k ^ 1)]
-    return nodes, succ
-
-
 def _component_has_cycle(comp, succ):
     if len(comp) > 1:
         return True
@@ -419,7 +414,8 @@ def _cycle_structure(g):
     Returns ``(a4, a2, witnesses, pure_cycles)`` where ``pure_cycles`` lists
     the unique simple cycle of every branching-free cyclic component.
     """
-    nodes, succ = _continuation_arcs(g)
+    nodes = np.flatnonzero(g.oriented_weight > 0.0).tolist()
+    succ = g.continuations
     index = {k: i for i, k in enumerate(nodes)}
     tails = [index[k] for k in nodes for _ in succ[k]]
     heads = [index[l] for k in nodes for l in succ[k]]

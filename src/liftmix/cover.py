@@ -14,7 +14,10 @@ ray renewals.  The functions that need the ray's law take it as ``ray``, an
 object with ``graph``, ``exit_prob`` and ``edge_freq`` indexed on the
 oriented edges of ``graph``: for a walk on a graph ``g``, the
 :class:`~liftmix.analyzer.EntropyReport` of ``g``, which states the law of
-its pruned core on ``g``'s own oriented edges.
+its pruned core on ``g``'s own oriented edges.  :func:`renewal_edge`'s
+default pick also reads ``ray.first_passage.error``, so without an
+``e_star`` it takes the report, not a bare
+:class:`~liftmix.analyzer.RayLaw`.
 
 Only the walk itself is sequential.  :func:`simulate_walk` draws uniforms in
 blocks of 4096 and finds the holds of a block with numpy, which ranks the
@@ -116,10 +119,10 @@ class CoverMove:
 def cover_moves(g, v, alpha=None):
     """All moves of the lazy walk out of a cover vertex, with probabilities.
 
-    Holding has probability ``alpha``; each positive outgoing orientation of
-    the current base vertex gets ``(1 - alpha)`` times its weight.  The
-    orientation reversing the last label is a "down" move (pop), every
-    other one an "up" move (push).
+    Holding has probability ``alpha``; each move of the current base vertex
+    (``g.out_oriented``, its positive outgoing orientations) gets ``(1 -
+    alpha)`` times its weight.  The orientation reversing the last label is
+    a "down" move (pop), every other one an "up" move (push).
     """
     alpha = holding_probability(g, alpha)
     base = cover_vertex_type(g, v)
@@ -130,12 +133,8 @@ def cover_moves(g, v, alpha=None):
     if alpha > 0.0:
         moves.append(CoverMove("hold", None, alpha, v))
     last = v.labels[-1] if v.labels else None
-    for k in g.out_oriented[u]:
-        k = int(k)
-        w = g.oriented_weight[k]
-        if w <= 0.0:
-            continue
-        prob = (1.0 - alpha) * w
+    for k in g.out_oriented[u].tolist():
+        prob = (1.0 - alpha) * g.oriented_weight[k]
         if last is not None and k == (last ^ 1):
             moves.append(
                 CoverMove("down", k, prob, CoverVertex(v.root_label, v.labels[:-1]))
@@ -172,8 +171,8 @@ class CoverTrajectory:
 def _build_sampler(g, alpha):
     """Every vertex's one-uniform move sampling, as lookup tables.
 
-    At vertex ``u`` a draw ``x >= alpha`` moves along ``u``'s ``i``-th
-    positive orientation, where ``i`` is ``bisect_left`` of ``x`` in ``u``'s
+    At vertex ``u`` a draw ``x >= alpha`` takes ``u``'s ``i``-th move in
+    ``g.out_oriented``, where ``i`` is ``bisect_left`` of ``x`` in ``u``'s
     cumulative thresholds.  ``grid`` holds the thresholds of all vertices,
     sorted, each value once; a draw of rank ``j = searchsorted(grid, x)``
     lies above exactly ``grid[:j]``, so ``rows[u][j]`` is the code ``k + 2``
@@ -187,7 +186,7 @@ def _build_sampler(g, alpha):
     thresholds = []
     codes = []
     for u in range(g.n_vertices):
-        ks = [int(k) for k in g.out_oriented[u] if g.oriented_weight[k] > 0.0]
+        ks = g.out_oriented[u].tolist()
         acc = alpha
         cums = []
         for k in ks:
@@ -433,17 +432,18 @@ class LevelWeightCheck:
     level_size: int
 
 
-def level_weight_check(g, ray, depth, root_label=None, cap=2_000_000):
+def level_weight_check(ray, depth, root_label=None, cap=2_000_000):
     """Verify that entropic weights over a cover level sum to one.
 
     Enumerates every positive-probability cover vertex at the given depth
-    below ``root_label`` (default: the first vertex) and returns
-    ``|sum - 1|`` together with the number of vertices enumerated.
+    below ``root_label`` (default: the first vertex of ``ray.graph``) and
+    returns ``|sum - 1|`` together with the number of vertices enumerated.
     Subtrees with zero ray probability are pruned, since they contribute
     nothing to the sum.  Raises :class:`AnalysisError` when more than
     ``cap`` vertices would be visited, or when the root is outside the
     analyzed core (its exit probabilities would not sum to one).
     """
+    g = ray.graph
     depth = int(depth)
     if depth < 0:
         raise AnalysisError("depth must be nonnegative")
@@ -455,21 +455,18 @@ def level_weight_check(g, ray, depth, root_label=None, cap=2_000_000):
         return LevelWeightCheck(deviation=0.0, level_size=1)
     x = ray.exit_prob
     u = g.vertex_index[root_label]
-    root_mass = sum(float(x[int(k)]) for k in g.out_oriented[u])
+    roots = g.out_oriented[u].tolist()
+    root_mass = sum(float(x[k]) for k in roots)
     if abs(root_mass - 1.0) > 1e-9:
         raise AnalysisError(
             f"root {root_label!r} lies outside the analyzed core "
             f"(outgoing exit mass {root_mass!r})"
         )
-    out_pos = [
-        [int(k) for k in g.out_oriented[v] if g.oriented_weight[k] > 0.0]
-        for v in range(g.n_vertices)
-    ]
     total = 0.0
     count = 0
     visited = 0
     stack = []
-    for k in out_pos[u]:
+    for k in roots:
         inc = _push_increment(x, k, None)
         if inc != _NEG_INF:
             stack.append((k, 1, inc))
@@ -484,9 +481,7 @@ def level_weight_check(g, ray, depth, root_label=None, cap=2_000_000):
             total += math.exp(lw)
             count += 1
             continue
-        for l in out_pos[g.oriented_end[k]]:
-            if l == (k ^ 1):
-                continue
+        for l in g.continuations[k]:
             inc = _push_increment(x, l, k)
             if inc != _NEG_INF:
                 stack.append((l, d + 1, lw + inc))
@@ -544,7 +539,9 @@ def renewal_edge(ray, e_star=None):
     oriented edge whose ray frequency lies within the first-passage solver's
     achieved error of the largest frequency, because edges whose frequencies
     tie exactly (all six of theta3 carry 1/6) differ only in rounding below
-    that error, which must not pick the edge.
+    that error, which must not pick the edge.  The default reads that error
+    as ``ray.first_passage.error``, so it takes the
+    :class:`~liftmix.analyzer.EntropyReport`, not a bare ray law.
     """
     g = ray.graph
     if e_star is None:

@@ -281,7 +281,7 @@ def test_05_level_weight_normalization():
         g = parse_graph(text)
         view = entropy(g)  # the ray law on g's own oriented edges
         for depth in range(r_max + 1):
-            chk = level_weight_check(g, view, depth)
+            chk = level_weight_check(view, depth)
             assert chk.deviation <= 1e-10, (g.vertices, depth)
             assert chk.level_size > 0
     assert time.monotonic() - t0 < 5.0

@@ -8,7 +8,7 @@ Expected constants come from closed forms where available:
 * bouquet of d/2 loops at weight 1/d: crossing probability 1/(d-1), exits
   1/d, per-level entropy log(d-1), escape speed (d-2)/d.
 * biased 3-cycle (0.7/0.3): forward crossing 1, backward 3/7, deterministic
-  ray (degenerate entropy), line-drift speed 0.4.
+  ray (degenerate entropy), drift speed 0.4.
 
 The asymmetric theta constants were computed once with an independent
 40-digit fixed-point solve and are frozen here to 15 significant digits.
@@ -16,6 +16,7 @@ The asymmetric theta constants were computed once with an independent
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
+    GraphError,
     NonConvergenceError,
     core,
     entropy,
@@ -524,3 +526,67 @@ def test_near_balanced_cycles_are_degenerate(text):
     assert rep.degenerate
     assert rep.entropy_rate == 0.0
     assert rep.escape_speed > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one-cycle cores: the speed formula against the exact phase-chain drift
+# ---------------------------------------------------------------------------
+
+
+def _one_cycle_text(forward, alpha):
+    """An m-cycle v0 -> v1 -> ... -> v0 (a loop when m = 1) on which the walk
+    at v_j steps forward with probability ``forward[j]``, else back."""
+    m = len(forward)
+    lines = [f"alpha {alpha}"] + [f"vertex v{j}" for j in range(m)]
+    lines += [f"edge e{j} v{j} v{(j + 1) % m} {p} {1 - forward[(j + 1) % m]}"
+              for j, p in enumerate(forward)]
+    return "\n".join(lines) + "\n"
+
+
+def _exact_drift_speed(forward):
+    """|mean drift| of the walk on the line that covers the cycle, in exact
+    fractions: the drift 2 p_j - 1 at phase j, averaged over the stationary
+    law of the phase chain (Gauss-Jordan on mu P = mu, sum(mu) = 1)."""
+    m = len(forward)
+    if m == 1:
+        return abs(2 * forward[0] - 1)
+    chain = [[Fraction(0)] * m for _ in range(m)]
+    for j, p in enumerate(forward):
+        chain[j][(j + 1) % m] += p
+        chain[j][(j - 1) % m] += 1 - p
+    rows = [[chain[i][j] - (i == j) for i in range(m)] + [Fraction(0)]
+            for j in range(m - 1)] + [[Fraction(1)] * (m + 1)]
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(m):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    mu = [rows[j][m] / rows[j][j] for j in range(m)]
+    return abs(sum(x * (2 * p - 1) for x, p in zip(mu, forward)))
+
+
+_FORWARD_WEIGHT = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
+                            st.fractions(min_value=0, max_value=1, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(_FORWARD_WEIGHT, min_size=m,
+                                                    max_size=m)),
+       st.sampled_from(["0", "1/2"]))
+def test_one_cycle_speed_matches_the_exact_drift(forward, alpha):
+    # the cycle and its mirror image, whose walk drifts the other way
+    mirror = [1 - p for p in reversed(forward)]
+    for weights in (forward, mirror):
+        try:
+            g = parse_graph(_one_cycle_text(weights, alpha))
+        except GraphError:  # an edge with both orientations at weight zero
+            assume(False)
+        assume(g.irreducible and g.transience.transient)
+        assert not g.core.graph.assumptions.a2_two_cycles
+        rep = entropy(g)
+        exact = _exact_drift_speed(weights)
+        error = rep.first_passage.error
+        assert abs(Fraction(rep.escape_speed) - exact) <= error, (weights, exact)
+        assert abs(Fraction(rep.speed) - (1 - Fraction(alpha)) * exact) <= error

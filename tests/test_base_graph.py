@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liftmix import (
     AnalysisError,
@@ -46,6 +46,7 @@ from liftmix.cli import main
 from conftest import (
     ASYM_THETA_TEXT,
     DOUBLED_EDGE_TEXT,
+    ONE_WAY_TEXT,
     PENDANT_TEXT,
     THETA3_TEXT,
     bouquet_text,
@@ -415,6 +416,23 @@ def test_random_graph_assumption_report_is_consistent(text):
         assert rep.a3_star
     if rep.a1_irreducible and rep.a2_two_cycles:
         assert is_cover_transient(g).transient
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graph_with_dead_orientations())
+@example(ONE_WAY_TEXT)
+def test_moves_and_continuations_follow_their_definitions(text):
+    # an orientation of weight zero is no move and no continuation
+    g = parse_graph(text)
+    w, init, end = g.oriented_weight, g.oriented_init, g.oriented_end
+    for u, out in enumerate(g.out_oriented):
+        assert out.dtype == np.int64
+        assert out.tolist() == [k for k in range(g.n_oriented) if init[k] == u and w[k] > 0]
+    assert len(g.continuations) == g.n_oriented
+    for k, after in enumerate(g.continuations):
+        assert all(type(l) is int for l in after)
+        assert list(after) == [l for l in range(g.n_oriented)
+                               if init[l] == end[k] and w[l] > 0 and l != (k ^ 1)]
 
 
 def _return_time_gcds(mat):

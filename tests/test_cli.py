@@ -957,3 +957,56 @@ def test_spectrum_bipartite_alpha_zero(capsys, theta3_file):
     assert code == 0
     flat = {(round(re, 9), round(im, 9)) for re, im in payload["eigenvalues"]}
     assert (1.0, 0.0) in flat and (-1.0, 0.0) in flat
+
+
+# ---------------------------------------------------------------------------
+# calls in one process
+# ---------------------------------------------------------------------------
+
+
+def _outputs(directory):
+    """Every file under ``directory``, by relative path: its bytes, or for a
+    manifest its JSON without the ``timing`` key."""
+    found = {}
+    for dirpath, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            key = os.path.relpath(path, directory)
+            if name == "manifest.json":
+                with open(path, encoding="utf-8") as fh:
+                    data = json.load(fh)
+                data.pop("timing")
+                found[key] = data
+            else:
+                with open(path, "rb") as fh:
+                    found[key] = fh.read()
+    return found
+
+
+@pytest.mark.parametrize("first, second", [
+    (["analyze"], ["mix", "--n", "16", "--out", "run"]),
+    (["sweep", "--n", "16,32", "--seeds", "1", "--starts", "sample:2", "--out", "run"],
+     ["cover-sim", "--steps", "20000", "--trials", "2", "--per-trial", "--out", "run"]),
+], ids=["analyze-then-mix", "sweep-then-cover-sim"])
+def test_a_second_call_in_one_process_equals_a_fresh_call(capsys, theta3_file, tmp_path,
+                                                           monkeypatch, first, second):
+    # no option default or handler state may leak from one main call into the
+    # next: each call's stdout and artifacts equal those of a call made in a
+    # process of its own, in a directory of its own
+    argvs = [[argv[0], "--graph", theta3_file, *argv[1:]] for argv in (first, second)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liftmix.__file__)))
+    probe = "import sys; from liftmix.cli import main; sys.exit(main(sys.argv[1:]))"
+    for i, argv in enumerate(argvs):
+        fresh = tmp_path / f"fresh-{i}"
+        fresh.mkdir()
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=fresh, text=True,
+                              capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        shared = tmp_path / f"shared-{i}"
+        shared.mkdir()
+        monkeypatch.chdir(shared)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == proc.stdout
+        outputs = _outputs(shared)
+        assert bool(outputs) == ("--out" in argv)
+        assert outputs == _outputs(fresh)

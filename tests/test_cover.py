@@ -240,11 +240,11 @@ def test_log_entropic_weight_rejects_bad_paths(theta3):
 
 def test_level_weight_sums_theta3(theta3):
     view = _view(theta3)
-    zero = level_weight_check(theta3, view, 0, root_label="u")
+    zero = level_weight_check(view, 0, root_label="u")
     assert zero.deviation == 0.0
     assert zero.level_size == 1
     for depth in (1, 2, 4, 6):
-        chk = level_weight_check(theta3, view, depth, root_label="u")
+        chk = level_weight_check(view, depth, root_label="u")
         assert chk.deviation <= 1e-10
         assert chk.level_size == 3 * 2 ** (depth - 1)
 
@@ -254,7 +254,7 @@ def test_level_weight_sums_pendant_full_graph(pendant):
     view = _view(pendant)
     assert view.exit_prob[6] == 0.0 and view.exit_prob[7] == 0.0
     for depth in (1, 3, 4):
-        chk = level_weight_check(pendant, view, depth, root_label="u")
+        chk = level_weight_check(view, depth, root_label="u")
         assert chk.deviation <= 1e-10
         assert chk.level_size > 0
 
@@ -262,7 +262,7 @@ def test_level_weight_sums_pendant_full_graph(pendant):
 def test_level_weight_check_cap(theta3):
     view = _view(theta3)
     with pytest.raises(AnalysisError):
-        level_weight_check(theta3, view, 25, root_label="u", cap=1000)
+        level_weight_check(view, 25, root_label="u", cap=1000)
 
 
 def test_log_weight_trace_matches_scratch_recomputation(theta3):

@@ -1,9 +1,12 @@
-"""The claim rule of ``tools/bench_record.py`` on hand-made runs."""
+"""The claim rule of ``tools/bench_record.py`` on hand-made runs, and the
+inputs of ``tools/artifact_diff.py``."""
 
 import importlib.util
 import os
 
 import pytest
+
+from conftest import ONE_WAY_TEXT
 
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_record.py")
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
@@ -60,3 +63,11 @@ def test_a_lower_metric_flips_the_sign(shift, gain):
     assert lower["pairs_won"] == (10 if gain else 0)
     assert higher["pairs_won"] == 10 - lower["pairs_won"]
     assert (lower["gain"], higher["gain"]) == (gain, not gain)
+
+
+def test_artifact_diff_writes_the_one_way_graph_of_the_tests():
+    spec = importlib.util.spec_from_file_location(
+        "artifact_diff", os.path.join(os.path.dirname(_PATH), "artifact_diff.py"))
+    artifact_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(artifact_diff)
+    assert artifact_diff.ONE_WAY_GRAPH.decode("utf-8") == ONE_WAY_TEXT

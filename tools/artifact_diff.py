@@ -61,6 +61,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
   fe``, 200,000 ``[`` characters, an integer of 5,000 digits, or a lift
   JSON cut short, and ``cover-sim --workers 2`` with 100 steps, refused in
   a pool process, which each must end in one error line and no artifact;
+* ``validate``, ``analyze``, ``cover-sim --per-trial`` with 30,000 steps
+  (at its own holding probability 0 and at 1/2), ``mix --n 16`` and
+  ``spectrum --n 8`` on the one-way graph of ``tests/conftest.py``, whose
+  orientations e0+, e1+ and e5+ carry weight zero and so are no move of
+  the walk;
 * ``validate`` and ``analyze`` on 100 graphs of the kinds the analyze batch
   leaves out or rarely draws: reducible ones, recurrent ones, ones whose
   core is a single cycle, one-way ones (an orientation of the core lies on
@@ -109,6 +114,23 @@ BAD_GRAPHS = {
     "huge-weight": b"vertex a\nedge e a a 1e400 1/2\n",
     "not-utf8": b"\x00\xff\xfe",
 }
+
+#: The one-way graph of ``tests/conftest.py``: orientations e0+, e1+ and e5+
+#: carry weight zero, so they are no move of the walk.
+ONE_WAY_GRAPH = b"""\
+# one-way edges: e0+, e1+ and e5+ carry weight zero, so the walk enters v2
+# only along e3-
+alpha 0
+vertex v0
+vertex v1
+vertex v2
+edge e0 v0 v2 0/9 1/2
+edge e1 v1 v1 0/10 3/10
+edge e2 v1 v0 2/10 4/9
+edge e3 v2 v0 1/2 2/9
+edge e4 v0 v1 3/9 1/10
+edge e5 v1 v1 0/10 4/10
+"""
 
 #: Lift files that ``lift --verify`` refuses: bytes that are not UTF-8,
 #: arrays nested past the recursion limit, an integer past the digit limit,
@@ -213,9 +235,10 @@ def _graph(directory, name):
     return os.path.join(directory, f"{name}.g")
 
 
-def calls(batch, rejected, bad_lifts):
+def calls(batch, rejected, bad_lifts, one_way):
     """The fixed list of CLI argument vectors, given the paths of the batch
-    graphs, of the rejected graphs and of the refused lift files."""
+    graphs, of the rejected graphs, of the refused lift files and of the
+    one-way graph."""
     theta3, bouquet4 = _graph(BENCH_GRAPHS, "theta3"), _graph(BENCH_GRAPHS, "bouquet4")
     out = ["--out", OUT]
     argvs = [
@@ -306,6 +329,17 @@ def calls(batch, rejected, bad_lifts):
          *out],
     ]
     argvs += [["lift", *theta3, "--verify", path] for path in bad_lifts]
+    graph = ["--graph", one_way]
+    cover = ["cover-sim", *graph, "--steps", "30000", "--trials", "2", "--seed", "1",
+             "--per-trial"]
+    argvs += [
+        ["validate", *graph],
+        ["analyze", *graph],
+        [*cover, *out],
+        [*cover, "--alpha", "0.5", *out],
+        ["mix", *graph, "--n", "16", *out],
+        ["spectrum", *graph, "--n", "8"],
+    ]
     for g in batch + rejected:
         argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
     return argvs
@@ -444,14 +478,15 @@ def main(argv=None):
         new_src = os.path.join(ROOT, "src")
         batch, rejected = _run([BATCH, os.path.join(work, "batch"), BENCH_GRAPHS],
                                work, [ROOT, new_src])
-        bad_graphs, bad_lifts = [], []
-        for files, bad, suffix in ((bad_graphs, BAD_GRAPHS, ".g"),
-                                   (bad_lifts, BAD_LIFTS, ".lift")):
-            for name, data in bad.items():
+        bad_graphs, bad_lifts, one_way = [], [], []
+        for files, contents, suffix in ((bad_graphs, BAD_GRAPHS, ".g"),
+                                        (bad_lifts, BAD_LIFTS, ".lift"),
+                                        (one_way, {"one-way": ONE_WAY_GRAPH}, ".g")):
+            for name, data in contents.items():
                 files.append(os.path.join(work, name + suffix))
                 with open(files[-1], "wb") as fh:
                     fh.write(data)
-        argvs = calls(batch, rejected + bad_graphs, bad_lifts)
+        argvs = calls(batch, rejected + bad_graphs, bad_lifts, *one_way)
         stdin = json.dumps(argvs)
         print(f"running {len(argvs)} CLI calls at {args.rev} ...", file=sys.stderr)
         old = _run([CHILD], old_dir, [old_src], stdin)
