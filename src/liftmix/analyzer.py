@@ -327,9 +327,9 @@ def weight_entropy(raylaw):
     return WeightEntropy(value=float(total), degenerate=False)
 
 
-def speed(g, first_passage, raylaw):
-    """Escape speed of the non-lazy cover walk on the pruned graph ``g``, in
-    levels per step.
+def speed(first_passage, raylaw):
+    """Escape speed of the non-lazy cover walk on the pruned graph of
+    ``raylaw``, in levels per step.
 
     The reciprocal speed is the stationary mean of ``p(e~) / (w(e~) * (1 -
     p(e~)))`` over ray edges ``e``; the middle factor is evaluated through
@@ -408,10 +408,11 @@ def entropy(g, alpha=None, tol=FIRST_PASSAGE_TOL, max_iter=FIRST_PASSAGE_MAX_ITE
     fps = solve_first_passage(gc, tol=tol, max_iter=max_iter)
     rl = ray_law(gc, fps)
     we = weight_entropy(rl)
-    s0 = speed(gc, fps, rl)
+    s0 = speed(fps, rl)
     h_level = we.value
     degenerate = we.degenerate
-    if not gc.assumptions.a2_two_cycles:
+    _, two_cycles, _, _ = gc.cycle_census
+    if not two_cycles:
         # Single escape direction: the ray is deterministic given its line,
         # so the location carries no per-level information.
         h_level = 0.0

@@ -14,8 +14,8 @@ and passes it to the command's handler, and a refused call removes the
 that cannot be made is refused before any work, and each artifact's
 manifest digest is that of the text written, not of a file read back.
 
-Exit codes: 0 success; 1 validation or analysis error; 2 numerical
-non-convergence; 3 usage error.
+Exit codes: 0 success; 1 validation or analysis error, or a size no array
+can hold (a ``MemoryError``); 2 numerical non-convergence; 3 usage error.
 """
 
 from __future__ import annotations
@@ -318,6 +318,10 @@ def _cmd_cover_sim(args, g):
         raise AnalysisError(f"trials must be at least 1, got {args.trials}")
     if args.r_max < 0:
         raise AnalysisError("r_max must be nonnegative")
+    # the walk's distance to its ray never exceeds its height
+    if args.r_max > args.steps >= 0:
+        raise AnalysisError(f"r_max must be at most the step count {args.steps}, "
+                            "the walk's greatest height")
     alpha = holding_probability(g, args.alpha)
     report = entropy(g, alpha=alpha)
     root = args.root if args.root is not None else g.vertices[0]
@@ -729,8 +733,8 @@ def main(argv=None):
         if isinstance(exc, NonConvergenceError):
             print(f"liftmix: non-convergence: {exc}", file=sys.stderr)
             return 2
-        if isinstance(exc, (GraphError, AnalysisError)):
-            print(f"liftmix: error: {exc}", file=sys.stderr)
+        if isinstance(exc, (GraphError, AnalysisError, MemoryError)):
+            print(f"liftmix: error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 1
         raise
     print(json.dumps(payload, separators=(",", ":")))

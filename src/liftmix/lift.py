@@ -4,11 +4,15 @@ An n-lift replaces every vertex by a fiber of n copies and every edge by a
 perfect matching between the two fibers, described by one permutation per
 edge: edge copies run from ``(tail, i)`` to ``(head, perm[i])``.  The lazy
 walk on the lift projects onto the lazy walk on the base graph, and every
-base eigenfunction pulls back to the lift with the same eigenvalue.
+eigenmeasure of the base, copied onto every fiber, is an eigenmeasure of the
+lift with the same eigenvalue.
 
 States of the lift are flat indices ``base_index * n + fiber_index``.  A
 move along a copy of oriented edge ``k`` goes from ``(u, i)`` to ``(v,
-maps[k][i])``; every traversal of the lift reads :attr:`Lift.moves`.
+maps[k][i])``; every traversal of the lift reads :attr:`Lift.moves`.  One
+operator steps a measure on the lift, :func:`apply_kernel` (the blocked
+:func:`_step` beneath it); :func:`lift_transition_matrix` is its
+independent dense reference.
 """
 
 from __future__ import annotations
@@ -122,19 +126,18 @@ class Lift:
         labels, periods = self._strong_periods
         return np.maximum(periods[labels[states]], 1)
 
-    def _indices(self, values, size=None):
-        """``values`` (one index or an array of them) as an int64 array of
-        their shape, each checked to be an integer in ``0..size - 1``,
-        ``size`` being :attr:`n_states` unless given.
+    def _indices(self, values):
+        """``values`` (one state or an array of them) as an int64 array of
+        their shape, each checked to be an integer in ``0..n_states - 1``.
 
-        Every method and function that takes a state, a fiber or an oriented
-        label checks it here, on the array numpy makes of ``values`` (and,
-        for a list, on the types of its items).  Floats and bools are
-        refused even where a cast would read them as integers, and so is an
-        index out of range; each raises the same :class:`GraphError`, naming
-        the first value refused.  An empty input gives an empty array.
+        Every method and function that takes a state checks it here, on the
+        array numpy makes of ``values`` (and, for a list, on the types of its
+        items).  Floats and bools are refused even where a cast would read
+        them as integers, and so is a state out of range; each raises the
+        same :class:`GraphError`, naming the first value refused.  An empty
+        input gives an empty array.
         """
-        size = self.n_states if size is None else size
+        size = self.n_states
         arr = np.asarray(values)
         if arr.size == 0:
             return np.zeros(arr.shape, dtype=np.int64)
@@ -154,42 +157,24 @@ class Lift:
     def n_states(self):
         return self.base.n_vertices * self.n
 
-    def state(self, vertex_label, fiber):
-        """Flat state index of ``(vertex_label, fiber)``."""
-        fiber = self._indices(fiber, self.n).item()
-        if vertex_label not in self.base.vertex_index:
-            raise GraphError(f"unknown vertex {vertex_label!r}")
-        return self.base.vertex_index[vertex_label] * self.n + fiber
-
-    def split(self, state):
-        """Inverse of :meth:`state`: ``(base_vertex_index, fiber)``."""
-        return divmod(self._indices(state).item(), self.n)
-
-    def step(self, state, oriented_label):
-        """State reached from ``state`` along one oriented edge copy."""
-        u, i = self.split(state)
-        g = self.base
-        k = self._indices(oriented_label, g.n_oriented).item()
-        if g.oriented_init[k] != u:
-            raise GraphError(
-                f"oriented edge {g.oriented_name(k)} does not start at "
-                f"vertex {g.vertices[u]!r}"
-            )
-        return int(g.oriented_end[k]) * self.n + int(self.maps[k][i])
-
 
 def _degree(n):
-    """``n`` as a lift degree, checked: at least 1."""
+    """``n`` as a lift degree, checked: at least 1, and small enough that
+    an int64 permutation of ``n`` entries can be addressed."""
     n = int(n)
     if n < 1:
         raise GraphError(f"lift degree must be >= 1, got {n}")
+    if n > np.iinfo(np.intp).max // 8:
+        raise GraphError(f"lift degree {n} is too large: a permutation of "
+                         "that many int64 entries cannot be addressed")
     return n
 
 
 def generate_uniform_lift(g, n, rng, seed=None):
     """Lift with one independent uniform permutation per edge (file order)."""
-    perms = tuple(rng.permutation(int(n)).astype(np.int64) for _ in g.edges)
-    return Lift(base=g, n=int(n), perms=perms, seed=seed)
+    n = _degree(n)
+    perms = tuple(rng.permutation(n).astype(np.int64) for _ in g.edges)
+    return Lift(base=g, n=n, perms=perms, seed=seed)
 
 
 def draw_lift(g, n, master_seed, index=0):
@@ -323,37 +308,34 @@ def lift_stationary(lift):
 
 @dataclass(frozen=True)
 class SpectrumCheck:
-    """Residuals of base eigenfunctions pulled back to a lift."""
+    """Residuals of base eigenmeasures copied onto a lift."""
 
     eigenvalues: tuple
     max_residual: float
 
 
 def spectrum_inheritance_check(lift, alpha=None):
-    """Verify every base eigenfunction lifts with the same eigenvalue.
+    """Verify every base eigenmeasure lifts with the same eigenvalue.
 
-    Diagonalizes the base transition matrix, repeats each eigenvector
-    across fibers, applies the lift kernel, and reports the largest
-    max-norm residual ``|P_lift F - lambda F|``.  Exact for every holding
+    Takes the left eigenvectors ``mu P = lambda mu`` of the base transition
+    matrix, copies each one onto every fiber, steps it once with
+    :func:`apply_kernel`, the lift's one operator, and reports the largest
+    residual ``|mu P_lift - lambda mu|`` over all states and eigenmeasures.
+    A copy is an eigenmeasure because each move ``u -> v`` matches the
+    fibers over ``u`` and ``v`` one to one.  Exact for every holding
     probability, including eigenvalue -1 on bipartite graphs without
     laziness.  Returns eigenvalues sorted by real part, descending.
     """
     alpha = holding_probability(lift.base, alpha)
-    p0 = transition_matrix(lift.base, alpha=alpha)
-    eigvals, eigvecs = np.linalg.eig(p0)
-    lazy = 1.0 - alpha
+    eigvals, eigvecs = np.linalg.eig(transition_matrix(lift.base, alpha=alpha).T)
+    shape = (lift.base.n_vertices, lift.n)
     worst = 0.0
-    for idx in range(len(eigvals)):
-        lam = eigvals[idx]
-        phi = eigvecs[:, idx]
-        lifted = np.repeat(phi[:, None], lift.n, axis=1)
-        # one step of the kernel's right action on the pulled-back function
-        f = lifted.astype(complex)
-        applied = alpha * f
-        for k, u, v, w in lift.moves:
-            applied[u] += (lazy * w) * f[v][lift.maps[k]]
-        resid = float(np.abs(applied - lam * lifted).max())
-        worst = max(worst, resid)
+    # one eigenmeasure per call: a block of all of them would hold
+    # n_vertices times the states of one
+    for lam, mu in zip(eigvals, eigvecs.T):
+        stepped = apply_kernel(lift, np.broadcast_to(mu[:, None], shape), alpha)
+        resid = np.abs(stepped - lam * mu[:, None]).max()
+        worst = max(worst, float(resid))
     order = np.argsort(-eigvals.real)
     return SpectrumCheck(
         eigenvalues=tuple(complex(z) for z in eigvals[order]),

@@ -479,8 +479,9 @@ def test_period_matches_return_times(text, n, seed):
         assert mixing_curves(lift, [s], alpha=0.0, t_cap=0)[0].periodic == (ref > 1)
         assert mixing_curves(lift, [s], t_cap=0)[0].periodic == (g.alpha == 0 and ref > 1)
         # the moves along positive-weight oriented edges are the matrix support
-        u = lift.split(s)[0]
-        steps = {lift.step(s, k) for k in g.out_oriented[u] if g.oriented_weight[k] > 0}
+        u, i = divmod(s, lift.n)
+        steps = {int(g.oriented_end[k]) * lift.n + int(lift.maps[k][i])
+                 for k in g.out_oriented[u]}
         assert steps == set(np.nonzero(p[s])[0])
     # the kernel agrees with the dense matrix at the graph's alpha
     p_alpha = lift_transition_matrix(lift)

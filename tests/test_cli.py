@@ -150,6 +150,35 @@ def test_a_refused_call_leaves_no_output_directory(capsys, theta3_file, tmp_path
     assert not (tmp_path / "a").exists() and empty.is_dir()
 
 
+#: A size no host can hold: a walk of 2**61 one-byte steps is past every
+#: 57-bit address space, and an int64 permutation of 2**61 entries past the
+#: 64-bit one, so each call fails at once, before anything is allocated.
+HUGE = str(2**61)
+TOO_LARGE = (f"lift degree {HUGE} is too large: a permutation of that many int64 "
+             "entries cannot be addressed")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["cover-sim", "--steps", HUGE], "Unable to allocate "),
+    (["mix", "--n", HUGE], TOO_LARGE),
+    (["lift", "--n", HUGE], TOO_LARGE),
+    (["spectrum", "--n", HUGE], TOO_LARGE),
+    (["cover-sim", "--steps", "3000", "--margin", "0", "--r-max", HUGE],
+     "r_max must be at most the step count 3000, the walk's greatest height"),
+], ids=["cover-sim-steps", "mix-n", "lift-n", "spectrum-n", "cover-sim-r-max"])
+def test_a_size_no_array_can_hold_gives_one_error_line(capsys, theta3_file, tmp_path,
+                                                      argv, line):
+    # unchecked, the walk's np.zeros fails with a MemoryError, and
+    # rng.permutation and np.bincount with "array is too big"
+    out = [] if argv[0] == "spectrum" else ["--out", str(tmp_path / "out")]
+    code, _, cap = run_cli(capsys, [argv[0], "--graph", theta3_file, *argv[1:], *out])
+    assert code == 1
+    errors = [l for l in cap.err.splitlines() if l.startswith("liftmix")]
+    assert len(errors) == 1 and errors[0].startswith(f"liftmix: error: {line}")
+    assert "Traceback" not in cap.err
+    assert not (tmp_path / "out").exists()
+
+
 GRAPH_TEXTS = (THETA3_TEXT, ASYM_THETA_TEXT, SYM3_TEXT, bouquet_text(4, "1/2"))
 
 

@@ -26,6 +26,8 @@ from liftmix import (
     transition_matrix,
 )
 
+from conftest import C3B_TEXT, ONE_WAY_TEXT, THETA3_TEXT
+
 
 def _uniform(g, n, seed):
     return generate_uniform_lift(g, n, substream(seed, "lift", n), seed=seed)
@@ -36,44 +38,33 @@ def _uniform(g, n, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_lift_state_indexing(theta3):
-    lift = Lift(theta3, 4, (range(4), range(4), range(4)))
-    assert lift.n_states == 8
-    assert lift.state("u", 2) == 2
-    assert lift.state("v", 1) == 5
-    # split returns (base vertex index, fiber index)
-    assert lift.split(5) == (1, 1)
-    assert lift.split(lift.state("u", 3)) == (0, 3)
-
-
 def test_lift_step_follows_matchings(theta3):
     perm = [2, 0, 1]  # edge e1 matching; e2 and e3 identity
     lift = Lift(theta3, 3, (perm, range(3), range(3)))
-    # crossing e1+ from (u, i) lands in (v, perm[i])
+    w = theta3.oriented_weight
     for i in range(3):
-        assert lift.step(lift.state("u", i), 0) == lift.state("v", perm[i])
-    # crossing e1- inverts the matching
-    for i in range(3):
-        assert lift.step(lift.state("v", perm[i]), 1) == lift.state("u", i)
-    # identity edges keep the fiber
-    assert lift.step(lift.state("u", 2), 2) == lift.state("v", 2)
+        # at holding 0, crossing e1+ moves mass from (u, i) to (v, perm[i]),
+        # and the identity edges e2+ and e3+ keep the fiber
+        mu = np.zeros((2, 3))
+        mu[0, i] = 1.0
+        want = np.zeros((2, 3))
+        want[1, perm[i]] = w[0]
+        want[1, i] = w[2] + w[4]
+        assert np.allclose(apply_kernel(lift, mu, alpha=0.0), want, rtol=0, atol=1e-15)
+        # crossing e1- from (v, perm[i]) inverts the matching
+        mu = np.zeros((2, 3))
+        mu[1, perm[i]] = 1.0
+        want = np.zeros((2, 3))
+        want[0, i] = w[1]
+        want[0, perm[i]] = w[3] + w[5]
+        assert np.allclose(apply_kernel(lift, mu, alpha=0.0), want, rtol=0, atol=1e-15)
 
 
-def test_lift_step_rejects_wrong_tail(theta3):
-    lift = Lift(theta3, 2, ([0, 1], [0, 1], [0, 1]))
-    with pytest.raises(GraphError):
-        lift.step(lift.state("v", 0), 0)  # e1+ starts at u, not v
-
-
-#: The functions that take a state, a fiber or an oriented label, each as a
-#: call on one value, with the size of its range on a theta3 8-lift.
+#: The functions that take a state, each as a call on one value, with the
+#: count of states of a theta3 8-lift.
 INDEX_TAKERS = {
     "mixing_curves": (lambda lift, v: mixing_curves(lift, [v]), 16),
     "period": (lambda lift, v: lift.period(v), 16),
-    "split": (lambda lift, v: lift.split(v), 16),
-    "state": (lambda lift, v: lift.state("u", v), 8),
-    "step": (lambda lift, v: lift.step(v, 0), 16),
-    "step label": (lambda lift, v: lift.step(0, v), 6),
     "projection_identity_check": (
         lambda lift, v: projection_identity_check(lift, v, 3), 16),
 }
@@ -114,6 +105,9 @@ def test_lift_rejects_bad_permutations(theta3):
         Lift(theta3, 3, ([0, 1, 2], [0, 1, 2]))  # one permutation short
     with pytest.raises(GraphError):
         Lift(theta3, 0, ((), (), ()))
+    # unchecked, numpy's permutation fails with "array is too big"
+    with pytest.raises(GraphError, match="too large"):
+        generate_uniform_lift(theta3, 2**61, substream(0, "gen"))
 
 
 @pytest.mark.parametrize("perm", [[0.7, 1.7], [True, False]], ids=["float", "bool"])
@@ -187,8 +181,8 @@ def test_lift_projects_onto_base_chain(theta3):
 def test_project_distribution_folds_fibers(theta3):
     lift = _uniform(theta3, 8, seed=8)
     mu = np.zeros(lift.n_states)
-    mu[lift.state("u", 3)] = 0.25
-    mu[lift.state("v", 0)] = 0.75
+    mu[3] = 0.25  # (u, 3)
+    mu[lift.n] = 0.75  # (v, 0)
     proj = project_distribution(lift, mu)
     assert np.allclose(proj, [0.25, 0.75], atol=1e-15)
 
@@ -251,6 +245,35 @@ def test_spectrum_inheritance_complex_eigenvalues(c3b):
     assert chk.max_residual <= 1e-10
     eigs = np.array(chk.eigenvalues, dtype=complex)
     assert np.abs(eigs.imag).max() > 0.1
+
+
+def test_spectrum_check_reads_the_kernel(theta3):
+    # a kernel step that moves the wrong mass along one move shows in the
+    # residual of the copied eigenmeasures
+    lift = _uniform(theta3, 8, seed=9)
+    broken = Lift(theta3, lift.n, lift.perms)
+    (k, u, v, w), *rest = broken._moves_by_target
+    broken.__dict__["_moves_by_target"] = ((k, u, v, 1.5 * w), *rest)
+    assert spectrum_inheritance_check(lift).max_residual <= 1e-10
+    assert spectrum_inheritance_check(broken).max_residual > 1e-10
+
+
+@pytest.mark.parametrize("text, alpha", [
+    (THETA3_TEXT, 0.0), (C3B_TEXT, None), (ONE_WAY_TEXT, None),
+], ids=["theta3-alpha0", "biased-cycle", "one-way"])
+def test_spectrum_check_gives_the_base_eigenvalues(text, alpha):
+    # theta3 at holding 0 has eigenvalue -1, the biased cycle a complex
+    # pair, and the one-way graph orientations of weight zero
+    g = parse_graph(text)
+    chk = spectrum_inheritance_check(_uniform(g, 5, seed=18), alpha=alpha)
+    assert chk.max_residual <= 1e-10
+    left = list(np.linalg.eigvals(transition_matrix(g, alpha=alpha)))
+    assert len(chk.eigenvalues) == len(left)
+    for lam in chk.eigenvalues:  # equal as multisets
+        nearest = min(range(len(left)), key=lambda j: abs(left[j] - lam))
+        assert abs(left.pop(nearest) - lam) <= 1e-12
+    reals = sorted(z.real for z in chk.eigenvalues)
+    assert list(reversed(reals)) == [z.real for z in chk.eigenvalues]
 
 
 def test_spectrum_check_verifies_against_dense_matrix(asym_theta):

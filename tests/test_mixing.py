@@ -257,7 +257,7 @@ def test_projected_step_equals_base_step(theta3):
     from liftmix import apply_kernel, project_distribution
 
     mu = np.zeros(lift.n_states)
-    mu[lift.state("u", 5)] = 1.0
+    mu[5] = 1.0  # (u, 5)
     stepped = apply_kernel(lift, mu)
     folded = project_distribution(lift, stepped)
     base = np.zeros(2)

@@ -61,6 +61,13 @@ of CLI calls on that tree and on the working tree's ``src/``:
   fe``, 200,000 ``[`` characters, an integer of 5,000 digits, or a lift
   JSON cut short, and ``cover-sim --workers 2`` with 100 steps, refused in
   a pool process, which each must end in one error line and no artifact;
+* ``spectrum --alpha 0`` on theta3, whose base chain has eigenvalue -1, and
+  ``spectrum --n 1`` on theta3 and on the biased cycle, whose 1-lift is the
+  base itself;
+* ``cover-sim --steps``, ``mix --n``, ``lift --n`` and ``spectrum --n`` at
+  2**61 on theta3, and ``cover-sim --steps 3000 --margin 0 --r-max`` 2**61,
+  sizes no array can hold, which each must end in one error line and no
+  artifact;
 * ``validate``, ``analyze``, ``cover-sim --per-trial`` with 30,000 steps
   (at its own holding probability 0 and at 1/2), ``mix --n 16`` and
   ``spectrum --n 8`` on the one-way graph of ``tests/conftest.py``, whose
@@ -326,6 +333,18 @@ def calls(batch, rejected, bad_lifts, one_way):
         ["mix", *theta3, "--n", "-3", *out],
         ["lift", *theta3, "--n", "-3", *out],
         ["cover-sim", *theta3, "--steps", "100", "--trials", "2", "--workers", "2",
+         *out],
+        ["spectrum", *theta3, "--n", "8", "--alpha", "0"],
+        ["spectrum", *theta3, "--n", "1"],
+        ["spectrum", "--graph", _graph(DEMO_GRAPHS, "biased_cycle"), "--n", "1"],
+    ]
+    huge = str(2**61)
+    argvs += [
+        ["cover-sim", *theta3, "--steps", huge, *out],
+        ["mix", *theta3, "--n", huge, *out],
+        ["lift", *theta3, "--n", huge, *out],
+        ["spectrum", *theta3, "--n", huge],
+        ["cover-sim", *theta3, "--steps", "3000", "--margin", "0", "--r-max", huge,
          *out],
     ]
     argvs += [["lift", *theta3, "--verify", path] for path in bad_lifts]
