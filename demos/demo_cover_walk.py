@@ -64,9 +64,8 @@ def main():
     profile = ray_localization_profile(traj, ray_labels, 8)
     print(f"\nlocalization around the limiting ray "
           f"({profile.n_samples} confirmed samples):")
-    for r, count in enumerate(profile.counts):
-        frac = count / profile.n_samples
-        bar = "#" * max(1, round(50 * frac)) if count else ""
+    for r, frac in profile.tail_freq.items():
+        bar = "#" * max(1, round(50 * frac)) if frac else ""
         print(f"  P(distance > {r}) = {frac:9.6f}  {bar}")
 
 

@@ -15,13 +15,11 @@ import pathlib
 from liftmix import (
     draw_lift,
     entropy,
-    mixing_curves,
     parse_graph,
     predict_mixing_time,
     spectrum_inheritance_check,
-    substream,
 )
-from liftmix.mixing import _worst_start
+from liftmix.mixing import DEFAULT_EPS_LIST, _cell_curves, _worst_start
 
 HERE = pathlib.Path(__file__).parent
 
@@ -40,12 +38,12 @@ def main():
           f"({lift.n_states} states, seed {args.seed})")
 
     pred = predict_mixing_time(report, args.n, 0.25)
-    starts = substream(args.seed, "starts").choice(
-        lift.n_states, size=min(8, lift.n_states), replace=False)
-    # on a periodic lift the raw TV plateaus: mixing times are read from the
+    # the starts and curves of `liftmix mix --starts sample:8 --seed S`; on a
+    # periodic lift the raw TV plateaus: mixing times are read from the
     # two-step averaged curve
-    curves = mixing_curves(lift, starts)
-    crossings = {s: c.mixing_crossings for s, c in zip(starts.tolist(), curves)}
+    starts, _, curves = _cell_curves(g, args.n, args.seed, 0, "sample:8", None,
+                                     DEFAULT_EPS_LIST, 10_000)
+    crossings = {s: c.mixing_crossings for s, c in zip(starts, curves)}
     times = {s: c[0.25] for s, c in crossings.items()}
     best = min((t for t in times.values() if t is not None), default=None)
     # mix's ranking: an unreached start is the worst, and of equal times the

@@ -729,12 +729,13 @@ class CoreDecomposition:
 
 
 def core(g):
-    """Iteratively strip degree-one vertices and renormalize weights.
+    """Iteratively strip vertices of degree at most one, renormalizing weights.
 
     A loop counts twice toward its vertex's degree, so a vertex whose only
-    incidence is a loop is never stripped.  Raises :class:`GraphError` when
-    nothing survives (the graph is a tree) and :class:`AnalysisError` when
-    the stationary law needed for the step fraction does not exist.
+    incidence is a loop is never stripped, and a tree's last vertex, left at
+    degree zero, is.  Raises :class:`GraphError` when nothing survives (the
+    graph is a tree) and :class:`AnalysisError` when the stationary law
+    needed for the step fraction does not exist.
     """
     n = g.n_vertices
     vi = g.vertex_index
@@ -750,11 +751,11 @@ def core(g):
 
     alive_vertex = [True] * n
     alive_edge = [True] * len(g.edges)
-    stack = [i for i in range(n) if degree[i] == 1]
+    stack = [i for i in range(n) if degree[i] <= 1]
     removed = []
     while stack:
         i = stack.pop()
-        if not alive_vertex[i] or degree[i] != 1:
+        if not alive_vertex[i] or degree[i] > 1:
             continue
         alive_vertex[i] = False
         removed.append(g.vertices[i])
@@ -766,7 +767,7 @@ def core(g):
             other = vi[e.head] if vi[e.tail] == i else vi[e.tail]
             degree[other] -= 1
             degree[i] -= 1
-            if alive_vertex[other] and degree[other] == 1:
+            if alive_vertex[other] and degree[other] <= 1:
                 stack.append(other)
 
     surviving_vertices = [v for i, v in enumerate(g.vertices) if alive_vertex[i]]

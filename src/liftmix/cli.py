@@ -40,6 +40,7 @@ from .analyzer import (
 from .base_graph import holding_probability, parse_graph
 from .cover import (
     ExcursionStats,
+    LocalizationProfile,
     confirmed_ray,
     estimate_clt_params,
     estimate_speed,
@@ -52,6 +53,7 @@ from .errors import AnalysisError, GraphError, NonConvergenceError
 from .lift import draw_lift, lift_from_json, lift_to_json, spectrum_inheritance_check
 from .mixing import (
     _cell_curves,
+    _check_eps,
     _pool_map,
     _worst_start,
     cutoff_sweep,
@@ -197,9 +199,7 @@ def _parse_eps_list(text):
         eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise AnalysisError(f"bad threshold list {text!r}") from None
-    if not eps or not all(0.0 < e < 1.0 for e in eps):
-        raise AnalysisError("thresholds must lie strictly between 0 and 1")
-    return eps
+    return _check_eps(eps)
 
 
 def _parse_n_list(text):
@@ -293,24 +293,15 @@ def _cmd_analyze(args, g):
 
 
 def _cover_trial(packed):
+    """One trial's excursions, localization profile and final height."""
     report, root, steps, alpha, master_seed, trial, margin, e_star, r_max = packed
     rng = substream(master_seed, "cover-walk", trial)
     traj = simulate_walk(report.graph, root, steps, alpha=alpha, rng=rng)
     # the excursions and the localization profile read one confirmed ray
     times, ray_labels = confirmed_ray(traj, margin)
-    stats = excursion_decomposition(report, e_star, times, ray_labels)
-    profile = ray_localization_profile(traj, ray_labels, r_max)
-    return {
-        "trial": trial,
-        "durations": stats.durations,
-        "increments": stats.log_weight_increments,
-        "levels": stats.level_increments,
-        "degenerate": stats.degenerate,
-        "n_excursions": stats.n,
-        "final_height": int(traj.heights[-1]),
-        "counts": profile.counts,
-        "n_samples": profile.n_samples,
-    }
+    return (excursion_decomposition(report, e_star, times, ray_labels),
+            ray_localization_profile(traj, ray_labels, r_max),
+            int(traj.heights[-1]))
 
 
 def _cmd_cover_sim(args, g):
@@ -339,58 +330,45 @@ def _cmd_cover_sim(args, g):
         "r_max": args.r_max,
         "per_trial": bool(args.per_trial),
     }, args.out)
-    packed = [
-        (report, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
-         args.r_max)
-        for trial in range(args.trials)
-    ]
+    packed = [(report, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
+               args.r_max) for trial in range(args.trials)]
     results = []
-    for res in _pool_map(_cover_trial, packed, args.workers):
+    for trial, res in enumerate(_pool_map(_cover_trial, packed, args.workers)):
         results.append(res)
-        _progress(f"trial {res['trial'] + 1}/{args.trials} done "
-                  f"({res['n_excursions']} excursions)")
+        _progress(f"trial {trial + 1}/{args.trials} done ({res[0].n} excursions)")
+    stats, profiles, heights = zip(*results)
 
-    durations = np.concatenate([r["durations"] for r in results])
-    increments = np.concatenate([r["increments"] for r in results])
-    levels = np.concatenate([r["levels"] for r in results])
+    # the trials pool into one sample of excursions and one profile
     pooled = ExcursionStats(
-        durations=durations,
-        log_weight_increments=increments,
-        level_increments=levels,
-        e_star=e_star,
-        degenerate=all(r["degenerate"] for r in results),
+        durations=np.concatenate([s.durations for s in stats]),
+        log_weight_increments=np.concatenate([s.log_weight_increments for s in stats]),
+        level_increments=np.concatenate([s.level_increments for s in stats]),
+        e_star=e_star, degenerate=all(s.degenerate for s in stats),
+    )
+    profile = LocalizationProfile(
+        n_samples=sum(p.n_samples for p in profiles),
+        counts=tuple(map(sum, zip(*(p.counts for p in profiles)))),
     )
     est = estimate_clt_params(pooled)
     sp = estimate_speed(pooled)
-    counts = np.sum([r["counts"] for r in results], axis=0)
-    n_samples = int(sum(r["n_samples"] for r in results))
-    tail = {str(r): float(counts[r]) / n_samples for r in range(args.r_max + 1)}
 
     if args.per_trial:
         rows = [
-            (
-                r["trial"],
-                r["n_excursions"],
-                int(r["durations"].sum()),
-                repr(float(r["increments"].sum())),
-                int(r["levels"].sum()),
-                r["final_height"],
-            )
-            for r in results
+            (trial, s.n, s.span, repr(float(s.log_weight_increments.sum())),
+             int(s.level_increments.sum()), height)
+            for trial, (s, height) in enumerate(zip(stats, heights))
         ]
-        run.write_csv(
-            "per_trial.csv",
-            ("trial", "n_excursions", "sum_duration", "sum_log_weight",
-             "sum_levels", "final_height"),
-            rows,
-        )
+        run.write_csv("per_trial.csv", ("trial", "n_excursions", "sum_duration",
+                                        "sum_log_weight", "sum_levels", "final_height"),
+                      rows)
     payload = {
         "h_est": est.h_est,
         "se_h": est.h_se,
         "sigma_est": est.sigma_est,
         "se_sigma": est.sigma_se,
         "speed_est": sp.value,
-        "localization_profile": {"tail": tail, "n_samples": n_samples},
+        "localization_profile": {"tail": {str(r): f for r, f in profile.tail_freq.items()},
+                                 "n_samples": profile.n_samples},
         "se_speed": sp.se,
         "n_excursions": pooled.n,
         "degenerate": est.degenerate,

@@ -628,6 +628,15 @@ class CltEstimate:
     cylindrical: bool
 
 
+def _ratio(reward, tau):
+    """Renewal-reward ratio ``mean(reward) / mean(tau)`` of excursion floats
+    and its delta-method standard error, from ``reward - ratio * tau``."""
+    tbar = float(tau.mean())
+    ratio = float(reward.mean()) / tbar
+    resid = reward - ratio * tau
+    return ratio, float(resid.std(ddof=1) / (math.sqrt(len(tau)) * tbar))
+
+
 def estimate_clt_params(stats, min_count=_MIN_EXCURSIONS):
     """Entropy rate and CLT spread from excursion samples."""
     n = stats.n
@@ -635,11 +644,9 @@ def estimate_clt_params(stats, min_count=_MIN_EXCURSIONS):
         raise AnalysisError(f"need at least {min_count} excursions, got {n}")
     tau = stats.durations.astype(float)
     w = stats.log_weight_increments
+    h_est, h_se = _ratio(w, tau)
     tbar = float(tau.mean())
     wbar = float(w.mean())
-    h_est = wbar / tbar
-    resid = w - h_est * tau
-    h_se = float(resid.std(ddof=1) / (math.sqrt(n) * tbar))
     if stats.degenerate or wbar <= 0.0:
         return CltEstimate(
             h_est=h_est, h_se=h_se, sigma_est=0.0, sigma_se=0.0,
@@ -673,13 +680,8 @@ class SpeedEstimate:
 
 def estimate_speed(stats):
     """Levels climbed per walk step, from the same excursion samples."""
-    tau = stats.durations.astype(float)
-    levels = stats.level_increments.astype(float)
-    tbar = float(tau.mean())
-    s = float(levels.mean()) / tbar
-    resid = levels - s * tau
-    se = float(resid.std(ddof=1) / (math.sqrt(len(tau)) * tbar))
-    return SpeedEstimate(value=s, se=se)
+    return SpeedEstimate(*_ratio(stats.level_increments.astype(float),
+                                 stats.durations.astype(float)))
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +693,18 @@ def estimate_speed(stats):
 class LocalizationProfile:
     """Empirical tail of the walk's tree distance to its escape ray.
 
-    ``tail_freq[r]`` estimates the probability that the distance exceeds
-    ``r``; ``counts`` holds the raw tallies so profiles from disjoint
-    trajectory sets can be pooled exactly.
+    ``counts[r]`` of the ``n_samples`` sampled steps lie farther than ``r``
+    from the ray; profiles of disjoint trajectory sets pool exactly by
+    summing both, and :attr:`tail_freq` is read from the tallies alone.
     """
 
-    tail_freq: dict
     n_samples: int
-    counts: tuple = ()
+    counts: tuple
+
+    @property
+    def tail_freq(self):
+        """``{r: counts[r] / n_samples}``, the estimate of ``P(dist > r)``."""
+        return {r: float(c) / self.n_samples for r, c in enumerate(self.counts)}
 
 
 def _ray_prefix_lengths(traj, ray_labels, times):
@@ -747,8 +753,8 @@ def ray_localization_profile(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):
     most about ``max_samples`` steps whose height lies within the confirmed
     region are sampled, evenly spaced; the tree distance from the position
     to the ray is the height minus the length of the longest common prefix
-    of the position's path with the ray.  Returns ``P(dist > R)`` for ``R =
-    0 .. r_max``; the tail is nonincreasing in ``R`` by construction.
+    of the position's path with the ray.  Tallies ``dist > R`` for ``R = 0
+    .. r_max``; the tail is nonincreasing in ``R`` by construction.
     """
     r_max = int(r_max)
     if r_max < 0:
@@ -761,6 +767,4 @@ def ray_localization_profile(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):
     dist = traj.heights[times] - _ray_prefix_lengths(traj, ray_labels, times)
     hist = np.bincount(np.minimum(dist, r_max + 1), minlength=r_max + 2)
     counts = np.cumsum(hist[::-1])[::-1][1:]
-    freqs = {r: float(counts[r]) / len(times) for r in range(r_max + 1)}
-    return LocalizationProfile(tail_freq=freqs, n_samples=len(times),
-                               counts=tuple(int(c) for c in counts))
+    return LocalizationProfile(n_samples=len(times), counts=tuple(counts.tolist()))

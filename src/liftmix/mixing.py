@@ -31,7 +31,8 @@ are vector operations over its rows, and every curve is the same bit for
 bit as if its start were propagated alone, at any CPU count.  A step
 allocates no state-sized array.  The period of an unlazy lift is found once
 per strong component (:meth:`liftmix.lift.Lift.period`) and read for a whole
-call at once.  ``mix`` and every sweep cell run one function,
+call at once; a start of period above 2 is refused, since no two-step average
+of its law settles.  ``mix`` and every sweep cell run one function,
 :func:`_cell_curves`: it draws the lift, picks its starts by the one
 seed-to-starts rule (:func:`_draw_starts`) and runs their curves.  Every
 mixing time, worst start and sweep row is read from
@@ -125,8 +126,8 @@ class TVCurve:
 
     ``tv[t]`` is the distance after ``t`` steps; ``crossings[eps]`` the
     first step at or below ``eps`` (None when the cap was hit first), and
-    :attr:`reached` says which were crossed.  For a periodic chain without
-    holding, ``averaged`` carries the same analysis for the two-step
+    :attr:`reached` says which were crossed.  For a chain of period 2
+    without holding, ``averaged`` carries the same analysis for the two-step
     averaged distribution, which does converge, and :attr:`periodic` is
     True.
     """
@@ -215,6 +216,15 @@ def _drifts(mu, slots, work):
     return np.abs(_halve(picked.reshape(-1, len(slots))) - 1.0)
 
 
+def _check_eps(eps_list):
+    """``eps_list`` as a tuple of floats, refused unless it is a nonempty
+    list of TV thresholds strictly between 0 and 1."""
+    eps_list = tuple(float(e) for e in eps_list)
+    if not eps_list or not all(0.0 < e < 1.0 for e in eps_list):
+        raise AnalysisError("thresholds must lie strictly between 0 and 1")
+    return eps_list
+
+
 def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
                   t_cap=10_000, progress=None):
     """Exact TV-to-stationarity curves of the lazy walk, one per start.
@@ -226,9 +236,11 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     TV monotonicity is asserted at every step and mass conservation at the
     stop; a violation would indicate a propagation bug, and raises the error
     of the first start, in start order, whose curve fails.  When the chain
-    is periodic and unlazy from a start, the raw TV never settles; that
+    is unlazy and has period 2 from a start, the raw TV never settles; that
     curve then carries a two-step averaged sibling whose thresholds are
-    meaningful, and its early stop watches the averaged curve instead.
+    meaningful, and its early stop watches the averaged curve instead.  An
+    unlazy start of period ``p > 2``, which only one-way moves allow, is
+    refused before any step: its averaged TV never falls below ``1 - 2/p``.
 
     The starts are propagated together, in blocks of ``max(1,
     min(ceil(len(starts) / cpus), _BLOCK_DOUBLES // n_states))``, on a pool
@@ -243,18 +255,19 @@ def mixing_curves(lift, starts, alpha=None, eps_list=DEFAULT_EPS_LIST,
     ``starts`` is empty.  No thread outlives the call.
     """
     alpha = holding_probability(lift.base, alpha)
-    eps_list = tuple(float(e) for e in eps_list)
-    if not eps_list or not all(0.0 < e < 1.0 for e in eps_list):
-        raise AnalysisError("thresholds must lie strictly between 0 and 1")
+    eps_list = _check_eps(eps_list)
     t_cap = int(t_cap)
     if t_cap < 0:
         raise AnalysisError("t_cap must be nonnegative")
     starts = lift._indices(list(starts))
     # Holding makes the chain aperiodic, so only the unlazy walk can cycle.
-    if alpha <= 0.0:
-        periodic = lift.period(starts) > 1
-    else:
-        periodic = np.zeros(len(starts), dtype=bool)
+    periods = lift.period(starts) if alpha <= 0.0 else np.ones(len(starts), dtype=int)
+    if (periods > 2).any():
+        r = int((periods > 2).argmax())
+        raise AnalysisError(f"start {starts[r]} has period {periods[r]} without holding, "
+                            "so its two-step average never settles; give alpha > 0 "
+                            "(--alpha)")
+    periodic = periods > 1
 
     # one mass per base vertex, of which lift_stationary is the broadcast, so
     # each subtract of a TV broadcasts one scalar over a vertex's states
@@ -571,7 +584,7 @@ def cutoff_sweep(g, n_grid, alpha=None, eps_list=DEFAULT_EPS_LIST, n_seeds=5,
     n_seeds = int(n_seeds)
     if n_seeds < 1:
         raise AnalysisError(f"n_seeds must be at least 1, got {n_seeds}")
-    eps_list = tuple(float(e) for e in eps_list)
+    eps_list = _check_eps(eps_list)
     if eps_primary not in eps_list:
         raise AnalysisError("eps_primary must be one of eps_list")
     # every cell would refuse these, so they are refused before any runs

@@ -105,6 +105,21 @@ edge e4 v0 v1 3/9 1/10
 edge e5 v1 v1 0/10 4/10
 """
 
+PERIOD3_TEXT = """\
+# one-way 3-cycle a -> b -> c -> a, two parallel edges on each step: the
+# unlazy walk has period 3, and h = log 2
+alpha 0
+vertex a
+vertex b
+vertex c
+edge ab1 a b 1/2 0
+edge ab2 a b 1/2 0
+edge bc1 b c 1/2 0
+edge bc2 b c 1/2 0
+edge ca1 c a 1/2 0
+edge ca2 c a 1/2 0
+"""
+
 
 def bouquet_text(d, alpha="0"):
     """One vertex with d/2 loops, every orientation weighted 1/d."""

@@ -301,8 +301,13 @@ def test_core_strips_pendant(pendant):
 
 
 def test_core_rejects_tree(path2):
-    with pytest.raises(GraphError):
-        core(path2)
+    # the single edge a-b and the path a-b-c: the peel strips the tree's last
+    # vertex too, at degree zero
+    path3 = parse_graph("vertex a\nvertex b\nvertex c\n"
+                        "edge e1 a b 1 1/2\nedge e2 b c 1/2 1\n")
+    for g in (path2, path3):
+        with pytest.raises(GraphError, match="graph is a tree"):
+            core(g)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +465,8 @@ def _validate_payload(text):
 
 @settings(max_examples=60, deadline=None)
 @given(random_graph_with_dead_orientations(), st.integers(1, 4), st.integers(0, 2**16))
+# a one-way loop whose lift has components of periods 3 and 1
+@example("alpha 0\nvertex v0\nedge e0 v0 v0 1/1 0/1\n", 4, 0)
 def test_period_matches_return_times(text, n, seed):
     g = parse_graph(text)
     expected = max(int(np.gcd.reduce(_return_time_gcds(transition_matrix(g, 0.0)))), 1)
@@ -476,8 +483,13 @@ def test_period_matches_return_times(text, n, seed):
     for s, ref in enumerate(_return_time_gcds(p)):
         assert ref > 0
         assert lift.period(s) == ref  # memoized per strong component
-        assert mixing_curves(lift, [s], alpha=0.0, t_cap=0)[0].periodic == (ref > 1)
-        assert mixing_curves(lift, [s], t_cap=0)[0].periodic == (g.alpha == 0 and ref > 1)
+        for alpha in (0.0, g.alpha):
+            if alpha == 0 and ref > 2:  # no two-step average settles: refused
+                with pytest.raises(AnalysisError, match=f"^start {s} has period {ref} "):
+                    mixing_curves(lift, [s], alpha=alpha, t_cap=0)
+            else:
+                curve = mixing_curves(lift, [s], alpha=alpha, t_cap=0)[0]
+                assert curve.periodic == (alpha == 0 and ref > 1)
         # the moves along positive-weight oriented edges are the matrix support
         u, i = divmod(s, lift.n)
         steps = {int(g.oriented_end[k]) * lift.n + int(lift.maps[k][i])

@@ -26,7 +26,7 @@ from liftmix import (
 )
 from liftmix.cli import main
 
-from conftest import ASYM_THETA_TEXT, SYM3_TEXT, THETA3_TEXT, bouquet_text
+from conftest import ASYM_THETA_TEXT, PERIOD3_TEXT, SYM3_TEXT, THETA3_TEXT, bouquet_text
 
 
 @pytest.fixture()
@@ -947,6 +947,30 @@ def test_a_refused_sweep_announces_no_work(capsys, tmp_path, graph, argv):
                                     "--out", str(tmp_path / "x")])
     assert code == 1
     assert cap.err.startswith("liftmix: error: ") and cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "--n", "64", "--starts", "sample:3"],
+    ["sweep", "--n", "64,128", "--seeds", "1", "--starts", "sample:2"],
+], ids=["mix", "sweep"])
+def test_an_unlazy_lift_of_period_3_is_refused(capsys, tmp_path, argv):
+    # mix reported null crossings and sweep asked for a larger step cap,
+    # though the two-step average of a period-3 walk never settles
+    graph = tmp_path / "period3.g"
+    graph.write_text(PERIOD3_TEXT)
+    out = tmp_path / "a" / "b"
+    code, _, cap = run_cli(capsys, [argv[0], "--graph", str(graph), *argv[1:],
+                                    "--out", str(out)])
+    assert code == 1
+    errors = [l for l in cap.err.splitlines() if l.startswith("liftmix")]
+    assert len(errors) == 1
+    assert errors[0].startswith("liftmix: error: start ")
+    assert "has period 3" in errors[0] and errors[0].endswith("alpha > 0 (--alpha)")
+    assert not (tmp_path / "a").exists()
+    # with holding the walk is aperiodic and runs
+    code, payload, _ = run_cli(capsys, [argv[0], "--graph", str(graph), *argv[1:],
+                                        "--alpha", "0.5", "--out", str(out)])
+    assert code == 0 and payload["artifacts"]
 
 
 def test_sweep_rejects_degenerate_graph(capsys, tmp_path):

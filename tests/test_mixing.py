@@ -32,7 +32,12 @@ from liftmix import mixing
 from liftmix.lift import _step
 from liftmix.mixing import DEFAULT_EPS_LIST
 
-from conftest import THETA3_TEXT, bouquet_text, random_graph_with_dead_orientations
+from conftest import (
+    PERIOD3_TEXT,
+    THETA3_TEXT,
+    bouquet_text,
+    random_graph_with_dead_orientations,
+)
 
 
 def _lift8(theta3):
@@ -57,6 +62,21 @@ def test_mixing_curve_theta3_n8(theta3):
     assert (np.diff(curve.tv) <= 1e-12).all()
     # early stop: tv ends shortly after the last threshold crossing
     assert len(curve.tv) <= 14
+
+
+def test_an_unlazy_start_of_period_above_2_is_refused():
+    # the two-step average of a period-3 walk stays at TV 1/3, so it never
+    # crossed 0.25 and mix reported null crossings
+    g = parse_graph(PERIOD3_TEXT)
+    lift = draw_lift(g, 8, 0)
+    assert lift.period([5, 0]).tolist() == [3, 3]
+    with pytest.raises(AnalysisError, match=r"^start 5 has period 3 without holding, "
+                       r".* alpha > 0 \(--alpha\)$"):
+        mixing_curves(lift, [5, 0])
+    # holding makes the walk aperiodic
+    curves = mixing_curves(lift, [5, 0], alpha=0.5)
+    assert not any(c.periodic for c in curves)
+    assert all(all(c.reached.values()) for c in curves)
 
 
 def test_mixing_curve_thresholds_are_ordered(theta3):
@@ -221,6 +241,16 @@ def test_cutoff_sweep_needs_a_seed(theta3, n_seeds):
         cutoff_sweep(theta3, (8, 16), n_seeds=n_seeds)
 
 
+@pytest.mark.parametrize("eps_list", [(1.5,), (0.25, 1.0)])
+def test_cutoff_sweep_refuses_a_bad_threshold_before_any_work(theta3, eps_list):
+    # the range rule ran only inside a cell, after the progress call
+    calls = []
+    with pytest.raises(AnalysisError, match="thresholds must lie strictly between 0 and 1"):
+        cutoff_sweep(theta3, (8, 16), eps_list=eps_list, eps_primary=eps_list[0],
+                     n_seeds=1, progress=calls.append)
+    assert calls == []
+
+
 def test_cutoff_sweep_rejects_degenerate(c3b):
     with pytest.raises(AnalysisError, match="degenerate"):
         cutoff_sweep(c3b, (16,), n_seeds=1)
@@ -326,11 +356,19 @@ def _first_crossings(tvs, eps_list):
             for eps in eps_list}
 
 
+# one one-way loop: at holding 0 the lift's components are the cycles of its
+# permutation, here the fixed point 0 and the 3-cycle (1 2 3), whose starts
+# are refused
+ONE_WAY_LOOP = "alpha 0\nvertex v0\nedge e0 v0 v0 1/1 0/1\n"
+ONE_WAY_LOOP_MIXED_PERIODS = (ONE_WAY_LOOP, 4, ((0, 2, 3, 1),))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.just(THETA3_TEXT), random_graph_with_dead_orientations()),
        st.integers(1, 90), st.integers(0, 2**16), st.sampled_from([0.0, 0.25, 0.5]),
        st.integers(0, 2**16))
 @example(THETA3_TEXT, 8, 0, 0.0, 0)  # periodic: theta3 at holding 0
+@example(ONE_WAY_LOOP, 3, 0, 0.0, 0)  # period 3 at holding 0: refused
 def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, alpha,
                                                                start):
     g = parse_graph(text)
@@ -350,6 +388,11 @@ def test_buffered_propagation_matches_the_allocating_reference(text, n, seed, al
     if not check_assumptions(g).a1_irreducible:
         return  # the stationary law, and so the TV, needs one closed class
     t_cap = 60
+    if alpha <= 0.0 and lift.period(start) > 2:
+        # no two-step average of its law settles
+        with pytest.raises(AnalysisError, match=f"^start {start} has period"):
+            mixing_curves(lift, [start], alpha=alpha, t_cap=t_cap)
+        return
     curve = mixing_curves(lift, [start], alpha=alpha, t_cap=t_cap)[0]
     tvs, avg_tvs, drift = _allocating_curve(lift, start, alpha,
                                             min(DEFAULT_EPS_LIST), t_cap)
@@ -419,6 +462,7 @@ edge a u v 0 1
                            tuple(range(8)))), 0.5, [0, 2], 60, 2,
          DEFAULT_EPS_LIST, 0, 1)
 @example(UNENTERED_VERTEX, 0.0, [0], 60, 3, DEFAULT_EPS_LIST, 0, 1)
+@example(ONE_WAY_LOOP_MIXED_PERIODS, 0.0, [0, 2, 1, 0], 60, 2, DEFAULT_EPS_LIST, 0, 1)
 def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_cap,
                                                        rows, eps_list, seed, cpus):
     text, n, perms = case
@@ -443,6 +487,13 @@ def test_blocked_curves_match_the_allocating_reference(case, alpha, starts, t_ca
         assert np.array_equal(out[..., r], _allocating_step(lift, block[r], alpha))
     if not check_assumptions(g).a1_irreducible:
         return
+    if alpha <= 0.0:
+        # a start of period above 2 is refused, the first in start order
+        refused = [s for s in starts if lift.period(s) > 2]
+        if refused:
+            with pytest.raises(AnalysisError, match=f"^start {refused[0]} has period"):
+                mixing_curves(lift, starts, alpha=alpha, eps_list=eps_list, t_cap=t_cap)
+            starts = [s for s in starts if s not in refused]
 
     # at most rows starts per block, so several blocks, whose rows stop at
     # different steps, run on cpus threads

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import ONE_WAY_TEXT
+from conftest import ONE_WAY_TEXT, PERIOD3_TEXT
 
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_record.py")
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
@@ -65,9 +65,17 @@ def test_a_lower_metric_flips_the_sign(shift, gain):
     assert (lower["gain"], higher["gain"]) == (gain, not gain)
 
 
-def test_artifact_diff_writes_the_one_way_graph_of_the_tests():
+def _artifact_diff():
     spec = importlib.util.spec_from_file_location(
         "artifact_diff", os.path.join(os.path.dirname(_PATH), "artifact_diff.py"))
     artifact_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(artifact_diff)
-    assert artifact_diff.ONE_WAY_GRAPH.decode("utf-8") == ONE_WAY_TEXT
+    return artifact_diff
+
+
+def test_artifact_diff_writes_the_one_way_graph_of_the_tests():
+    assert _artifact_diff().ONE_WAY_GRAPH.decode("utf-8") == ONE_WAY_TEXT
+
+
+def test_artifact_diff_writes_the_period_3_graph_of_the_tests():
+    assert _artifact_diff().PERIOD3_GRAPH.decode("utf-8") == PERIOD3_TEXT

@@ -73,6 +73,11 @@ of CLI calls on that tree and on the working tree's ``src/``:
   ``spectrum --n 8`` on the one-way graph of ``tests/conftest.py``, whose
   orientations e0+, e1+ and e5+ carry weight zero and so are no move of
   the walk;
+* ``validate``, ``analyze``, ``mix --n 64 --starts sample:3`` and ``sweep
+  --n 64,128 --seeds 1 --starts sample:2`` on the period-3 graph of
+  ``tests/conftest.py`` at its own holding probability 0, where the
+  two-step average never settles and ``mix`` and ``sweep`` are refused, and
+  ``mix --n 64 --alpha 0.5`` on it, which runs;
 * ``validate`` and ``analyze`` on 100 graphs of the kinds the analyze batch
   leaves out or rarely draws: reducible ones, recurrent ones, ones whose
   core is a single cycle, one-way ones (an orientation of the core lies on
@@ -137,6 +142,23 @@ edge e2 v1 v0 2/10 4/9
 edge e3 v2 v0 1/2 2/9
 edge e4 v0 v1 3/9 1/10
 edge e5 v1 v1 0/10 4/10
+"""
+
+#: The period-3 graph of ``tests/conftest.py``: without holding, its walk
+#: and every lift's have period 3.
+PERIOD3_GRAPH = b"""\
+# one-way 3-cycle a -> b -> c -> a, two parallel edges on each step: the
+# unlazy walk has period 3, and h = log 2
+alpha 0
+vertex a
+vertex b
+vertex c
+edge ab1 a b 1/2 0
+edge ab2 a b 1/2 0
+edge bc1 b c 1/2 0
+edge bc2 b c 1/2 0
+edge ca1 c a 1/2 0
+edge ca2 c a 1/2 0
 """
 
 #: Lift files that ``lift --verify`` refuses: bytes that are not UTF-8,
@@ -242,10 +264,10 @@ def _graph(directory, name):
     return os.path.join(directory, f"{name}.g")
 
 
-def calls(batch, rejected, bad_lifts, one_way):
+def calls(batch, rejected, bad_lifts, one_way, period3):
     """The fixed list of CLI argument vectors, given the paths of the batch
-    graphs, of the rejected graphs, of the refused lift files and of the
-    one-way graph."""
+    graphs, of the rejected graphs, of the refused lift files, of the
+    one-way graph and of the period-3 graph."""
     theta3, bouquet4 = _graph(BENCH_GRAPHS, "theta3"), _graph(BENCH_GRAPHS, "bouquet4")
     out = ["--out", OUT]
     argvs = [
@@ -358,6 +380,14 @@ def calls(batch, rejected, bad_lifts, one_way):
         [*cover, "--alpha", "0.5", *out],
         ["mix", *graph, "--n", "16", *out],
         ["spectrum", *graph, "--n", "8"],
+    ]
+    graph = ["--graph", period3]
+    argvs += [
+        ["validate", *graph],
+        ["analyze", *graph],
+        ["mix", *graph, "--n", "64", "--starts", "sample:3", *out],
+        ["sweep", *graph, "--n", "64,128", "--seeds", "1", "--starts", "sample:2", *out],
+        ["mix", *graph, "--n", "64", "--alpha", "0.5", *out],
     ]
     for g in batch + rejected:
         argvs += [["analyze", "--graph", g], ["validate", "--graph", g]]
@@ -497,15 +527,16 @@ def main(argv=None):
         new_src = os.path.join(ROOT, "src")
         batch, rejected = _run([BATCH, os.path.join(work, "batch"), BENCH_GRAPHS],
                                work, [ROOT, new_src])
-        bad_graphs, bad_lifts, one_way = [], [], []
+        bad_graphs, bad_lifts, graphs = [], [], []
+        own = {"one-way": ONE_WAY_GRAPH, "period-3": PERIOD3_GRAPH}
         for files, contents, suffix in ((bad_graphs, BAD_GRAPHS, ".g"),
                                         (bad_lifts, BAD_LIFTS, ".lift"),
-                                        (one_way, {"one-way": ONE_WAY_GRAPH}, ".g")):
+                                        (graphs, own, ".g")):
             for name, data in contents.items():
                 files.append(os.path.join(work, name + suffix))
                 with open(files[-1], "wb") as fh:
                     fh.write(data)
-        argvs = calls(batch, rejected + bad_graphs, bad_lifts, *one_way)
+        argvs = calls(batch, rejected + bad_graphs, bad_lifts, *graphs)
         stdin = json.dumps(argvs)
         print(f"running {len(argvs)} CLI calls at {args.rev} ...", file=sys.stderr)
         old = _run([CHILD], old_dir, [old_src], stdin)
