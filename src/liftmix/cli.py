@@ -14,6 +14,10 @@ and passes it to the command's handler, and a refused call removes the
 that cannot be made is refused before any work, and each artifact's
 manifest digest is that of the text written, not of a file read back.
 
+``cover-sim`` in one process overlaps each trial's walk with the read of
+the trial before it on a helper thread, joined before the walk's finish
+stage (:func:`_pipelined_trials`); a pool of processes runs whole trials.
+
 Exit codes: 0 success; 1 validation or analysis error, or a size no array
 can hold (a ``MemoryError``); 2 numerical non-convergence; 3 usage error.
 """
@@ -41,6 +45,8 @@ from .base_graph import holding_probability, parse_graph
 from .cover import (
     ExcursionStats,
     LocalizationProfile,
+    _trajectory,
+    _walk_codes,
     confirmed_ray,
     estimate_clt_params,
     estimate_speed,
@@ -55,6 +61,7 @@ from .mixing import (
     _cell_curves,
     _check_eps,
     _pool_map,
+    _pool_size,
     _worst_start,
     cutoff_sweep,
 )
@@ -292,11 +299,8 @@ def _cmd_analyze(args, g):
 # ---------------------------------------------------------------------------
 
 
-def _cover_trial(packed):
-    """One trial's excursions, localization profile and final height."""
-    report, root, steps, alpha, master_seed, trial, margin, e_star, r_max = packed
-    rng = substream(master_seed, "cover-walk", trial)
-    traj = simulate_walk(report.graph, root, steps, alpha=alpha, rng=rng)
+def _read_walk(report, traj, margin, e_star, r_max):
+    """One finished walk's excursions, localization profile and final height."""
     # the excursions and the localization profile read one confirmed ray
     times, ray_labels = confirmed_ray(traj, margin)
     return (excursion_decomposition(report, e_star, times, ray_labels),
@@ -304,11 +308,58 @@ def _cover_trial(packed):
             int(traj.heights[-1]))
 
 
+def _cover_trial(packed):
+    """One trial's excursions, localization profile and final height."""
+    report, root, steps, alpha, master_seed, trial, margin, e_star, r_max = packed
+    rng = substream(master_seed, "cover-walk", trial)
+    traj = simulate_walk(report.graph, root, steps, alpha=alpha, rng=rng)
+    return _read_walk(report, traj, margin, e_star, r_max)
+
+
+def _pipelined_trials(packed):
+    """:func:`_cover_trial` of each item, in order, each trial's walk
+    overlapping the read of the trial before it.
+
+    Trial ``i + 1``'s walk stage runs on this thread while one helper thread
+    reads trial ``i``'s trajectory.  That read is joined before trial ``i +
+    1``'s finish stage allocates its moves and heights, so at most one
+    trajectory and one walk's codes are alive at a time, and trial ``i``'s
+    result or error comes before anything of trial ``i + 1``'s.
+    """
+    # imported here, as mixing_curves imports its pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=1)
+    reading = None
+    try:
+        for report, root, steps, alpha, master_seed, trial, margin, e_star, r_max in packed:
+            rng = substream(master_seed, "cover-walk", trial)
+            try:
+                codes = _walk_codes(report.graph, root, steps, alpha, rng)
+            except BaseException:
+                # the trial before is reported, or refused, first
+                if reading is not None:
+                    yield reading.result()
+                raise
+            if reading is not None:
+                yield reading.result()
+            reading = pool.submit(_read_walk, report, _trajectory(root, alpha, codes),
+                                  margin, e_star, r_max)
+            del codes  # before the next walk allocates its own
+        if reading is not None:
+            yield reading.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_cover_sim(args, g):
     if args.trials < 1:
         raise AnalysisError(f"trials must be at least 1, got {args.trials}")
     if args.r_max < 0:
         raise AnalysisError("r_max must be nonnegative")
+    # confirmed_ray's own check, made before any walk
+    if args.margin < 0:
+        raise AnalysisError("margin must be nonnegative")
     # the walk's distance to its ray never exceeds its height
     if args.r_max > args.steps >= 0:
         raise AnalysisError(f"r_max must be at most the step count {args.steps}, "
@@ -332,8 +383,12 @@ def _cmd_cover_sim(args, g):
     }, args.out)
     packed = [(report, root, args.steps, alpha, args.seed, trial, args.margin, e_star,
                args.r_max) for trial in range(args.trials)]
+    if _pool_size(args.workers, args.trials) > 1:
+        trials = _pool_map(_cover_trial, packed, args.workers)
+    else:
+        trials = _pipelined_trials(packed)
     results = []
-    for trial, res in enumerate(_pool_map(_cover_trial, packed, args.workers)):
+    for trial, res in enumerate(trials):
         results.append(res)
         _progress(f"trial {trial + 1}/{args.trials} done ({res[0].n} excursions)")
     stats, profiles, heights = zip(*results)

@@ -31,9 +31,14 @@ then only looks the code up in the top label's table, and pushes that
 table and goes on at the drawn label's, or pops back to the table below.
 On a graph of at most 254 oriented labels every rank and code fits in a
 byte, so a block's ranks reach the loop, and its codes leave it, as bytes.
-The moves are the codes less 2, and the heights a cumulative sum of each
-code's rise.  The rest reads the finished trajectory in three stages, each
-one public function, through two last-exit rules:
+That is the walk stage, :func:`_walk_codes`; the finish stage,
+:func:`_trajectory`, makes the moves, the codes less 2, and the heights, a
+cumulative sum of each step's rise.  ``cover-sim`` runs the two stages
+itself: while one trial walks, a second thread reads the trial before it,
+and that read is joined before the walk's finish stage allocates the
+trajectory, so one trajectory and one walk's codes are alive at a time.
+The read takes the finished trajectory in three stages, each one public
+function, through two last-exit rules:
 
 * the step after the walk's last visit to height ``j - 1`` is the last push
   to level ``j`` and is never undone; its label is the ray's level-``j``
@@ -233,6 +238,14 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
     block without a moving draw leaves the walk where it was.
     """
     alpha = holding_probability(g, alpha)
+    return _trajectory(root_label, alpha, _walk_codes(g, root_label, steps, alpha, rng))
+
+
+def _walk_codes(g, root_label, steps, alpha, rng=None):
+    """The walk stage of :func:`simulate_walk`, at a holding probability
+    ``alpha`` already resolved: the draws, the ranks and the loop, ending in
+    each step's code, as bytes on a graph of at most 254 oriented labels and
+    as int32 on a larger one."""
     if root_label not in g.vertex_index:
         raise AnalysisError(f"unknown root vertex {root_label!r}")
     steps = int(steps)
@@ -244,7 +257,7 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
         if not g.transience.transient:
             warnings.warn(
                 "cover walk is recurrent; escape statistics will not "
-                "converge", stacklevel=2,
+                "converge", stacklevel=3,
             )
     except AnalysisError:
         pass
@@ -284,11 +297,15 @@ def simulate_walk(g, root_label, steps, alpha=None, rng=None):
                 block[i] = k
         codes[t:t + _BLOCK][moving] = (np.frombuffer(bytes(block), np.uint8)
                                        if as_bytes else block)
+    return codes
+
+
+def _trajectory(root_label, alpha, codes):
+    """The finish stage of :func:`simulate_walk`: the trajectory of a walk
+    from its codes.  A hold leaves the height, a pop lowers it and a push
+    raises it; the rises are summed in place, in the heights' own int32."""
     moves = np.subtract(codes, 2, dtype=np.int32)
-    # a hold leaves the height, a pop lowers it and a push raises it
-    rise = np.ones(g.n_oriented + 2, dtype=np.int32)
-    rise[:2] = (0, -1)
-    heights = rise.take(codes)
+    heights = np.subtract(codes >= 2, codes == 1, dtype=np.int32)
     np.cumsum(heights, out=heights)
     return CoverTrajectory(root_label=root_label, alpha=alpha, moves=moves,
                            heights=heights)
@@ -728,12 +745,19 @@ def _ray_prefix_lengths(traj, ray_labels, times):
     # Index arrays, not boolean masks, select the off-ray pushes and the
     # outermost intervals: numpy selects by index faster than by mask.
     start = pushes[np.flatnonzero(moves[pushes] != ray_labels[heights[pushes] - 1])]
+    # the index arrays of every push and pop go as soon as they are read:
+    # a 250,000-step theta3 walk at alpha 1/2 then peaks near 1.7 MB here
+    # with its sampling, not 2.9 MB
+    del pushes
     level = heights[start]
     # Every off-ray push is popped again, since the final path follows the
     # ray up to the limit, so each search finds its closing pop.
     pops = np.flatnonzero((moves == MOVE_POP) & (heights < limit))
     span = len(moves) + 1
-    close = np.sort(heights[pops].astype(np.int64) * span + pops)
+    close = np.multiply(heights[pops], span, dtype=np.int64)
+    close += pops
+    del pops
+    close.sort()
     below = (level - 1).astype(np.int64) * span
     end = close[np.searchsorted(close, below + start)] - below
     # A sentinel interval [-1, 0) opens before every step, so each step
@@ -744,6 +768,19 @@ def _ray_prefix_lengths(traj, ray_labels, times):
     start, end, level = start[outer], end[outer], level[outer]
     i = np.searchsorted(start, times, side="right") - 1
     return np.where(times < end[i], level[i] - 1, heights[times])
+
+
+def _strided_nonzero(mask, stride):
+    """``np.flatnonzero(mask)[::stride]``, found one run of ``8 * _BLOCK``
+    entries at a time, so that the index of every true entry is never held
+    at once: a 250,000-step walk's would take about 2 MB."""
+    parts = [np.empty(0, dtype=np.intp)]
+    skip = 0  # true entries to pass over before the next one taken
+    for t in range(0, len(mask), 8 * _BLOCK):
+        idx = np.flatnonzero(mask[t:t + 8 * _BLOCK])
+        parts.append(idx[skip::stride] + t)
+        skip = (skip - len(idx)) % stride
+    return np.concatenate(parts)
 
 
 def ray_localization_profile(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):
@@ -761,7 +798,8 @@ def ray_localization_profile(traj, ray_labels, r_max, max_samples=_MAX_SAMPLES):
         raise AnalysisError("r_max must be nonnegative")
     eligible = traj.heights <= len(ray_labels)
     stride = max(1, int(np.count_nonzero(eligible)) // max(1, int(max_samples)))
-    times = np.flatnonzero(eligible)[::stride].copy()
+    times = _strided_nonzero(eligible, stride)
+    del eligible  # not held through the prefix search
     if len(times) == 0:
         raise AnalysisError("no eligible samples inside the confirmed region")
     dist = traj.heights[times] - _ray_prefix_lengths(traj, ray_labels, times)

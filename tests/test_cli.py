@@ -10,13 +10,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import liftmix
 from liftmix import (
+    AnalysisError,
     __version__,
+    confirmed_ray,
     draw_lift,
     lift_to_json,
     mixing_curves,
@@ -24,6 +28,7 @@ from liftmix import (
     simulate_walk,
     substream,
 )
+from liftmix import cli
 from liftmix.cli import main
 
 from conftest import ASYM_THETA_TEXT, PERIOD3_TEXT, SYM3_TEXT, THETA3_TEXT, bouquet_text
@@ -130,7 +135,9 @@ def test_a_negative_seed_or_degree_gives_one_error_line(capsys, theta3_file, tmp
     ["mix", "--n", "8", "--starts", "bogus"],
     ["cover-sim", "--steps", "1000", "--seed", "-1"],
     ["cover-sim", "--steps", "100"],
+    ["cover-sim", "--steps", "100", "--trials", "2"],
     ["cover-sim", "--steps", "100", "--trials", "2", "--workers", "2"],
+    ["cover-sim", "--margin", "-1"],
     ["lift", "--n", "8", "--seed", "-1"],
     ["lift", "--n", "-3"],
     ["sweep", "--n", "8,16", "--seeds", "1", "--master-seed", "-1"],
@@ -138,9 +145,11 @@ def test_a_negative_seed_or_degree_gives_one_error_line(capsys, theta3_file, tmp
 ], ids=" ".join)
 def test_a_refused_call_leaves_no_output_directory(capsys, theta3_file, tmp_path,
                                                    argv):
-    # refused on its seed or degree, on its start policy or seed count, or
-    # with a trajectory too short for any ray level, also in a pool process;
-    # an empty directory that was there before is kept
+    # refused on its seed or degree, on its start policy or seed count, on a
+    # negative margin, or with a trajectory too short for any ray level, also
+    # in the read of a pipelined trial or in a pool process; an empty
+    # directory that was there before is kept, and no helper thread is left
+    threads = threading.active_count()
     empty = tmp_path / "empty"
     empty.mkdir()
     for out in (tmp_path / "a" / "b", empty):
@@ -148,6 +157,96 @@ def test_a_refused_call_leaves_no_output_directory(capsys, theta3_file, tmp_path
                                         "--out", str(out)])
         assert code == 1 and cap.err.count("liftmix: error: ") == 1
     assert not (tmp_path / "a").exists() and empty.is_dir()
+    assert threading.active_count() == threads
+
+
+def _error_lines(cap):
+    return [l for l in cap.err.splitlines() if l.startswith("liftmix")]
+
+
+def test_cover_sim_refuses_a_negative_margin_before_any_walk(capsys, theta3_file,
+                                                             monkeypatch):
+    monkeypatch.setattr(cli, "_walk_codes", None)
+    code, _, cap = run_cli(capsys, ["cover-sim", "--graph", theta3_file, "--margin", "-1"])
+    assert code == 1
+    assert _error_lines(cap) == ["liftmix: error: margin must be nonnegative"]
+
+
+def test_a_pipelined_cover_sim_gives_the_error_of_its_first_refused_trial(
+        capsys, theta3_file, tmp_path):
+    # each 100-step trial is too short for a ray level: trial 0's read fails
+    # while trial 1 walks, and its error line, not trial 1's, is the one given
+    g = parse_graph(THETA3_TEXT)
+    lines = []
+    for trial in (0, 1):
+        traj = simulate_walk(g, "u", 100, rng=substream(0, "cover-walk", trial))
+        with pytest.raises(AnalysisError) as exc:
+            confirmed_ray(traj)
+        lines.append(f"liftmix: error: {exc.value}")
+    assert lines[0] != lines[1]
+    for workers in ("1", "2"):
+        code, _, cap = run_cli(capsys, [
+            "cover-sim", "--graph", theta3_file, "--steps", "100", "--trials", "2",
+            "--workers", workers, "--out", str(tmp_path)])
+        assert code == 1 and _error_lines(cap) == lines[:1]
+
+
+def test_cover_sim_reads_each_walk_on_a_helper_thread_before_the_next_finish(
+        capsys, theta3_file, tmp_path, monkeypatch):
+    # trial i's read runs on a helper thread while trial i + 1 walks, and is
+    # joined before trial i + 1's finish stage makes its trajectory
+    caller = threading.get_ident()
+    events = []
+    finish, read = cli._trajectory, cli._read_walk
+
+    def traced_finish(*args):
+        events.append(("finish", threading.get_ident() == caller))
+        return finish(*args)
+
+    def traced_read(*args):
+        result = read(*args)
+        time.sleep(0.05)  # so that the next walk ends first
+        events.append(("read", threading.get_ident() == caller))
+        return result
+
+    monkeypatch.setattr(cli, "_trajectory", traced_finish)
+    monkeypatch.setattr(cli, "_read_walk", traced_read)
+    threads = threading.active_count()
+    code, _, _ = run_cli(capsys, ["cover-sim", "--graph", theta3_file, "--steps", "8000",
+                                  "--trials", "3", "--seed", "3", "--out", str(tmp_path)])
+    assert code == 0
+    assert events == [("finish", True), ("read", False)] * 3
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("steps", [8000, 100])
+def test_a_pipelined_cover_sim_reports_its_trials_in_order(capsys, theta3_file,
+                                                           tmp_path, monkeypatch, steps):
+    # trial 1's walk fails while trial 0 is read: trial 0's read, which
+    # succeeds with 8000 steps and fails with 100, is reported first
+    walk = cli._walk_codes
+    walks = []
+
+    def failing_walk(*args):
+        walks.append(args)
+        if len(walks) == 2:
+            raise AnalysisError("trial 1's walk failed")
+        return walk(*args)
+
+    monkeypatch.setattr(cli, "_walk_codes", failing_walk)
+    argv = ["cover-sim", "--graph", theta3_file, "--steps", str(steps), "--trials", "3",
+            "--seed", "3", "--out", str(tmp_path)]
+    threads = threading.active_count()
+    code, _, cap = run_cli(capsys, argv)
+    assert code == 1 and len(walks) == 2
+    if steps == 8000:
+        assert "trial 1/3 done" in cap.err
+        assert _error_lines(cap) == ["liftmix: error: trial 1's walk failed"]
+    else:
+        assert "done" not in cap.err
+        [line] = _error_lines(cap)
+        assert line.startswith("liftmix: error: trajectory too short")
+    assert threading.active_count() == threads
 
 
 #: A size no host can hold: a walk of 2**61 one-byte steps is past every

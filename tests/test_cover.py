@@ -34,8 +34,10 @@ from liftmix.cover import (
     MOVE_HOLD,
     MOVE_POP,
     _COMPARED_VALUES,
+    _BLOCK,
     _build_sampler,
     _ray_prefix_lengths,
+    _strided_nonzero,
     cover_moves,
     cover_vertex_type,
 )
@@ -774,6 +776,27 @@ def test_walks_ending_below_their_peak_match_the_scalar_loops(theta3, margin):
         capped += int(traj.heights[-1]) < traj.max_height - margin
         _check_against_scalar_loops(traj, view, margin, None, 30, 6, 500)
     assert capped >= 3
+
+
+@pytest.mark.parametrize("max_samples", [1, 997, 5000, 100_000])
+def test_samples_of_a_walk_many_runs_long_match_the_scalar_loops(theta3, max_samples):
+    # the localization profile picks its steps one run of 8 * 4096 steps at a
+    # time; this walk spans three runs and part of a fourth, and the stride
+    # carries across each boundary (every step is sampled at 100,000)
+    traj = simulate_walk(theta3, "u", 100_000, rng=substream(5, "cover-walk", 0))
+    _check_against_scalar_loops(traj, _view(theta3), DEFAULT_MARGIN, None, 30, 6,
+                                max_samples)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7, 8 * _BLOCK, 10**6])
+def test_strided_nonzero_is_every_strideth_true_index(stride):
+    rng = np.random.default_rng(stride)
+    for n in (0, 1, 8 * _BLOCK - 1, 8 * _BLOCK, 8 * _BLOCK + 1, 3 * 8 * _BLOCK + 5):
+        for p in (0.0, 0.02, 0.5, 1.0):
+            mask = rng.random(n) < p
+            got = _strided_nonzero(mask, stride)
+            want = np.flatnonzero(mask)[::stride]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _assert_walk_matches_scalar(g, root, steps, alpha, rng_ref, rng):

@@ -59,8 +59,10 @@ of CLI calls on that tree and on the working tree's ``src/``:
   with the same error line and no artifact;
 * ``lift --verify`` on theta3 with a lift file holding the bytes ``00 ff
   fe``, 200,000 ``[`` characters, an integer of 5,000 digits, or a lift
-  JSON cut short, and ``cover-sim --workers 2`` with 100 steps, refused in
-  a pool process, which each must end in one error line and no artifact;
+  JSON cut short, ``cover-sim --trials 2`` with 100 steps, refused in a
+  pool process with ``--workers 2`` and, with one worker, in the read of
+  the first trial while the second walks, and ``cover-sim --margin -1``,
+  which each must end in one error line and no artifact;
 * ``spectrum --alpha 0`` on theta3, whose base chain has eigenvalue -1, and
   ``spectrum --n 1`` on theta3 and on the biased cycle, whose 1-lift is the
   base itself;
@@ -356,6 +358,8 @@ def calls(batch, rejected, bad_lifts, one_way, period3):
         ["lift", *theta3, "--n", "-3", *out],
         ["cover-sim", *theta3, "--steps", "100", "--trials", "2", "--workers", "2",
          *out],
+        ["cover-sim", *theta3, "--steps", "100", "--trials", "2", *out],
+        ["cover-sim", *theta3, "--margin", "-1", *out],
         ["spectrum", *theta3, "--n", "8", "--alpha", "0"],
         ["spectrum", *theta3, "--n", "1"],
         ["spectrum", "--graph", _graph(DEMO_GRAPHS, "biased_cycle"), "--n", "1"],
